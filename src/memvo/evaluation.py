@@ -18,25 +18,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .geometry import (check_se3, make_se3, matrix_to_quat, pose_compose,
-                       pose_inverse, quat_to_matrix, rotation_angle,
-                       translation, umeyama_align, apply_similarity)
+from .geometry import (StackError, apply_similarity, check_se3, matrix_to_quat,
+                       pose_inverse, quat_to_matrix, rotation_angle, umeyama_align)
 from .votb import read_votb, write_votb
 
 SEQUENCE_MANIFEST = "manifest.json"
 SEQUENCE_FORMAT = "memvo-sequence"
 KITTI_LENGTHS = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0)
+# Segments or pairs scored per batched product in the drift metrics: bounds
+# the temporary (n,4,4) stacks, and with them peak memory.
+DRIFT_CHUNK = 1024
+
+
+def _pose_stack(poses):
+    """A sequence or (N,4,4) array of 4x4 poses as one float64 stack.
+
+    Only the shape is checked; check_se3 validates the poses.
+    """
+    poses = np.asarray(poses, dtype=np.float64)
+    if poses.size == 0:
+        poses = poses.reshape(0, 4, 4)
+    if poses.ndim != 3 or poses.shape[1:] != (4, 4):
+        raise ValueError("poses must be a sequence of 4x4 matrices, got shape %s"
+                         % (poses.shape,))
+    return poses
 
 
 @dataclass
 class Trajectory:
-    """Timestamps (frame indices for KITTI) plus one 4x4 pose each."""
+    """Timestamps (frame indices for KITTI) plus an (N,4,4) stack of poses.
+
+    A list of 4x4 poses is stacked on construction.
+    """
 
     stamps: np.ndarray
-    poses: list
+    poses: np.ndarray
 
     def __post_init__(self):
         self.stamps = np.asarray(self.stamps, dtype=np.float64)
+        self.poses = _pose_stack(self.poses)
         if self.stamps.ndim != 1 or len(self.stamps) != len(self.poses):
             raise ValueError("stamps and poses must align")
 
@@ -44,73 +64,86 @@ class Trajectory:
         return len(self.poses)
 
     def positions(self):
-        return np.array([p[:3, 3] for p in self.poses])
+        return self.poses[:, :3, 3].copy()
+
+
+def _format_rows(rows):
+    """One line per row of a 2-D array, each value with 17 significant digits."""
+    fmt = " ".join(["%.17g"] * rows.shape[1])
+    return "\n".join([fmt % tuple(row.tolist()) for row in rows]) + "\n"
 
 
 def format_kitti(poses):
-    lines = []
-    for pose in poses:
-        pose = check_se3(pose)
-        lines.append(" ".join("%.17g" % v for v in pose[:3].reshape(-1)))
-    return "\n".join(lines) + "\n"
+    poses = check_se3(_pose_stack(poses))
+    return _format_rows(poses[:, :3].reshape(len(poses), 12))
+
+
+def _tokenise(text, width, comments):
+    """Numbers of every pose line as an (n, width) array, plus each row's line.
+
+    Blank lines, and '#' lines where comments are allowed, are skipped; line
+    numbers stay physical. Every error names its line.
+    """
+    lines = text.splitlines()
+    vals, linenos = np.empty((len(lines), width)), []
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or (comments and tokens[0].startswith("#")):
+            continue
+        if len(tokens) != width:
+            raise ValueError("line %d: expected %d values, got %d" % (lineno, width, len(tokens)))
+        try:
+            vals[len(linenos)] = list(map(float, tokens))
+        except ValueError:
+            raise ValueError("line %d: non-numeric value" % lineno) from None
+        linenos.append(lineno)
+    if not linenos:
+        raise ValueError("no poses found")
+    vals = vals[:len(linenos)]
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        raise ValueError("line %d: non-finite value" % linenos[int(np.argmin(finite))])
+    return vals, linenos
+
+
+def _by_line(linenos, check, rows):
+    """check(rows) on a whole stack of parsed rows; a rejected row names its line."""
+    try:
+        return check(rows)
+    except StackError as exc:
+        raise ValueError("line %d: %s" % (linenos[exc.index], exc.reason)) from None
 
 
 def parse_kitti(text):
-    poses = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        tokens = line.split()
-        if len(tokens) != 12:
-            raise ValueError("line %d: expected 12 values, got %d" % (lineno, len(tokens)))
-        try:
-            vals = np.array([float(t) for t in tokens])
-        except ValueError:
-            raise ValueError("line %d: non-numeric value" % lineno) from None
-        mat = vals.reshape(3, 4)
-        try:
-            poses.append(make_se3(mat[:, :3], mat[:, 3]))
-        except ValueError as exc:
-            raise ValueError("line %d: %s" % (lineno, exc)) from None
-    if not poses:
-        raise ValueError("no poses found")
-    return Trajectory(np.arange(len(poses), dtype=np.float64), poses)
+    vals, linenos = _tokenise(text, 12, comments=False)
+    poses = np.zeros((len(vals), 4, 4))
+    poses[:, :3] = vals.reshape(-1, 3, 4)
+    poses[:, 3, 3] = 1.0
+    return Trajectory(np.arange(len(poses), dtype=np.float64), _by_line(linenos, check_se3, poses))
 
 
 def format_tum(traj):
-    lines = []
-    for stamp, pose in zip(traj.stamps, traj.poses):
-        pose = check_se3(pose)
-        q = matrix_to_quat(pose[:3, :3])
-        vals = [stamp, pose[0, 3], pose[1, 3], pose[2, 3], q[0], q[1], q[2], q[3]]
-        lines.append(" ".join("%.17g" % v for v in vals))
-    return "\n".join(lines) + "\n"
+    poses = check_se3(traj.poses)
+    rows = np.zeros((len(poses), 8))
+    rows[:, 0] = traj.stamps
+    rows[:, 1:4] = poses[:, :3, 3]
+    for row, pose in zip(rows, poses):
+        row[4:] = matrix_to_quat(pose[:3, :3])
+    return _format_rows(rows)
 
 
 def parse_tum(text):
-    stamps, poses = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 8:
-            raise ValueError("line %d: expected 8 values, got %d" % (lineno, len(tokens)))
-        try:
-            vals = [float(t) for t in tokens]
-        except ValueError:
-            raise ValueError("line %d: non-numeric value" % lineno) from None
-        if stamps and vals[0] <= stamps[-1]:
-            raise ValueError("line %d: timestamps must be strictly increasing" % lineno)
-        try:
-            rot = quat_to_matrix(np.array(vals[4:8]))
-        except ValueError as exc:
-            raise ValueError("line %d: %s" % (lineno, exc)) from None
-        stamps.append(vals[0])
-        poses.append(make_se3(rot, vals[1:4]))
-    if not poses:
-        raise ValueError("no poses found")
-    return Trajectory(np.array(stamps), poses)
+    vals, linenos = _tokenise(text, 8, comments=True)
+    stamps = vals[:, 0].copy()
+    rising = np.diff(stamps) > 0
+    if not rising.all():
+        raise ValueError("line %d: timestamps must be strictly increasing"
+                         % linenos[int(np.argmin(rising)) + 1])
+    poses = np.zeros((len(vals), 4, 4))
+    poses[:, :3, :3] = _by_line(linenos, quat_to_matrix, vals[:, 4:8])
+    poses[:, :3, 3] = vals[:, 1:4]
+    poses[:, 3, 3] = 1.0
+    return Trajectory(stamps, _by_line(linenos, check_se3, poses))
 
 
 def load_trajectory(path, fmt):
@@ -193,6 +226,8 @@ def load_sequence(dirpath):
 
 @dataclass
 class DriftSegment:
+    # a KITTI run scores tens of thousands of segments; slots keep each small
+    __slots__ = ("start", "length", "t_err", "r_err", "speed")
     start: int
     length: float
     t_err: float  # ratio, error per meter
@@ -217,6 +252,27 @@ def _aggregate(values, how):
     raise ValueError("aggregate must be 'mean' or 'rmse'")
 
 
+def _pair_errors(est, est_inv, gt, gt_inv, i, j):
+    """Error of est against gt over every pair of frames (i, j).
+
+    The relative poses inv(P_i) P_j come from the inverses of the whole
+    trajectories, so no pose is inverted or validated per pair. The error
+    pose inv(gt_rel) est_rel is written out as (R_g^T R_e, R_g^T (t_e - t_g)),
+    which is exactly the identity wherever est_rel equals gt_rel. Returns its
+    translation norm and rotation angle per pair, DRIFT_CHUNK pairs at a time.
+    """
+    t_err, r_err = np.empty(len(i)), np.empty(len(i))
+    for a in range(0, len(i), DRIFT_CHUNK):
+        ii, jj = i[a:a + DRIFT_CHUNK], j[a:a + DRIFT_CHUNK]
+        gt_rel = gt_inv[ii] @ gt[jj]
+        est_rel = est_inv[ii] @ est[jj]
+        rt = gt_rel[:, :3, :3].swapaxes(1, 2)
+        shift = rt @ (est_rel[:, :3, 3] - gt_rel[:, :3, 3])[:, :, None]
+        t_err[a:a + DRIFT_CHUNK] = np.linalg.norm(shift[:, :, 0], axis=1)
+        r_err[a:a + DRIFT_CHUNK] = rotation_angle(rt @ est_rel[:, :3, :3])
+    return t_err, r_err
+
+
 def kitti_drift(est, gt, lengths=KITTI_LENGTHS, step=1, aggregate="mean",
                 frame_hz=10.0):
     """Average drift over all subsegments of the given path lengths.
@@ -227,45 +283,62 @@ def kitti_drift(est, gt, lengths=KITTI_LENGTHS, step=1, aggregate="mean",
     the translational (ratio) and rotational (rad/m) drift. Results are
     scaled to percent and deg/100m. Both trajectories must cover the same
     frames. Invariant to any rigid transform applied to both inputs.
+
+    est and gt are Trajectory objects, sequences of 4x4 poses or (N,4,4)
+    stacks; their poses are validated once per call. lengths may come in any
+    order and must be finite and positive; every (start, length) that fits
+    is scored, and segments are listed start by start, in lengths order.
     """
-    est_poses = est.poses if isinstance(est, Trajectory) else [check_se3(p) for p in est]
-    gt_poses = gt.poses if isinstance(gt, Trajectory) else [check_se3(p) for p in gt]
-    if len(est_poses) != len(gt_poses):
-        raise ValueError("est has %d poses, gt has %d" % (len(est_poses), len(gt_poses)))
-    n = len(gt_poses)
+    est = est.poses if isinstance(est, Trajectory) else _pose_stack(est)
+    gt = gt.poses if isinstance(gt, Trajectory) else _pose_stack(gt)
+    if len(est) != len(gt):
+        raise ValueError("est has %d poses, gt has %d" % (len(est), len(gt)))
+    n = len(gt)
     if n < 2:
         raise ValueError("need at least 2 poses")
     if step < 1:
         raise ValueError("step must be positive")
-    gt_pos = np.array([p[:3, 3] for p in gt_poses])
-    seg = np.linalg.norm(np.diff(gt_pos, axis=0), axis=1)
+    lens = np.asarray(lengths, dtype=np.float64)
+    if lens.ndim != 1 or not np.all(np.isfinite(lens) & (lens > 0.0)):
+        raise ValueError("lengths must be finite and positive, got %r" % (lengths,))
+    est_inv, gt_inv = pose_inverse(est), pose_inverse(gt)
+    seg = np.linalg.norm(np.diff(gt[:, :3, 3], axis=0), axis=1)
     dist = np.concatenate([[0.0], np.cumsum(seg)])
-    segments = []
-    for s in range(0, n, step):
-        for length in lengths:
-            e = int(np.searchsorted(dist, dist[s] + length, side="left"))
-            if e >= n:
-                break  # longer lengths cannot fit either
-            gt_rel = pose_inverse(gt_poses[s]) @ gt_poses[e]
-            est_rel = pose_inverse(est_poses[s]) @ est_poses[e]
-            err = pose_inverse(gt_rel) @ est_rel
-            t_err = float(np.linalg.norm(err[:3, 3])) / length
-            r_err = rotation_angle(err[:3, :3]) / length
-            speed = length / ((e - s) / frame_hz)
-            segments.append(DriftSegment(s, length, t_err, r_err, speed))
-    if not segments:
+    first = np.arange(0, n, step)
+    starts = np.repeat(first, len(lens))
+    which = np.tile(np.arange(len(lens)), len(first))  # index into lengths
+    ends = np.searchsorted(dist, dist[starts] + lens[which], side="left")
+    fits = ends < n
+    starts, which, ends = starts[fits], which[fits], ends[fits]
+    if not len(starts):
         raise ValueError("trajectory too short for any evaluation length")
+    t_err, r_err = _pair_errors(est, est_inv, gt, gt_inv, starts, ends)
+    del est_inv, gt_inv  # not needed while the segment list is built
+    seg_len = lens[which]
+    t_err /= seg_len
+    r_err /= seg_len
+    speed = seg_len / ((ends - starts) / frame_hz)
     per_length = []
-    for length in lengths:
-        sel = [g for g in segments if g.length == length]
-        if not sel:
+    for length, want in zip(lengths, lens):
+        sel = seg_len == want
+        if not sel.any():
             continue
         per_length.append((length,
-                           100.0 * _aggregate([g.t_err for g in sel], aggregate),
-                           _to_deg_per_100m(_aggregate([g.r_err for g in sel], aggregate)),
-                           len(sel)))
-    t_rel = 100.0 * _aggregate([g.t_err for g in segments], aggregate)
-    r_rel = _to_deg_per_100m(_aggregate([g.r_err for g in segments], aggregate))
+                           100.0 * _aggregate(t_err[sel], aggregate),
+                           _to_deg_per_100m(_aggregate(r_err[sel], aggregate)),
+                           int(np.count_nonzero(sel))))
+    t_rel = 100.0 * _aggregate(t_err, aggregate)
+    r_rel = _to_deg_per_100m(_aggregate(r_err, aggregate))
+    # Segments of one start share its int, and each refers to its length as
+    # given. Built a chunk at a time, so no whole-run list of floats sits
+    # beside the arrays.
+    start_of, length_of = first.tolist(), list(lengths)
+    segments = []
+    for a in range(0, len(starts), DRIFT_CHUNK):
+        part = slice(a, a + DRIFT_CHUNK)
+        segments.extend(map(DriftSegment, [start_of[i] for i in (starts[part] // step).tolist()],
+                            [length_of[k] for k in which[part].tolist()], t_err[part].tolist(),
+                            r_err[part].tolist(), speed[part].tolist()))
     return KittiDriftResult(t_rel, r_rel, per_length, segments)
 
 
@@ -302,6 +375,27 @@ def associate_stamps(a, b, tol=0.02):
     pairs.sort()
     return pairs
 
+
+def _delta_pairs(stamps, delta, tol):
+    """For each stamp a, the later stamp nearest to stamps[a] + delta.
+
+    Candidates are the two stamps around stamps[a] + delta; one counts when
+    it lies after a and within tol of the target, and of two the earlier
+    wins ties. Returns the index arrays (a, b) of the pairs found.
+    """
+    m = len(stamps)
+    a = np.arange(m)
+    hi = np.searchsorted(stamps, stamps + delta)
+    lo = hi - 1
+    lo_gap = np.abs(stamps[np.maximum(lo, 0)] - stamps - delta)
+    hi_gap = np.abs(stamps[np.minimum(hi, m - 1)] - stamps - delta)
+    lo_ok = (a < lo) & (lo_gap <= tol)
+    hi_ok = (a < hi) & (hi < m) & (hi_gap <= tol)
+    take_hi = hi_ok & ~(lo_ok & (lo_gap <= hi_gap))
+    found = lo_ok | hi_ok
+    return a[found], np.where(take_hi, hi, lo)[found]
+
+
 def tum_rmse_drift(est, gt, delta=1.0, tol=0.02, with_scale=True):
     """Translational drift rate in m/s, TUM style.
 
@@ -315,30 +409,15 @@ def tum_rmse_drift(est, gt, delta=1.0, tol=0.02, with_scale=True):
     matches = associate_stamps(est.stamps, gt.stamps, tol)
     if len(matches) < 3:
         raise ValueError("only %d timestamp matches, need at least 3" % len(matches))
-    est_m = [est.poses[i] for i, _ in matches]
-    gt_m = [gt.poses[j] for _, j in matches]
-    stamps = np.array([est.stamps[i] for i, _ in matches])
-    est_pos = np.array([p[:3, 3] for p in est_m])
-    gt_pos = np.array([p[:3, 3] for p in gt_m])
-    scale, rot, trans = umeyama_align(est_pos, gt_pos, with_scale=with_scale)
-    est_aligned = apply_similarity(scale, rot, trans, est_m)
-    errs = []
-    for a in range(len(stamps)):
-        b = int(np.searchsorted(stamps, stamps[a] + delta))
-        best = None
-        for j in (b - 1, b):
-            if a < j < len(stamps) and abs(stamps[j] - stamps[a] - delta) <= tol:
-                if best is None or abs(stamps[j] - stamps[a] - delta) < abs(stamps[best] - stamps[a] - delta):
-                    best = j
-        if best is None:
-            continue
-        dt = stamps[best] - stamps[a]
-        gt_rel = pose_inverse(gt_m[a]) @ gt_m[best]
-        est_rel = pose_inverse(est_aligned[a]) @ est_aligned[best]
-        err = pose_inverse(gt_rel) @ est_rel
-        errs.append(float(np.linalg.norm(err[:3, 3])) / dt)
-    if not errs:
+    ei, gj = np.array(matches).T
+    gt_m, stamps = gt.poses[gj], est.stamps[ei]
+    scale, rot, trans = umeyama_align(est.poses[ei, :3, 3], gt_m[:, :3, 3], with_scale=with_scale)
+    est_aligned = apply_similarity(scale, rot, trans, est.poses[ei])
+    a, b = _delta_pairs(stamps, delta, tol)
+    if not len(a):
         raise ValueError("no pose pairs %.3g s apart" % delta)
+    t_err, _ = _pair_errors(est_aligned, pose_inverse(est_aligned), gt_m, pose_inverse(gt_m), a, b)
+    errs = t_err / (stamps[b] - stamps[a])
     rmse = float(np.sqrt(np.mean(np.square(errs))))
     return TumDriftResult(rmse, len(errs), len(matches), scale)
 

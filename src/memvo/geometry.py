@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _ORTHO_TOL = 1e-6
+_LAST_ROW = np.array([0.0, 0.0, 0.0, 1.0])
+_EYE3 = np.eye(3)
 
 
 def wrap_angle(phi):
@@ -40,15 +42,61 @@ def euler_to_matrix(phi):
     return rz @ ry @ rx
 
 
+class StackError(ValueError):
+    """A check rejected one element of a stack; index is the first that fails."""
+
+    def __init__(self, what, index, reason):
+        super().__init__("%s %d: %s" % (what, index, reason))
+        self.index = index
+        self.reason = reason
+
+
+def _raise_first(faults, what):
+    """Raise for the first element that fails any (mask, reason) check.
+
+    A mask is 0-d for a single matrix, which raises a plain ValueError with
+    the reason; on a stack a StackError names the first failing element.
+    Within an element the checks count in order. A reason is a string, or a
+    function of the element's index for reasons that quote a value.
+    """
+    bad = faults[0][0]
+    for mask, _ in faults[1:]:
+        bad = bad | mask
+    if not (bad.any() if bad.ndim else bad):  # bool() of a 0-d mask is the cheap test
+        return
+    idx = int(np.argmax(bad)) if bad.ndim else ()
+    for mask, reason in faults:
+        if mask[idx]:
+            reason = reason if isinstance(reason, str) else reason(idx)
+            if bad.ndim:
+                raise StackError(what, idx, reason)
+            raise ValueError(reason)
+
+
+def _rotation_faults(r, tol):
+    """Orthonormality and orientation checks of (...,3,3) matrices.
+
+    Non-finite or huge entries raise no warning here: a finiteness check
+    placed before these reports them, and NaN fails no comparison.
+    """
+    with np.errstate(all="ignore"):
+        dev = np.abs(r.swapaxes(-1, -2) @ r - _EYE3).max(axis=(-2, -1))
+        det = np.linalg.det(r)
+    return [(dev > tol, lambda i: "matrix is not orthonormal (max deviation %.3g)" % dev[i]),
+            (det < 0.0, "matrix has negative determinant (reflection)")]
+
+
+def _non_finite(m):
+    """Per-matrix mask of (...,k,k) m: True where any entry is NaN or infinite."""
+    return ~np.isfinite(m).all(axis=(-2, -1))
+
+
 def _check_rotation(r, tol=_ORTHO_TOL):
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (3, 3):
         raise ValueError("rotation must be 3x3, got %s" % (r.shape,))
-    err = np.max(np.abs(r.T @ r - np.eye(3)))
-    if err > tol:
-        raise ValueError("matrix is not orthonormal (max deviation %.3g)" % err)
-    if np.linalg.det(r) < 0.0:
-        raise ValueError("matrix has negative determinant (reflection)")
+    _raise_first([(_non_finite(r), "matrix has non-finite entries")] + _rotation_faults(r, tol),
+                 "matrix")
     return r
 
 
@@ -73,19 +121,23 @@ def matrix_to_euler(r):
 
 
 def quat_to_matrix(q):
-    """(qx, qy, qz, qw) -> rotation matrix; normalizes, rejects zero norm."""
+    """(qx, qy, qz, qw) -> rotation matrix; normalizes, rejects zero norm.
+
+    An (N,4) stack gives an (N,3,3) stack; an error names the first bad row.
+    """
     q = np.asarray(q, dtype=np.float64)
-    if q.shape != (4,):
+    if q.ndim not in (1, 2) or q.shape[-1] != 4:
         raise ValueError("quaternion must have shape (4,)")
-    n = np.linalg.norm(q)
-    if n < 1e-12:
-        raise ValueError("zero-norm quaternion")
-    x, y, z, w = q / n
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-    ])
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        n = np.sqrt(np.sum(q * q, axis=-1))
+    _raise_first([(~np.isfinite(n), "quaternion norm is not finite"),
+                  (n < 1e-12, "zero-norm quaternion")], "quaternion")
+    x, y, z, w = np.moveaxis(q / n[..., None], -1, 0)
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
+        2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
+        2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 def matrix_to_quat(r):
@@ -125,10 +177,13 @@ def matrix_to_quat(r):
 
 
 def orthonormalize(m):
-    """Nearest rotation in Frobenius norm (polar factor via SVD)."""
+    """Nearest rotation in Frobenius norm (polar factor via SVD).
+
+    An (N,3,3) stack runs as one batched SVD.
+    """
     u, _, vt = np.linalg.svd(np.asarray(m, dtype=np.float64))
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return u @ vt
 
 
 def make_se3(r, t):
@@ -140,13 +195,19 @@ def make_se3(r, t):
 
 
 def check_se3(pose, tol=_ORTHO_TOL):
-    """Validate a 4x4 pose; returns it as float64."""
+    """Validate a 4x4 pose or an (N,4,4) stack; returns it as float64.
+
+    Entries must be finite, the last row (0,0,0,1) and the rotation block
+    orthonormal with positive determinant. On a stack the error is a
+    StackError naming the first bad pose.
+    """
     pose = np.asarray(pose, dtype=np.float64)
-    if pose.shape != (4, 4):
+    if pose.ndim not in (2, 3) or pose.shape[-2:] != (4, 4):
         raise ValueError("pose must be 4x4, got %s" % (pose.shape,))
-    if np.max(np.abs(pose[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > tol:
-        raise ValueError("pose last row must be (0,0,0,1)")
-    _check_rotation(pose[:3, :3], tol)
+    _raise_first([(_non_finite(pose), "pose has non-finite entries"),
+                  (np.abs(pose[..., 3, :] - _LAST_ROW).max(axis=-1) > tol,
+                   "pose last row must be (0,0,0,1)")]
+                 + _rotation_faults(pose[..., :3, :3], tol), "pose")
     return pose
 
 
@@ -173,25 +234,35 @@ def pose_compose(a, b):
 
 
 def pose_inverse(pose):
+    """Inverse of a 4x4 pose, or of each pose of an (N,4,4) stack.
+
+    The translation is summed elementwise, so a pose gives the same bits
+    alone as inside any stack.
+    """
     pose = check_se3(pose)
-    r = pose[:3, :3]
-    out = np.eye(4)
-    out[:3, :3] = r.T
-    out[:3, 3] = -r.T @ pose[:3, 3]
+    r, t = pose[..., :3, :3], pose[..., :3, 3]
+    out = np.zeros(pose.shape)
+    out[..., :3, :3] = r.swapaxes(-1, -2)
+    out[..., :3, 3] = -(r[..., 0, :] * t[..., 0, None] + r[..., 1, :] * t[..., 1, None]
+                        + r[..., 2, :] * t[..., 2, None])
+    out[..., 3, 3] = 1.0
     return out
 
 
 def rotation_angle(r):
-    """Geodesic angle of a rotation matrix, in [0, pi].
+    """Geodesic angle of a rotation matrix, in [0, pi]; an array for a stack.
 
     atan2 of the skew-part norm against the trace: exactly 0 for symmetric
     input and well conditioned at both ends, unlike the arccos form whose
     derivative blows up at 0 and pi.
     """
     r = np.asarray(r, dtype=np.float64)
-    s = 0.5 * np.linalg.norm([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    c = (np.trace(r[:3, :3]) - 1.0) / 2.0
-    return float(np.arctan2(s, c))
+    a = r[..., 2, 1] - r[..., 1, 2]
+    b = r[..., 0, 2] - r[..., 2, 0]
+    c = r[..., 1, 0] - r[..., 0, 1]
+    s = 0.5 * np.sqrt(a * a + b * b + c * c)
+    angle = np.arctan2(s, (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0) / 2.0)
+    return float(angle) if angle.ndim == 0 else angle
 
 
 @dataclass
@@ -269,13 +340,15 @@ def umeyama_align(src, dst, with_scale=True):
 
 
 def apply_similarity(scale, r, t, poses):
-    """Apply (s, R, t) to a list of 4x4 poses: positions map by s*R*p + t,
-    orientations by R @ R_pose. Scale deliberately leaves rotations alone."""
-    out = []
-    for pose in poses:
-        pose = check_se3(pose)
-        q = np.eye(4)
-        q[:3, :3] = orthonormalize(r @ pose[:3, :3])
-        q[:3, 3] = scale * (r @ pose[:3, 3]) + t
-        out.append(q)
+    """Apply (s, R, t) to a sequence or (N,4,4) stack of poses; returns a stack.
+
+    Positions map by s*R*p + t, orientations by R @ R_pose. Scale
+    deliberately leaves rotations alone.
+    """
+    poses = check_se3(poses)
+    r = np.asarray(r, dtype=np.float64)
+    out = np.zeros(poses.shape)
+    out[..., :3, :3] = orthonormalize(r @ poses[..., :3, :3])
+    out[..., :3, 3] = scale * (poses[..., :3, 3] @ r.T) + t
+    out[..., 3, 3] = 1.0
     return out

@@ -3,13 +3,14 @@ import os
 import numpy as np
 import pytest
 
-from memvo.evaluation import (KITTI_LENGTHS, Trajectory, associate_stamps,
-                              error_vs_length_rows, error_vs_speed_rows,
-                              export_csv, format_kitti, format_tum,
+from memvo.evaluation import (KITTI_LENGTHS, DriftSegment, Trajectory, _delta_pairs,
+                              _pair_errors, associate_stamps, error_vs_length_rows,
+                              error_vs_speed_rows, export_csv, format_kitti, format_tum,
                               kitti_drift, load_sequence, load_trajectory,
                               parse_kitti, parse_tum, saliency_map,
                               save_sequence, save_trajectory, tum_rmse_drift)
-from memvo.geometry import euler_to_matrix, make_se3
+from memvo.geometry import (apply_similarity, euler_to_matrix, make_se3, orthonormalize,
+                            pose_inverse, rotation_angle, umeyama_align)
 from memvo.memory import MemoryPolicy
 from memvo.net import VONet
 from memvo.synthetic import SyntheticSpec, generate_sequence
@@ -70,6 +71,66 @@ def kitti_drift_reference(est, gt, lengths, step=1, aggregate="mean"):
     return 100.0 * agg(t_errs), np.degrees(agg(r_errs)) * 100.0
 
 
+def kitti_drift_loop(est, gt, lengths, step=1, frame_hz=10.0):
+    """The per-segment loop kitti_drift ran before it was vectorised.
+
+    It stopped at the first length that did not fit, which dropped segments
+    when lengths were not ascending; here every fitting length is kept, as
+    the vectorised code does. Returns DriftSegments in (start, length) order.
+    """
+    gt_pos = np.array([p[:3, 3] for p in gt])
+    dist = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(gt_pos, axis=0), axis=1))])
+    segments = []
+    for s in range(0, len(gt), step):
+        for length in lengths:
+            e = int(np.searchsorted(dist, dist[s] + length, side="left"))
+            if e >= len(gt):
+                continue
+            gt_rel = pose_inverse(gt[s]) @ gt[e]
+            est_rel = pose_inverse(est[s]) @ est[e]
+            err = pose_inverse(gt_rel) @ est_rel
+            segments.append(DriftSegment(s, length, float(np.linalg.norm(err[:3, 3])) / length,
+                                         rotation_angle(err[:3, :3]) / length,
+                                         length / ((e - s) / frame_hz)))
+    return segments
+
+
+def tum_pairs_loop(est, gt, delta=1.0, tol=0.02, with_scale=True):
+    """The pairing and scoring loop tum_rmse_drift ran before it was vectorised.
+
+    Returns ((a, b, error per second) per pair, rmse), with the per-pose
+    similarity alignment of that version.
+    """
+    matches = associate_stamps(est.stamps, gt.stamps, tol)
+    est_m = [est.poses[i] for i, _ in matches]
+    gt_m = [gt.poses[j] for _, j in matches]
+    stamps = np.array([est.stamps[i] for i, _ in matches])
+    scale, rot, trans = umeyama_align(np.array([p[:3, 3] for p in est_m]),
+                                      np.array([p[:3, 3] for p in gt_m]), with_scale=with_scale)
+    est_aligned = []
+    for pose in est_m:
+        q = np.eye(4)
+        q[:3, :3] = orthonormalize(rot @ pose[:3, :3])
+        q[:3, 3] = scale * (rot @ pose[:3, 3]) + trans
+        est_aligned.append(q)
+    pairs = []
+    for a in range(len(stamps)):
+        b = int(np.searchsorted(stamps, stamps[a] + delta))
+        best = None
+        for j in (b - 1, b):
+            if a < j < len(stamps) and abs(stamps[j] - stamps[a] - delta) <= tol:
+                if best is None or abs(stamps[j] - stamps[a] - delta) < abs(stamps[best] - stamps[a] - delta):
+                    best = j
+        if best is None:
+            continue
+        dt = stamps[best] - stamps[a]
+        gt_rel = pose_inverse(gt_m[a]) @ gt_m[best]
+        est_rel = pose_inverse(est_aligned[a]) @ est_aligned[best]
+        err = pose_inverse(gt_rel) @ est_rel
+        pairs.append((a, best, float(np.linalg.norm(err[:3, 3])) / dt))
+    return pairs, float(np.sqrt(np.mean(np.square([p[2] for p in pairs]))))
+
+
 def circle_with_z_drift(radius=2000.0, duration=60.0, dt=0.1, rate=0.05):
     """Out-and-back circle plus a linear vertical drift on the estimate.
 
@@ -126,6 +187,27 @@ class TestKittiFormat:
         text = format_kitti(straight_line(2))
         assert len(parse_kitti(text + "\n\n")) == 2
 
+    def test_bad_pose_names_its_line_in_a_stack(self):
+        lines = format_kitti(straight_line(5)).splitlines()
+        lines[3] = " ".join(["1", "0", "0", "0", "0", "1", "0", "0", "0", "0", "-1", "0"])
+        with pytest.raises(ValueError, match="^line 5: matrix has negative determinant"):
+            parse_kitti("\n".join(lines[:2] + [""] + lines[2:]))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+    @pytest.mark.parametrize("where", [0, 3])  # a rotation entry, a translation
+    def test_non_finite_rejected(self, token, where):
+        lines = format_kitti(straight_line(3)).splitlines()
+        values = lines[1].split()
+        values[where] = token
+        lines[1] = " ".join(values)
+        with pytest.raises(ValueError, match="^line 2: non-finite value$"):
+            parse_kitti("\n".join(lines))
+
+    def test_poses_are_one_stack(self):
+        traj = parse_kitti(format_kitti(straight_line(4)))
+        assert traj.poses.shape == (4, 4, 4)
+        assert np.array_equal(traj.positions()[:, 0], np.arange(4.0))
+
 
 class TestTumFormat:
     def _traj(self, n=15, seed=1):
@@ -160,6 +242,27 @@ class TestTumFormat:
     def test_token_count_rejected(self):
         with pytest.raises(ValueError, match="expected 8"):
             parse_tum("0.0 1 2 3 0 0 0\n")
+
+    @pytest.mark.parametrize("column,token", [(0, "nan"), (0, "inf"), (2, "inf"),
+                                              (3, "-inf"), (5, "nan"), (7, "inf")])
+    def test_non_finite_rejected(self, column, token):
+        lines = format_tum(self._traj(n=4)).splitlines()
+        values = lines[2].split()
+        values[column] = token
+        lines[2] = " ".join(values)
+        with pytest.raises(ValueError, match="^line 4: non-finite value$"):
+            parse_tum("# comment\n" + "\n".join(lines))
+
+    def test_stack_errors_name_physical_lines(self):
+        lines = format_tum(self._traj(n=5)).splitlines()
+        text = "# header\n\n" + "\n".join(lines[:3]) + "\n# note\n"
+        bad_quat = lines[3].split()[:4] + ["0", "0", "0", "0"]
+        with pytest.raises(ValueError, match="^line 7: zero-norm quaternion$"):
+            parse_tum(text + " ".join(bad_quat) + "\n" + lines[4])
+        stamp = lines[1].split()[0]
+        repeat = " ".join([stamp] + lines[3].split()[1:])
+        with pytest.raises(ValueError, match="^line 7: timestamps must be strictly increasing$"):
+            parse_tum(text + repeat + "\n" + lines[4])
 
     def test_file_round_trip_and_error_names_file(self, tmp_path):
         traj = self._traj(n=4)
@@ -277,6 +380,38 @@ class TestKittiDrift:
         res = kitti_drift(gt, gt, lengths=(100.0,), frame_hz=10.0)
         assert abs(res.segments[0].speed - 10.0) < 1e-9
 
+    def test_lengths_in_any_order(self):
+        gt = straight_line(300)
+        est = [make_se3(np.eye(3), p[:3, 3] * 1.01) for p in gt]
+        up = kitti_drift(est, gt, lengths=(100.0, 200.0))
+        down = kitti_drift(est, gt, lengths=(200.0, 100.0))
+        assert [row[3] for row in up.per_length] == [200, 100]
+        assert down.per_length == up.per_length[::-1]
+        assert len(down.segments) == len(up.segments) == 300
+        assert down.t_rel_percent == up.t_rel_percent
+        assert down.r_rel_deg_per_100m == up.r_rel_deg_per_100m
+        rng = np.random.default_rng(8)
+        gt = random_trajectory(rng, n=300)
+        est = perturb(rng, gt)
+        want = kitti_drift_reference(est, gt, (100.0, 200.0))
+        for lengths in ((100.0, 200.0), (200.0, 100.0)):
+            res = kitti_drift(est, gt, lengths=lengths)
+            assert abs(res.t_rel_percent - want[0]) < 1e-9
+            assert abs(res.r_rel_deg_per_100m - want[1]) < 1e-9
+
+    @pytest.mark.parametrize("lengths", [(0.0,), (-5.0,), (100.0, np.nan), (np.inf,)])
+    def test_bad_lengths_rejected(self, lengths):
+        gt = straight_line(200)
+        with pytest.raises(ValueError, match="lengths"):
+            kitti_drift(gt, gt, lengths=lengths)
+
+    def test_non_finite_pose_rejected(self):
+        gt = straight_line(200)
+        est = [p.copy() for p in gt]
+        est[17][1, 3] = np.nan
+        with pytest.raises(ValueError, match="pose 17: pose has non-finite"):
+            kitti_drift(est, gt, lengths=(100.0,))
+
     def test_validation(self):
         gt = straight_line(200)
         with pytest.raises(ValueError, match="poses"):
@@ -298,6 +433,70 @@ class TestKittiDrift:
         header, rows = error_vs_speed_rows(res)
         assert header[0] == "speed_mps"
         assert sum(r[3] for r in rows) == len(res.segments)
+
+
+class TestVectorisedAgainstLoop:
+    """The vectorised drift metrics against the loops they replaced."""
+
+    def test_kitti_segments_match_loop(self):
+        rng = np.random.default_rng(30)
+        for trial in range(4):
+            gt = random_trajectory(rng, n=250)
+            est = perturb(rng, gt)
+            step = (1, 3)[trial % 2]
+            agg = ("mean", "rmse")[trial // 2]
+            lengths = ((40.0, 90.0, 150.0), (150.0, 40.0, 90.0))[trial % 2]
+            res = kitti_drift(est, gt, lengths=lengths, step=step, aggregate=agg, frame_hz=7.0)
+            want = kitti_drift_loop(est, gt, lengths, step=step, frame_hz=7.0)
+            assert len(res.segments) == len(want) > 0
+            for got, ref in zip(res.segments, want):
+                assert (got.start, got.length) == (ref.start, ref.length)
+                assert abs(got.t_err - ref.t_err) < 1e-12
+                assert abs(got.r_err - ref.r_err) < 1e-12
+                assert abs(got.speed - ref.speed) < 1e-12
+            t_ref, r_ref = kitti_drift_reference(est, gt, lengths, step, agg)
+            assert abs(res.t_rel_percent - t_ref) < 1e-9
+            assert abs(res.r_rel_deg_per_100m - r_ref) < 1e-9
+
+    def _jittered(self, rng, n=400):
+        """Stamps 1/64 s apart with delta 1 + 1/128 s: every target falls exactly
+        midway between two stamps, so the b-1/b tie rule decides. A quarter
+        of the stamps are jittered, which breaks some ties either way."""
+        stamps = np.arange(n) / 64.0
+        moved = rng.random(n) < 0.25
+        stamps[moved] += rng.choice([-1.0, 1.0], moved.sum()) / 1024.0
+        gt = Trajectory(stamps, random_trajectory(rng, n=n, step_len=0.1))
+        est = Trajectory(stamps, perturb(rng, list(gt.poses), trans_eps=0.01))
+        return est, gt
+
+    def test_tum_pairs_match_loop(self):
+        rng = np.random.default_rng(31)
+        delta, tol = 1.0 + 1.0 / 128.0, 1.0 / 64.0
+        for _ in range(3):
+            est, gt = self._jittered(rng)
+            want, rmse = tum_pairs_loop(est, gt, delta=delta, tol=tol)
+            a, b = _delta_pairs(est.stamps, delta, tol)
+            assert list(zip(a.tolist(), b.tolist())) == [(p[0], p[1]) for p in want]
+            s = est.stamps
+            after = np.minimum(b + 1, len(s) - 1)
+            ties = (b + 1 < len(s)) & (np.abs(s[b] - s[a] - delta) == np.abs(s[after] - s[a] - delta))
+            assert ties.sum() > 10  # pairs where b-1 won a tie against b
+            res = tum_rmse_drift(est, gt, delta=delta, tol=tol)
+            assert res.pairs == len(want)
+            assert abs(res.rmse_m_per_s - rmse) < 1e-12
+
+    def test_tum_pair_errors_match_loop(self):
+        rng = np.random.default_rng(32)
+        est, gt = self._jittered(rng)
+        want, _ = tum_pairs_loop(est, gt, delta=1.0, tol=0.02, with_scale=False)
+        a = np.array([p[0] for p in want])
+        b = np.array([p[1] for p in want])
+        scale, rot, trans = umeyama_align(est.positions(), gt.positions(), with_scale=False)
+        aligned = apply_similarity(scale, rot, trans, est.poses)
+        t_err, _ = _pair_errors(aligned, pose_inverse(aligned), gt.poses, pose_inverse(gt.poses),
+                                a, b)
+        per_s = t_err / (est.stamps[b] - est.stamps[a])
+        assert np.max(np.abs(per_s - [p[2] for p in want])) < 1e-12
 
 
 class TestAssociate:

@@ -149,6 +149,112 @@ class TestSE3:
         assert abs(G.rotation_angle(r) - np.pi) < 1e-4
 
 
+class TestStacks:
+    """Each batched op against the single-pose path it generalises."""
+
+    def _stack(self, rng, n=50):
+        return np.stack([G.make_se3(random_rotation(rng), rng.normal(size=3) * 100.0)
+                         for _ in range(n)])
+
+    def test_pose_inverse_bit_exact(self):
+        poses = self._stack(np.random.default_rng(20))
+        batched = G.pose_inverse(poses)
+        assert batched.shape == poses.shape
+        for pose, inv in zip(poses, batched):
+            assert np.array_equal(inv, G.pose_inverse(pose))
+
+    def test_rotation_angle_bit_exact(self):
+        rots = self._stack(np.random.default_rng(21))[:, :3, :3]
+        batched = G.rotation_angle(rots)
+        assert isinstance(G.rotation_angle(rots[0]), float)
+        assert np.array_equal(batched, [G.rotation_angle(r) for r in rots])
+
+    def test_check_se3_stack_accepts_and_names_first_bad_pose(self):
+        poses = self._stack(np.random.default_rng(22), n=10)
+        assert G.check_se3(poses) is poses
+        bad = poses.copy()
+        bad[6, :3, :3] *= 1.001
+        bad[8, 3, 0] = 0.5
+        with pytest.raises(G.StackError, match="^pose 6: matrix is not orthonormal") as info:
+            G.check_se3(bad)
+        assert info.value.index == 6
+        with pytest.raises(ValueError, match="^matrix is not orthonormal"):
+            G.check_se3(bad[6])
+        bad[2, :3, 0] *= -1.0  # a reflection: still orthonormal
+        with pytest.raises(G.StackError, match="^pose 2: matrix has negative determinant"):
+            G.check_se3(bad)
+
+    def test_check_se3_decisions_match_single_path(self):
+        rng = np.random.default_rng(23)
+        poses = self._stack(rng, n=40)
+        poses[rng.choice(40, 8, replace=False), 3, rng.integers(0, 4)] += 0.1
+        poses[rng.choice(40, 8, replace=False), :3, :3] *= 1.01
+        poses[rng.choice(40, 4, replace=False), rng.integers(0, 4), rng.integers(0, 4)] = np.nan
+        for i in range(40):
+            single = None
+            try:
+                G.check_se3(poses[i])
+            except ValueError as exc:
+                single = str(exc)
+            try:
+                G.check_se3(poses[i:])
+                stacked = None
+            except G.StackError as exc:
+                stacked = (exc.index, exc.reason)
+            if single is None:
+                assert stacked is None or stacked[0] > 0
+            else:
+                assert stacked == (0, single)
+
+    def test_non_finite_rejected(self):
+        for value in (np.nan, np.inf, -np.inf):
+            for where in ((0, 3), (1, 1), (3, 3)):
+                pose = np.eye(4)
+                pose[where] = value
+                with pytest.raises(ValueError, match="non-finite"):
+                    G.check_se3(pose)
+                stack = np.stack([np.eye(4), pose])
+                with pytest.raises(G.StackError, match="^pose 1: pose has non-finite"):
+                    G.check_se3(stack)
+                with pytest.raises(ValueError, match="non-finite"):
+                    G.pose_inverse(pose)
+        with pytest.raises(ValueError, match="non-finite"):
+            G.make_se3(np.full((3, 3), np.nan), np.zeros(3))
+
+    def test_stack_shape_rejected(self):
+        with pytest.raises(ValueError, match="4x4"):
+            G.check_se3(np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError, match="4x4"):
+            G.check_se3(np.zeros((2, 2, 4, 4)))
+
+    def test_quat_to_matrix_stack(self):
+        rng = np.random.default_rng(24)
+        q = rng.normal(size=(30, 4))
+        batched = G.quat_to_matrix(q)
+        for qi, m in zip(q, batched):
+            assert np.array_equal(m, G.quat_to_matrix(qi))
+        q[7] = 0.0
+        with pytest.raises(G.StackError, match="^quaternion 7: zero-norm") as info:
+            G.quat_to_matrix(q)
+        assert info.value.index == 7
+
+    def test_orthonormalize_and_similarity_stack(self):
+        rng = np.random.default_rng(25)
+        poses = self._stack(rng, n=30)
+        m = poses[:, :3, :3] + rng.normal(size=(30, 3, 3)) * 1e-3
+        batched = G.orthonormalize(m)
+        for mi, ri in zip(m, batched):
+            assert np.max(np.abs(ri - G.orthonormalize(mi))) < 1e-15
+        s, r, t = 1.7, random_rotation(rng), rng.normal(size=3)
+        out = G.apply_similarity(s, r, t, poses)
+        for pose, got in zip(poses, out):
+            # the per-pose form apply_similarity had before it took stacks
+            want = np.eye(4)
+            want[:3, :3] = G.orthonormalize(r @ pose[:3, :3])
+            want[:3, 3] = s * (r @ pose[:3, 3]) + t
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
 class TestPose6DoF:
     def test_vector_round_trip(self):
         p = G.Pose6DoF((1, 2, 3), (0.1, -0.2, 0.3))
