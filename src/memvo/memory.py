@@ -67,7 +67,6 @@ class MemoryBuffer:
             raise TypeError("MemoryBuffer needs a MemoryPolicy")
         self.policy = policy
         self.slots = []
-        self._last_anchor = None
 
     def __len__(self):
         return len(self.slots)
@@ -81,13 +80,12 @@ class MemoryBuffer:
         tracked history; detach=False keeps the live graph tensor.
         """
         pose = check_se3(pose)
-        if self._last_anchor is not None and not should_store(self._last_anchor, pose, self.policy):
+        if self.slots and not should_store(self.slots[-1].anchor, pose, self.policy):
             return False
         stored = state.detach() if detach else state
         self.slots.append(MemorySlot(frame=int(frame), state=stored, anchor=pose.copy()))
         if len(self.slots) > self.policy.max_slots:
             self.slots.pop(0)
-        self._last_anchor = pose.copy()
         return True
 
     def snapshot(self):

@@ -16,22 +16,21 @@ def temporal_weights(guidance, slots):
     """Softmax over cosine(guidance, slot state); uniform for zero guidance."""
     if not slots:
         raise ValueError("temporal_weights needs at least one slot")
-    scores = T.stack([T.cosine_similarity(guidance, s.state) for s in slots])
-    return T.softmax(scores)
+    return T.softmax(T.cosine_similarity(guidance, T.stack([s.state for s in slots])))
 
 
 def spatial_weights(guidance, state):
     """Per-channel weights, mean one: C * softmax(channel cosines).
 
-    All-zero guidance gives exactly all ones, so an unguided first step
-    passes slot contents through unchanged.
+    state (C,H,W) gives (C,); a stacked memory (S,C,H,W) gives (S,C), one
+    row per slot. All-zero guidance gives exactly all ones, so an unguided
+    first step passes slot contents through unchanged.
     """
-    c = state.data.shape[0]
-    return T.mul(T.softmax(T.channel_cosine(guidance, state)), float(c))
+    return T.mul(T.softmax(T.channel_cosine(guidance, state)), float(state.data.shape[-3]))
 
 
 def recalibrate(guidance, state):
-    """Scale each channel of state by its guidance-derived weight."""
+    """Scale each channel of state, (C,H,W) or (S,C,H,W), by its guidance-derived weight."""
     return T.scale_channels(state, spatial_weights(guidance, state))
 
 
@@ -39,14 +38,11 @@ def guided_memory(guidance, slots):
     """Aggregate the buffer into one map: sum_i alpha_i * recalibrated(m_i).
 
     alpha comes from the raw slot states; the per-channel recalibration
-    happens inside each slot before the weighted sum.
+    happens inside each slot before the weighted sum. Both run once over the
+    stacked memory (S,C,H,W), so the graph does not grow with S.
     """
     alpha = temporal_weights(guidance, slots)
-    total = None
-    for i, slot in enumerate(slots):
-        term = T.mul(recalibrate(guidance, slot.state), alpha[i])
-        total = term if total is None else T.add(total, term)
-    return total
+    return T.weighted_sum(alpha, recalibrate(guidance, T.stack([s.state for s in slots])))
 
 
 def guided_observation(guidance, feat):
@@ -54,16 +50,15 @@ def guided_observation(guidance, feat):
     return recalibrate(guidance, feat)
 
 
-def refine_sequence(model, feats, buffer_or_slots):
+def refine_sequence(model, feats, slots):
     """Run the refinement pass over tracked features.
 
     feats are the encoded pair features X_1..X_N from the tracking pass;
-    the buffer holds the selected tracking states for the same window. Step
-    t is guided by the refined output of step t-1 (zeros at the start).
+    slots are the memory slots selected for the same window. Step t is
+    guided by the refined output of step t-1 (zeros at the start).
     Returns (absolute pose tensors, refined output maps), one per step; the
     pose at step t is the pose of frame t in frame 0 coordinates.
     """
-    slots = buffer_or_slots.snapshot() if hasattr(buffer_or_slots, "snapshot") else list(buffer_or_slots)
     if not slots:
         raise ValueError("refine_sequence needs a non-empty memory")
     h, c = model.zero_state()

@@ -9,18 +9,18 @@ pixel is one length unit ("meter"), which keeps the KITTI-style thresholds
 and losses in familiar ranges.
 """
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import JsonConfig
 from .geometry import Pose6DoF, euler_to_matrix, make_se3, pose_compose, pose_inverse
 
 KINDS = ("translate", "rotate", "mixed")
 
 
 @dataclass
-class SyntheticSpec:
+class SyntheticSpec(JsonConfig):
     """Knobs for one generated sequence."""
 
     frames: int = 11
@@ -39,23 +39,6 @@ class SyntheticSpec:
             raise ValueError("kind must be one of %s" % (KINDS,))
         if self.noise < 0:
             raise ValueError("noise must be nonnegative")
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("%s: spec must be a JSON object" % path)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError("%s: unknown spec fields %s" % (path, sorted(unknown)))
-        return cls(**raw)
 
 
 class SyntheticSequence:

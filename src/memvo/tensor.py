@@ -77,18 +77,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __getitem__(self, idx):
-        if self.data.ndim != 1:
-            raise ValueError("indexing is only supported on 1-D tensors")
-        if isinstance(idx, (int, np.integer)):
-            return slice1d(self, int(idx), int(idx) + 1, squeeze=True)
-        if isinstance(idx, slice):
-            start, stop, step = idx.indices(self.data.shape[0])
-            if step != 1:
-                raise ValueError("only contiguous slices are supported")
-            return slice1d(self, start, stop)
-        raise TypeError("unsupported index %r" % (idx,))
-
     def sum(self):
         return tsum(self)
 
@@ -259,17 +247,6 @@ def tanh(a):
     return _make(out_data, (a,), backward_fn, "tanh")
 
 
-def relu(a):
-    a = _as_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accum(g * (a.data > 0.0))
-
-    return _make(out_data, (a,), backward_fn, "relu")
-
-
 def _im2col(xp, k, stride, h_out, w_out):
     # strided read-only view (C, k, k, h_out, w_out) of the padded input
     c = xp.shape[0]
@@ -358,70 +335,96 @@ def concat_channels(parts):
 
 
 def scale_channels(x, w):
-    """Multiply each channel of x (C,H,W) by w[c], w shape (C,)."""
+    """Multiply x by w over x's trailing axes, w's shape a prefix of x's shape.
+
+    x (C,H,W) by w (C,) scales channels; x (S,C,H,W) by w (S,C) each slot's.
+    """
     x, w = _as_tensor(x), _as_tensor(w)
-    if x.data.ndim != 3 or w.data.shape != (x.data.shape[0],):
-        raise ValueError("scale_channels expects x (C,H,W) and w (C,)")
-    out_data = x.data * w.data[:, None, None]
+    if x.data.shape[:w.data.ndim] != w.data.shape:
+        raise ValueError("scale_channels: w %s is no prefix of x %s" % (w.data.shape, x.data.shape))
+    tail = tuple(range(w.data.ndim, x.data.ndim))
+    wb = w.data.reshape(w.data.shape + (1,) * len(tail))
+    out_data = x.data * wb
 
     def backward_fn(g):
         if x.requires_grad:
-            x._accum(g * w.data[:, None, None])
+            x._accum(g * wb)
         if w.requires_grad:
-            w._accum(np.sum(g * x.data, axis=(1, 2)))
+            w._accum(np.sum(g * x.data, axis=tail))
 
     return _make(out_data, (x, w), backward_fn, "scale_channels")
 
 
-def slice_channels(x, start, stop):
-    """View channels [start, stop) of a (C,H,W) tensor."""
-    x = _as_tensor(x)
-    if x.data.ndim != 3:
-        raise ValueError("slice_channels expects (C,H,W)")
-    c = x.data.shape[0]
-    if not (0 <= start < stop <= c):
-        raise ValueError("channel slice [%d:%d] out of range for %d channels" % (start, stop, c))
-    out_data = x.data[start:stop]
+def weighted_sum(w, x):
+    """sum_s w[s] * x[s] over the leading axis: w (S,), x (S,C,H,W) -> (C,H,W).
+
+    Products and np.sum, not BLAS, so the bits do not depend on the thread count.
+    """
+    w, x = _as_tensor(w), _as_tensor(x)
+    if w.data.ndim != 1 or x.data.shape[:1] != w.data.shape:
+        raise ValueError("weighted_sum expects w (S,) and x (S,...)")
+    wb = w.data.reshape(w.data.shape + (1,) * (x.data.ndim - 1))
+    out_data = np.sum(wb * x.data, axis=0)
 
     def backward_fn(g):
+        if w.requires_grad:
+            w._accum(np.sum(g * x.data, axis=tuple(range(1, x.data.ndim))))
         if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[start:stop] = g
-            x._accum(full)
+            x._accum(wb * g)
 
-    return _make(out_data, (x,), backward_fn, "slice_channels")
+    return _make(out_data, (w, x), backward_fn, "weighted_sum")
 
 
-def channel_cosine(a, b):
-    """Per-channel cosine of two (C,H,W) tensors -> (C,).
-
-    Channel c compares a[c] and b[c] flattened; a channel where either side
-    has zero norm scores exactly 0 (constant, no gradient), mirroring
-    cosine_similarity. One fused op instead of C small graphs, since this
-    sits in the innermost refinement loop.
-    """
+def _cosine(a, b, reduce, op):
+    # cosine over the last `reduce` axes; b is shaped like a or has one more,
+    # leading slot axis. A zero norm scores exactly 0, with no gradient path.
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape or a.data.ndim != 3:
-        raise ValueError("channel_cosine expects matching (C,H,W) tensors")
-    dots = np.sum(a.data * b.data, axis=(1, 2))
-    na = np.sqrt(np.sum(a.data * a.data, axis=(1, 2)))
-    nb = np.sqrt(np.sum(b.data * b.data, axis=(1, 2)))
+    lead = b.data.ndim - a.data.ndim
+    if lead not in (0, 1) or b.data.shape[lead:] != a.data.shape:
+        raise ValueError("%s shape mismatch: %s vs %s" % (op, a.data.shape, b.data.shape))
+    axes = tuple(range(-reduce, 0))
+    dots = np.sum(a.data * b.data, axis=axes)
+    na = np.sqrt(np.sum(a.data * a.data, axis=axes))
+    nb = np.sqrt(np.sum(b.data * b.data, axis=axes))
     live = (na > 0.0) & (nb > 0.0)
     denom = np.where(live, na * nb, 1.0)
     out_data = np.where(live, dots / denom, 0.0)
+    if not live.any():
+        return Tensor(out_data)
+    tail = out_data.shape + (1,) * reduce
 
     def backward_fn(g):
         gl = np.where(live, g, 0.0)
+        coef = (gl / denom).reshape(tail)
+        gout = gl * out_data
         if a.requires_grad:
-            coef = gl / denom
-            a._accum(coef[:, None, None] * b.data
-                     - (gl * out_data / np.where(live, na * na, 1.0))[:, None, None] * a.data)
+            da = coef * b.data - (gout / np.where(live, na * na, 1.0)).reshape(tail) * a.data
+            a._accum(np.sum(da, axis=0) if lead else da)
         if b.requires_grad:
-            coef = gl / denom
-            b._accum(coef[:, None, None] * a.data
-                     - (gl * out_data / np.where(live, nb * nb, 1.0))[:, None, None] * b.data)
+            b._accum(coef * a.data - (gout / np.where(live, nb * nb, 1.0)).reshape(tail) * b.data)
 
-    return _make(out_data, (a, b), backward_fn, "channel_cosine")
+    return _make(out_data, (a, b), backward_fn, op)
+
+
+def cosine_similarity(a, b):
+    """Cosine over all of a's axes: b shaped like a -> scalar, b (S,C,H,W) -> (S,).
+
+    A zero norm scores a constant 0 with no gradient path, which the
+    attention fallbacks rely on: softmax over all-zero scores is uniform.
+    """
+    a = _as_tensor(a)
+    return _cosine(a, b, a.data.ndim, "cosine_similarity")
+
+
+def channel_cosine(a, b):
+    """Per-channel cosine of a (C,H,W): b (C,H,W) -> (C,), b (S,C,H,W) -> (S,C).
+
+    A channel where either side has zero norm scores 0, as in cosine_similarity.
+    """
+    a = _as_tensor(a)
+    if a.data.ndim != 3:
+        raise ValueError("channel_cosine expects a (C,H,W) first operand")
+    return _cosine(a, b, 2, "channel_cosine")
 
 
 def global_avg_pool(x):
@@ -464,38 +467,32 @@ def linear(weight, x, bias=None):
 
 
 def softmax(v):
-    """1-D softmax, max-shifted for stability."""
+    """Softmax along the last axis of v, (S,) or (S,C), max-shifted for stability."""
     v = _as_tensor(v)
-    if v.data.ndim != 1:
-        raise ValueError("softmax expects a 1-D tensor")
-    shifted = v.data - np.max(v.data)
-    e = np.exp(shifted)
-    out_data = e / np.sum(e)
+    e = np.exp(v.data - np.max(v.data, axis=-1, keepdims=True))
+    out_data = e / np.sum(e, axis=-1, keepdims=True)
 
     def backward_fn(g):
         if v.requires_grad:
-            v._accum(out_data * (g - np.dot(g, out_data)))
+            v._accum(out_data * (g - np.sum(g * out_data, axis=-1, keepdims=True)))
 
     return _make(out_data, (v,), backward_fn, "softmax")
 
 
-def stack(scalars):
-    """Stack scalar tensors into a 1-D tensor."""
-    scalars = [_as_tensor(s) for s in scalars]
-    for s in scalars:
-        if s.data.size != 1:
-            raise ValueError("stack expects scalar tensors")
-    out_data = np.array([s.data.item() for s in scalars])
+def stack(parts):
+    """Stack S same-shape tensors on a new leading axis: (C,H,W) -> (S,C,H,W), scalars -> (S,)."""
+    parts = [_as_tensor(p) for p in parts]
+    out_data = np.stack([p.data for p in parts])  # ValueError on no parts or mixed shapes
 
     def backward_fn(g):
-        for i, s in enumerate(scalars):
-            if s.requires_grad:
-                s._accum(np.full_like(s.data, g[i]))
+        for p, piece in zip(parts, g):
+            if p.requires_grad:
+                p._accum(piece)
 
-    return _make(out_data, tuple(scalars), backward_fn, "stack")
+    return _make(out_data, tuple(parts), backward_fn, "stack")
 
 
-def slice1d(v, start, stop, squeeze=False):
+def slice1d(v, start, stop):
     v = _as_tensor(v)
     if v.data.ndim != 1:
         raise ValueError("slice1d expects a 1-D tensor")
@@ -503,52 +500,19 @@ def slice1d(v, start, stop, squeeze=False):
     if not (0 <= start < stop <= n):
         raise ValueError("slice [%d:%d] out of range for length %d" % (start, stop, n))
     out_data = v.data[start:stop]
-    if squeeze:
-        out_data = out_data.reshape(())
 
     def backward_fn(g):
         if v.requires_grad:
             full = np.zeros_like(v.data)
-            full[start:stop] = np.reshape(g, (stop - start,))
+            full[start:stop] = g
             v._accum(full)
 
     return _make(out_data, (v,), backward_fn, "slice")
 
 
-def cosine_similarity(a, b):
-    """Scalar cosine of two same-shape tensors; 0 if either norm is zero.
-
-    The zero branch is a constant with no gradient path, which is what the
-    attention fallbacks rely on: softmax over all-zero scores is uniform.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError("cosine_similarity shape mismatch: %s vs %s" % (a.data.shape, b.data.shape))
-    na2 = float(np.sum(a.data * a.data))
-    nb2 = float(np.sum(b.data * b.data))
-    if na2 == 0.0 or nb2 == 0.0:
-        return Tensor(0.0)
-    af, bf = _flatten(a), _flatten(b)
-    dot = tsum(mul(af, bf))
-    denom = mul(sqrt(tsum(mul(af, af))), sqrt(tsum(mul(bf, bf))))
-    return div(dot, denom)
-
-
-def _flatten(a):
-    a = _as_tensor(a)
-    shape = a.data.shape
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accum(g.reshape(shape))
-
-    return _make(a.data.reshape(-1), (a,), backward_fn, "flatten")
-
-
 def l2_norm(a):
     """Scalar euclidean norm of a tensor."""
-    af = _flatten(_as_tensor(a))
-    return sqrt(tsum(mul(af, af)))
+    return sqrt(tsum(mul(a, a)))
 
 
 def zero_grads(tensors):

@@ -7,12 +7,12 @@ loss couples both stages: a local term on the relative poses and a global
 term on the refined absolute poses, with later frames downweighted by 1/i.
 """
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .config import JsonConfig
 from .geometry import Pose6DoF, pose_compose, pose_inverse
 from .memory import MemoryBuffer, MemoryPolicy
 from .net import PRESETS, VONet
@@ -24,7 +24,7 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(JsonConfig):
     """Everything a training run needs; JSON round-trippable."""
 
     window_length: int = 11
@@ -55,26 +55,6 @@ class TrainConfig:
         return MemoryPolicy(theta_rot=self.theta_rot, theta_trans=self.theta_trans,
                             max_slots=self.memory_size, require_both=self.memory_require_both)
 
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("%s: config must be a JSON object" % path)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError("%s: unknown config fields %s" % (path, sorted(unknown)))
-        try:
-            return cls(**raw)
-        except (TypeError, ValueError) as exc:
-            raise ValueError("%s: %s" % (path, exc)) from None
-
 
 def lr_at(iteration, base_lr, decay_every):
     """Step-decayed rate: halves every decay_every iterations (0-based)."""
@@ -88,10 +68,12 @@ def _as_gt_vector(gt):
 
 
 def _pose_term(pred, gt, k):
-    # ||p_hat - p|| + k * ||phi_hat - phi||
+    # ||p_hat - p|| + k * ||phi_hat - phi||, each angle difference wrapped
+    # into (-pi, pi] by a constant multiple of 2 pi, so the gradient is unchanged
     diff = T.add(pred, T.Tensor(-_as_gt_vector(gt)))
     dp = T.slice1d(diff, 0, 3)
     dphi = T.slice1d(diff, 3, 6)
+    dphi = T.add(dphi, T.Tensor(-2.0 * np.pi * np.ceil((dphi.data - np.pi) / (2.0 * np.pi))))
     return T.add(T.l2_norm(dp), T.mul(T.l2_norm(dphi), float(k)))
 
 
@@ -178,7 +160,7 @@ def run_window(model, frames, policy, detach_memory=True):
             raise TrainingDiverged("non-finite relative pose at window step %d" % t)
         pose = pose_compose(pose, Pose6DoF.from_vector(rel.data).to_matrix())
         buffer.observe(out, pose, frame=t, detach=detach_memory)
-    abs_tensors, refined_outs = refine_sequence(model, track.feats, buffer)
+    abs_tensors, refined_outs = refine_sequence(model, track.feats, buffer.snapshot())
     return WindowResult(track, buffer, abs_tensors, refined_outs)
 
 

@@ -91,6 +91,14 @@ class TestSynthData:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_wrong_type_in_spec_errors(self, tmp_path, capsys):
+        spec = str(tmp_path / "spec.json")
+        with open(spec, "w") as fh:
+            json.dump({"frames": "11"}, fh)
+        rc = main(["synth-data", "--spec", spec, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: %s: frames must be int, got '11'\n" % spec
+
 
 class TestTrain:
     def test_end_to_end_outputs(self, tmp_path, capsys):

@@ -32,6 +32,30 @@ def guided_memory_reference(guidance, states):
     return total
 
 
+def _cosine_graph(a, b):
+    # the composed scalar cosine the fused op replaced; 0 for a zero norm
+    if float(np.sum(a.data * a.data)) == 0.0 or float(np.sum(b.data * b.data)) == 0.0:
+        return T.Tensor(0.0)
+    dot = T.tsum(T.mul(a, b))
+    return T.div(dot, T.mul(T.sqrt(T.tsum(T.mul(a, a))), T.sqrt(T.tsum(T.mul(b, b)))))
+
+
+def guided_memory_per_slot(guidance, slots):
+    """The per-slot graph the batched guided_memory replaced: its oracle.
+
+    One composed cosine per slot, alpha[i] sliced out, and one channel
+    recalibration and one add per slot.
+    """
+    alpha = T.softmax(T.stack([_cosine_graph(guidance, s.state) for s in slots]))
+    total = None
+    for i, slot in enumerate(slots):
+        c = slot.state.data.shape[0]
+        beta = T.mul(T.softmax(T.channel_cosine(guidance, slot.state)), float(c))
+        term = T.mul(T.scale_channels(slot.state, beta), T.slice1d(alpha, i, i + 1))
+        total = term if total is None else T.add(total, term)
+    return total
+
+
 def make_slots(rng, n, shape=(4, 3, 3)):
     return [MemorySlot(frame=i, state=T.Tensor(rng.normal(size=shape)), anchor=np.eye(4))
             for i in range(n)]
@@ -190,6 +214,46 @@ class TestGuidedMemory:
             return T.tsum(T.mul(guided_memory(gv, slots), guided_memory(gv, slots)))
 
         assert T.finite_diff_check(lambda _: f(g), g, coords=[0, 5, 17, 30]) < 1e-6
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    @pytest.mark.parametrize("case", ["random", "zero_guidance", "zero_slot", "dead_channel"])
+    def test_matches_per_slot_graph(self, n, case):
+        # values and gradients, into the guidance and into live slot states
+        rng = np.random.default_rng(17 + n)
+        g = rng.normal(size=(4, 3, 3))
+        states = rng.normal(size=(n, 4, 3, 3))
+        if case == "zero_guidance":
+            g[:] = 0.0
+        elif case == "zero_slot":
+            states[n // 2] = 0.0
+        elif case == "dead_channel":
+            g[1] = 0.0
+            states[0, 2] = 0.0
+        w = T.Tensor(rng.normal(size=(4, 3, 3)))
+        grads, outs = [], []
+        for fn in (guided_memory, guided_memory_per_slot):
+            gt = T.Tensor(g, requires_grad=True)
+            xs = [T.Tensor(st, requires_grad=True) for st in states]
+            slots = [MemorySlot(i, T.mul(x, 1.0), np.eye(4)) for i, x in enumerate(xs)]
+            out = fn(gt, slots)
+            T.tsum(T.mul(out, w)).backward()
+            outs.append(out.data)
+            grads.append([np.zeros_like(t.data) if t.grad is None else t.grad for t in [gt] + xs])
+        assert np.max(np.abs(outs[0] - outs[1])) < 1e-12
+        for mine, ref in zip(*grads):
+            assert np.max(np.abs(mine - ref)) < 1e-12
+        assert np.any(grads[0][-1] != 0.0)
+
+    def test_taped_nodes_independent_of_slot_count(self):
+        rng = np.random.default_rng(18)
+        g = T.Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
+        counts = set()
+        for n in (1, 10):
+            slots = [MemorySlot(i, T.Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True),
+                                np.eye(4)) for i in range(n)]
+            out = guided_memory(g, slots)
+            counts.add(sum(node._backward_fn is not None for node in T._topo_order(out)))
+        assert len(counts) == 1
 
 
 class TestRefineSequence:

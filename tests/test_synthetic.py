@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,30 @@ class TestSpec:
             fh.write('{"frames": 5, "lens_flare": 1}')
         with pytest.raises(ValueError, match="lens_flare"):
             SyntheticSpec.from_json(path)
+
+    @pytest.mark.parametrize("raw, why", [
+        ({"frames": "11"}, "frames must be int"),
+        ({"seed": "x"}, "seed must be int"),
+        ({"noise": True}, "noise must be float"),
+        ({"kind": 1}, "kind must be str"),
+        ({"frames": 1}, "need at least 2 frames"),
+        ({"kind": "zoom"}, "kind must be one of"),
+        ("spec", "must be a JSON object"),
+    ])
+    def test_bad_values_name_the_file(self, tmp_path, raw, why):
+        path = str(tmp_path / "spec.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        with pytest.raises(ValueError) as err:
+            SyntheticSpec.from_json(path)
+        assert str(err.value).startswith(path + ": ") and why in str(err.value)
+
+    def test_int_accepted_for_float(self, tmp_path):
+        path = str(tmp_path / "spec.json")
+        with open(path, "w") as fh:
+            json.dump({"max_shift": 2, "max_yaw": 0}, fh)
+        spec = SyntheticSpec.from_json(path)
+        assert spec.max_shift == 2.0 and spec.max_yaw == 0.0
 
 
 class TestGenerate:

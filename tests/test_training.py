@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from memvo.geometry import Pose6DoF, integrate_relative, pose_compose
 from memvo.memory import MemoryPolicy
 from memvo.net import VONet
 from memvo.synthetic import SyntheticSpec, generate_dataset, generate_sequence
-from memvo.training import (Adam, TrainConfig, TrainingDiverged, loss_global,
+from memvo.training import (Adam, TrainConfig, TrainingDiverged, _pose_term, loss_global,
                             loss_local, loss_total, lr_at, run_window,
                             sliding_window_infer, train, window_ground_truth,
                             window_loss, write_loss_csv)
@@ -50,6 +53,37 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="warp_drive"):
             TrainConfig.from_json(path)
 
+    @pytest.mark.parametrize("raw, why", [
+        ({"seed": "x"}, "seed must be int"),
+        ({"batch_size": True}, "batch_size must be int"),
+        ({"stop_memory_gradient": 1}, "stop_memory_gradient must be bool"),
+        ({"base_lr": "1e-3"}, "base_lr must be float"),
+        ({"preset": 3}, "preset must be str"),
+        ({"window_length": 1}, "window_length must be at least 2"),
+        ([1, 2], "must be a JSON object"),
+    ])
+    def test_bad_values_name_the_file(self, tmp_path, raw, why):
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        with pytest.raises(ValueError) as err:
+            TrainConfig.from_json(path)
+        assert str(err.value).startswith(path + ": ") and why in str(err.value)
+
+    def test_malformed_json_names_the_file(self, tmp_path):
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w") as fh:
+            fh.write('{"seed": ')
+        with pytest.raises(ValueError, match="^" + re.escape(path + ": ")):
+            TrainConfig.from_json(path)
+
+    def test_int_accepted_for_float(self, tmp_path):
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({"base_lr": 1, "k": 10}, fh)
+        c = TrainConfig.from_json(path)
+        assert c.base_lr == 1.0 and c.k == 10.0
+
     def test_policy_mapping(self):
         c = TrainConfig(theta_rot=0.1, theta_trans=2.0, memory_size=3,
                         memory_require_both=True)
@@ -89,6 +123,26 @@ class TestLossLocal:
         gt = [zero_pose(), zero_pose()]
         out = loss_local(pred, gt, k=100.0)
         assert abs(out.data - 11.5) < 1e-12
+
+    def test_angle_difference_wraps(self):
+        # yaw +pi-eps against -pi+eps is 2 eps apart, not 2 pi - 2 eps
+        eps, k = 1e-3, 100.0
+        pred = vec(p=(0.3, -0.2, 0.1), phi=(0.0, 0.0, np.pi - eps))
+        gt = np.array([0.3, -0.2, 0.1, 0.0, 0.0, -np.pi + eps])
+        assert abs(_pose_term(pred, gt, k).data - 2 * eps * k) < 1e-12
+        flipped = vec(p=(0.3, -0.2, 0.1), phi=(0.0, 0.0, -np.pi + eps))
+        gt_flipped = np.array([0.3, -0.2, 0.1, 0.0, 0.0, np.pi - eps])
+        assert abs(_pose_term(flipped, gt_flipped, k).data - 2 * eps * k) < 1e-12
+        half_turn = _pose_term(vec(phi=(np.pi, 0.0, 0.0)), np.array([0, 0, 0, -np.pi, 0, 0]), k)
+        assert abs(half_turn.data) < 1e-12
+        # the wrap is a constant shift, so the gradient is the unwrapped one
+        x = T.Tensor(pred.data.copy(), requires_grad=True)
+        gt_full = gt + np.array([0.0, 0.0, 0.0, 0.4, -2.0 * np.pi + 0.2, 0.0])
+        assert T.finite_diff_check(lambda t: _pose_term(t, gt_full, k), x) < 1e-7
+        x.zero_grad()
+        _pose_term(x, gt, k).backward()
+        # raising the predicted yaw toward pi closes the wrapped gap
+        assert np.allclose(x.grad[3:], [0.0, 0.0, -k])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
