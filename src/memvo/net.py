@@ -80,9 +80,15 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d):
-        layers = tuple(EncoderLayer(*row) for row in d["layers"])
-        return cls(height=d["height"], width=d["width"], layers=layers,
-                   in_channels=d.get("in_channels", 6))
+        """Inverse of to_dict; a malformed dict raises ValueError."""
+        rows = d.get("layers") if isinstance(d, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == 3 for r in rows):
+            raise ValueError("config needs 'layers' rows of [out_channels, kernel, stride]")
+        sizes = [d.get("height"), d.get("width"), d.get("in_channels", 6)]
+        if not all(type(v) is int and v >= 1 for v in sizes + [v for r in rows for v in r]):
+            raise ValueError("config sizes must be ints >= 1")
+        layers = tuple(EncoderLayer(*row) for row in rows)
+        return cls(height=sizes[0], width=sizes[1], layers=layers, in_channels=sizes[2])
 
 
 def _layers(channels, kernels, strides):
@@ -109,8 +115,6 @@ PRESETS = {
                        (3, 3, 3, 3, 3, 3, 3, 3, 3),
                        (2, 2, 2, 1, 2, 1, 1, 1, 1))),
 }
-
-_GATES = ("i", "f", "o", "g")
 
 
 def glorot(rng, shape, fan_in, fan_out):
@@ -153,10 +157,11 @@ class VONet:
             c_in = o
         h = self.hidden
         for stage in ("track", "refine"):
-            for gate in _GATES:
-                self._add("%s.%s.wx" % (stage, gate), glorot(rng, (h, h, 3, 3), h * 9, h * 9))
-                self._add("%s.%s.wh" % (stage, gate), glorot(rng, (h, h, 3, 3), h * 9, h * 9))
-                self._add("%s.%s.bias" % (stage, gate), np.zeros(h))
+            self._add(stage + ".kernel", np.empty((4 * h, 2 * h, 3, 3)))
+            self._add(stage + ".bias", np.zeros(4 * h))
+        for name, block in _v1_views(self):  # the per-gate draws, in their v1 order
+            if name.endswith((".wx", ".wh")):
+                block[...] = glorot(rng, block.shape, h * 9, h * 9)
         self._add("fuse.conv1.kernel", glorot(rng, (h, 2 * h, 3, 3), 2 * h * 9, h * 9))
         self._add("fuse.conv1.bias", np.zeros(h))
         self._add("fuse.conv2.kernel", glorot(rng, (h, h, 3, 3), h * 9, h * 9))
@@ -195,18 +200,13 @@ class VONet:
         return x
 
     def _lstm_step(self, stage, x, h, c):
-        def gate(name, f):
-            z = T.add(T.conv2d(x, self.params["%s.%s.wx" % (stage, name)],
-                               self.params["%s.%s.bias" % (stage, name)], padding=1),
-                      T.conv2d(h, self.params["%s.%s.wh" % (stage, name)], padding=1))
-            return f(z)
-
-        i = gate("i", T.sigmoid)
-        f = gate("f", T.sigmoid)
-        o = gate("o", T.sigmoid)
-        g = gate("g", T.tanh)
-        c_new = T.add(T.mul(f, c), T.mul(i, g))
-        h_new = T.mul(o, T.tanh(c_new))
+        # one conv over [x; h] gives the four gate pre-activations stacked i, f, o, g
+        z = T.conv2d(T.concat_channels([x, h]), self.params[stage + ".kernel"],
+                     self.params[stage + ".bias"], padding=1)
+        n = self.hidden
+        i, f, o, g = (T.slice1d(z, k * n, (k + 1) * n) for k in range(4))
+        c_new = T.add(T.mul(T.sigmoid(f), c), T.mul(T.sigmoid(i), T.tanh(g)))
+        h_new = T.mul(T.sigmoid(o), T.tanh(c_new))
         return h_new, c_new
 
     def track_step(self, x, h, c):
@@ -264,13 +264,34 @@ class TrackResult:
         return [Pose6DoF.from_vector(r.data) for r in self.rels]
 
 
+def _v1_views(model):
+    """(v1 checkpoint name, writable view) of every parameter, in model order.
+
+    A ConvLSTM kernel (4h, 2h, 3, 3) stacks gates i, f, o, g on axis 0 and x, h
+    on axis 1; v1 stores each gate block of it and of the (4h,) bias as a blob.
+    """
+    h = model.hidden
+    for name, p in model.params.items():
+        stage, _, kind = name.partition(".")
+        if stage not in ("track", "refine"):
+            yield name, p.data
+            continue
+        for k, gate in enumerate("ifog"):
+            block = p.data[k * h:(k + 1) * h]
+            if kind == "bias":
+                yield "%s.%s.bias" % (stage, gate), block
+            else:
+                yield "%s.%s.wx" % (stage, gate), block[:, :h]
+                yield "%s.%s.wh" % (stage, gate), block[:, h:]
+
+
 def save_checkpoint(model, dirpath):
-    """Write one VOTB blob per parameter plus a JSON manifest."""
+    """Write one VOTB blob per v1 parameter (per ConvLSTM gate) plus a JSON manifest."""
     os.makedirs(dirpath, exist_ok=True)
     entries = {}
-    for name, p in model.params.items():
+    for name, data in _v1_views(model):
         fname = name + ".votb"
-        write_votb(os.path.join(dirpath, fname), p.data)
+        write_votb(os.path.join(dirpath, fname), data)
         entries[name] = fname
     manifest = {
         "format": CHECKPOINT_FORMAT,
@@ -288,29 +309,45 @@ def save_checkpoint(model, dirpath):
 
 
 def load_checkpoint(dirpath):
-    """Rebuild a VONet from save_checkpoint output; loads are bit exact."""
+    """Rebuild a VONet from save_checkpoint output, bit exact; bad files raise ValueError."""
     mpath = os.path.join(dirpath, CHECKPOINT_MANIFEST)
     if not os.path.isfile(mpath):
         raise ValueError("%s: no checkpoint manifest" % dirpath)
-    with open(mpath) as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+    try:
+        with open(mpath, "rb") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError("%s: malformed JSON: %s" % (mpath, exc)) from None
+    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("%s: not a checkpoint manifest" % mpath)
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise ValueError("%s: unsupported checkpoint version %r" % (mpath, manifest.get("version")))
-    info = manifest["model"]
-    config = EncoderConfig.from_dict(info["config"])
-    model = VONet(preset=info.get("preset", "custom"), seed=info.get("seed", 0), config=config)
-    entries = manifest["params"]
-    missing = set(model.params) - set(entries)
-    extra = set(entries) - set(model.params)
+    info, entries = manifest.get("model"), manifest.get("params")
+    if not isinstance(info, dict) or not isinstance(entries, dict):
+        raise ValueError("%s: manifest needs a 'model' and a 'params' object" % mpath)
+    preset, seed = info.get("preset", "custom"), info.get("seed", 0)
+    if not isinstance(preset, str) or type(seed) is not int or seed < 0:
+        raise ValueError("%s: model preset must be a string and seed an int >= 0" % mpath)
+    try:
+        model = VONet(preset=preset, seed=seed, config=EncoderConfig.from_dict(info.get("config")))
+    except ValueError as exc:
+        raise ValueError("%s: bad model config: %s" % (mpath, exc)) from None
+    views = dict(_v1_views(model))
+    missing = set(views) - set(entries)
+    extra = set(entries) - set(views)
     if missing or extra:
-        raise ValueError("checkpoint parameter set mismatch (missing %s, extra %s)"
-                         % (sorted(missing), sorted(extra)))
+        raise ValueError("%s: checkpoint parameter set mismatch (missing %s, extra %s)"
+                         % (mpath, sorted(missing), sorted(extra)))
     for name, fname in entries.items():
-        data = read_votb(os.path.join(dirpath, fname))
-        if data.shape != model.params[name].data.shape:
-            raise ValueError("parameter %s has shape %s, model wants %s"
-                             % (name, data.shape, model.params[name].data.shape))
-        model.params[name].data = data
+        path = os.path.join(dirpath, fname) if isinstance(fname, str) else ""
+        if os.path.basename(path) != fname or not os.path.isfile(path):
+            raise ValueError("%s: parameter %s names %r, not a file beside the manifest"
+                             % (mpath, name, fname))
+        data = read_votb(path)
+        if data.shape != views[name].shape:
+            raise ValueError("%s: parameter %s has shape %s, model wants %s"
+                             % (path, name, data.shape, views[name].shape))
+        if not np.all(np.isfinite(data)):
+            raise ValueError("%s: parameter %s has non-finite values" % (path, name))
+        views[name][...] = data  # in place: the gate blocks are views of the fused kernels
     return model

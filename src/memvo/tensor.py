@@ -41,8 +41,10 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy, never g itself: add hands the same g to both parents
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self):
         """Backpropagate from a scalar root."""
@@ -261,8 +263,8 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
 
     Zero padding on both spatial sides, square kernel, single stride for both
     axes. Output is (O, H', W') with H' = (H + 2*padding - k)//stride + 1.
-    The contraction runs as one tensordot over an im2col view, which keeps
-    the reduction order fixed and runs deterministic.
+    Forward is one matmul over the im2col matrix, a fixed deterministic
+    reduction order; backward re-reads the strided im2col view instead of keeping it.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != 3 or kernel.data.ndim != 4:
@@ -286,11 +288,12 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
         if bias.data.shape != (o,):
             raise ValueError("conv2d bias must have shape (%d,)" % o)
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
+    xp = np.zeros((c, hp, wp))
+    xp[:, padding:padding + h, padding:padding + w] = x.data
     cols = _im2col(xp, k, stride, h_out, w_out)
-    out_data = np.tensordot(kernel.data, cols, axes=([1, 2, 3], [0, 1, 2]))
+    out_data = (kernel.data.reshape(o, -1) @ cols.reshape(c * k * k, -1)).reshape(o, h_out, w_out)
     if bias is not None:
-        out_data = out_data + bias.data[:, None, None]
+        out_data += bias.data[:, None, None]
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
@@ -493,9 +496,10 @@ def stack(parts):
 
 
 def slice1d(v, start, stop):
+    """v[start:stop] along the leading axis: a (6,) pose vector or a (4h,H,W) gate stack."""
     v = _as_tensor(v)
-    if v.data.ndim != 1:
-        raise ValueError("slice1d expects a 1-D tensor")
+    if v.data.ndim < 1:
+        raise ValueError("slice1d expects a tensor with at least one axis")
     n = v.data.shape[0]
     if not (0 <= start < stop <= n):
         raise ValueError("slice [%d:%d] out of range for length %d" % (start, stop, n))

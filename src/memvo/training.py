@@ -205,23 +205,22 @@ def train(dataset, config, model=None):
     history = []
     for it in range(config.iterations):
         model.zero_grads()
-        locals_, globals_ = [], []
-        batch_total = None
+        parts = []
         for _ in range(config.batch_size):
             seq = dataset[int(rng.integers(len(dataset)))]
             start = int(rng.integers(len(seq.frames) - config.window_length + 1))
-            local, glob, _ = window_loss(model, seq, start, config, policy)
+            local, glob = window_loss(model, seq, start, config, policy)[:2]
             total = T.add(local, glob)
-            batch_total = total if batch_total is None else T.add(batch_total, total)
-            locals_.append(float(local.data))
-            globals_.append(float(glob.data))
-        batch_total = T.div(batch_total, float(config.batch_size))
-        if not np.isfinite(float(batch_total.data)):
-            raise TrainingDiverged("loss went non-finite at iteration %d" % it)
-        batch_total.backward()
+            parts.append((float(local.data), float(glob.data), float(total.data)))
+            if not np.isfinite(parts[-1][2]):
+                raise TrainingDiverged("loss went non-finite at iteration %d" % it)
+            # each window's share of the batch mean; gradients add up in p.grad
+            T.div(total, float(config.batch_size)).backward()
+            del local, glob, total  # free this window's graph before the next is built
+        locals_, globals_, totals = zip(*parts)
         adam.step(lr_at(it, config.base_lr, config.decay_every))
         history.append((it, float(np.mean(locals_)), float(np.mean(globals_)),
-                        float(batch_total.data)))
+                        sum(totals) / config.batch_size))
     return model, history
 
 

@@ -1,12 +1,90 @@
 import json
 import os
+import re
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 import memvo.tensor as T
-from memvo.net import (EncoderConfig, EncoderLayer, PRESETS, VONet,
+from memvo.net import (EncoderConfig, EncoderLayer, PRESETS, VONet, glorot,
                        load_checkpoint, save_checkpoint)
+from memvo.votb import write_votb
+
+
+def gate_rows(gate, h):
+    """Rows of a gate's block in a fused (4h, 2h, 3, 3) kernel or (4h,) bias."""
+    k = "ifog".index(gate)
+    return slice(k * h, (k + 1) * h)
+
+
+def lstm_step_per_gate(gates, x, h, c):
+    """The ConvLSTM step before gate fusion, 8 convs per step: the oracle.
+
+    gates maps "i", "f", "o", "g" to (wx, wh, bias) tensors.
+    """
+    def gate(name, f):
+        wx, wh, bias = gates[name]
+        return f(T.add(T.conv2d(x, wx, bias, padding=1), T.conv2d(h, wh, padding=1)))
+
+    i = gate("i", T.sigmoid)
+    f = gate("f", T.sigmoid)
+    o = gate("o", T.sigmoid)
+    g = gate("g", T.tanh)
+    c_new = T.add(T.mul(f, c), T.mul(i, g))
+    return T.mul(o, T.tanh(c_new)), c_new
+
+
+def v1_params(preset, seed):
+    """The 50 per-gate parameters the unfused model drew, in its draw order."""
+    cfg = PRESETS[preset]
+    rng = np.random.default_rng(seed)
+    out = OrderedDict()
+    c_in = cfg.in_channels
+    for i, layer in enumerate(cfg.layers, start=1):
+        k, o = layer.kernel, layer.out_channels
+        out["encoder.l%d.kernel" % i] = glorot(rng, (o, c_in, k, k), c_in * k * k, o * k * k)
+        out["encoder.l%d.bias" % i] = np.zeros(o)
+        c_in = o
+    h = cfg.out_channels
+    for stage in ("track", "refine"):
+        for gate in "ifog":
+            out["%s.%s.wx" % (stage, gate)] = glorot(rng, (h, h, 3, 3), h * 9, h * 9)
+            out["%s.%s.wh" % (stage, gate)] = glorot(rng, (h, h, 3, 3), h * 9, h * 9)
+            out["%s.%s.bias" % (stage, gate)] = np.zeros(h)
+    out["fuse.conv1.kernel"] = glorot(rng, (h, 2 * h, 3, 3), 2 * h * 9, h * 9)
+    out["fuse.conv1.bias"] = np.zeros(h)
+    out["fuse.conv2.kernel"] = glorot(rng, (h, h, 3, 3), h * 9, h * 9)
+    out["fuse.conv2.bias"] = np.zeros(h)
+    for head in ("track", "refine"):
+        out["head.%s.weight" % head] = glorot(rng, (6, h), h, 6)
+        out["head.%s.bias" % head] = np.zeros(6)
+    return out
+
+
+def write_v1_checkpoint(params, preset, seed, dirpath):
+    """A checkpoint written as the unfused model wrote it: one blob per gate."""
+    os.makedirs(dirpath)
+    for name, data in params.items():
+        write_votb(os.path.join(dirpath, name + ".votb"), data)
+    manifest = {"format": "memvo-checkpoint", "version": 1,
+                "model": {"preset": preset, "seed": seed, "config": PRESETS[preset].to_dict()},
+                "params": {name: name + ".votb" for name in params}}
+    with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def v1_view(model, name):
+    """The part of the fused model's parameters that v1 parameter `name` is."""
+    if name in model.params:
+        return model.params[name].data
+    stage, gate, kind = name.split(".")
+    h = model.hidden
+    if kind == "bias":
+        return model.params[stage + ".bias"].data[gate_rows(gate, h)]
+    cols = slice(0, h) if kind == "wx" else slice(h, 2 * h)
+    return model.params[stage + ".kernel"].data[gate_rows(gate, h), cols]
 
 
 class TestEncoderConfig:
@@ -53,6 +131,14 @@ class TestInit:
         assert np.all(m.params["encoder.l1.bias"].data == 0.0)
         assert np.all(m.params["head.track.bias"].data == 0.0)
 
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    def test_same_seed_weights_as_per_gate_init(self, preset):
+        m = VONet(preset=preset, seed=13)
+        ref = v1_params(preset, 13)
+        assert len(ref) == 50 and len(m.params) == 30
+        for name, data in ref.items():
+            assert v1_view(m, name).tobytes() == data.tobytes(), name
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             VONet(preset="jumbo")
@@ -91,17 +177,48 @@ class TestConvLSTM:
     def test_saturated_forget_gate_preserves_cell(self):
         m = VONet(preset="tiny", seed=3)
         # silence every gate input, then push the forget gate to saturation
+        n = m.hidden
         for gate in ("i", "f", "o", "g"):
-            m.params["track.%s.wx" % gate].data[:] = 0.0
-            m.params["track.%s.wh" % gate].data[:] = 0.0
-            m.params["track.%s.bias" % gate].data[:] = 0.0
-        m.params["track.f.bias"].data[:] = 30.0
+            m.params["track.kernel"].data[gate_rows(gate, n), :n] = 0.0  # wx
+            m.params["track.kernel"].data[gate_rows(gate, n), n:] = 0.0  # wh
+            m.params["track.bias"].data[gate_rows(gate, n)] = 0.0
+        m.params["track.bias"].data[gate_rows("f", n)] = 30.0
         rng = np.random.default_rng(1)
         c0 = rng.uniform(-1, 1, size=(4, 2, 2))
         x = T.Tensor(np.zeros((4, 2, 2)))
         h = T.Tensor(np.zeros((4, 2, 2)))
         _, _, c1 = m.track_step(x, h, T.Tensor(c0))
         assert np.max(np.abs(c1.data - c0)) < 1e-9
+
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    def test_fused_step_matches_per_gate_cell(self, preset):
+        m = VONet(preset=preset, seed=12)
+        n = m.hidden
+        rng = np.random.default_rng(14)
+        m.params["track.bias"].data[:] = rng.normal(size=4 * n) * 0.5
+        shape = (n,) + m.extents
+        arrays = [rng.normal(size=shape) for _ in range(3)]
+        weights = [T.Tensor(rng.normal(size=shape)) for _ in range(2)]
+        kernel, bias = m.params["track.kernel"], m.params["track.bias"]
+        gates = {g: tuple(T.Tensor(a.copy(), requires_grad=True) for a in (
+            kernel.data[gate_rows(g, n), :n], kernel.data[gate_rows(g, n), n:],
+            bias.data[gate_rows(g, n)])) for g in "ifog"}
+
+        def run(step):
+            x, h, c = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+            h_new, c_new = step(x, h, c)
+            T.add(T.tsum(T.mul(h_new, weights[0])), T.tsum(T.mul(c_new, weights[1]))).backward()
+            return [h_new.data, c_new.data, x.grad, h.grad, c.grad]
+
+        m.zero_grads()
+        fused = run(lambda x, h, c: m.track_step(x, h, c)[1:])
+        oracle = run(lambda x, h, c: lstm_step_per_gate(gates, x, h, c))
+        for got, want in zip(fused, oracle):
+            assert np.max(np.abs(got - want)) < 1e-12
+        for g, (wx, wh, b) in gates.items():
+            assert np.max(np.abs(kernel.grad[gate_rows(g, n), :n] - wx.grad)) < 1e-12
+            assert np.max(np.abs(kernel.grad[gate_rows(g, n), n:] - wh.grad)) < 1e-12
+            assert np.max(np.abs(bias.grad[gate_rows(g, n)] - b.grad)) < 1e-12
 
     def test_cell_state_bounded(self):
         # |c_t| <= |c_{t-1}| + 1 elementwise, because f<=1 and |i*g|<=1
@@ -121,13 +238,19 @@ class TestConvLSTM:
         x = T.Tensor(rng.normal(size=(4, 2, 2)))
         h0 = T.Tensor(rng.normal(size=(4, 2, 2)))
         c0 = T.Tensor(rng.normal(size=(4, 2, 2)))
-        w = m.params["track.i.wx"]
+        w = m.params["track.kernel"]
 
         def f(_):
             out, _, _ = m.track_step(x, h0, c0)
             return T.tsum(T.mul(out, out))
 
-        coords = [0, 7, 19, 35]
+        # the same four offsets inside each of the 8 (gate x {wx, wh}) blocks
+        n = m.hidden
+        coords = []
+        for gate in ("i", "f", "o", "g"):
+            for cols in (slice(0, n), slice(n, 2 * n)):
+                block = np.arange(w.data.size).reshape(w.data.shape)[gate_rows(gate, n), cols]
+                coords += [int(block.flat[i]) for i in (0, 7, 19, 35)]
         assert T.finite_diff_check(f, w, coords=coords) < 1e-6
 
 
@@ -241,3 +364,79 @@ class TestCheckpoint:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="manifest"):
             load_checkpoint(str(tmp_path))
+
+    def test_v1_directory_loads_bit_exactly(self, tmp_path):
+        rng = np.random.default_rng(15)
+        params = v1_params("tiny", 4)
+        for data in params.values():
+            data += rng.normal(size=data.shape)
+        v1_dir = os.path.join(tmp_path, "v1")
+        write_v1_checkpoint(params, "tiny", 4, v1_dir)
+        back = load_checkpoint(v1_dir)
+        assert sorted(back.params) == sorted(VONet(preset="tiny").params)
+        for name, data in params.items():
+            assert v1_view(back, name).tobytes() == data.tobytes(), name
+        # saving the fused model writes the same 50 blobs and manifest, byte for byte
+        again = os.path.join(tmp_path, "again")
+        save_checkpoint(back, again)
+        names = sorted(os.listdir(v1_dir))
+        assert names == sorted(os.listdir(again)) and len(names) == 51
+        for fname in names:
+            with open(os.path.join(v1_dir, fname), "rb") as a, \
+                    open(os.path.join(again, fname), "rb") as b:
+                assert a.read() == b.read(), fname
+
+    def _saved_manifest(self, tmp_path):
+        path, _ = self._roundtrip(tmp_path, VONet(preset="tiny", seed=0))
+        mpath = os.path.join(path, "manifest.json")
+        with open(mpath) as fh:
+            return path, mpath, json.load(fh)
+
+    def test_truncated_manifest_names_the_file(self, tmp_path):
+        path, mpath, _ = self._saved_manifest(tmp_path)
+        with open(mpath) as fh:
+            text = fh.read()
+        with open(mpath, "w") as fh:
+            fh.write(text[:len(text) // 2])
+        with pytest.raises(ValueError, match=re.escape(mpath) + ": malformed JSON"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["params", "model"])
+    def test_missing_section_names_the_file(self, tmp_path, key):
+        path, mpath, manifest = self._saved_manifest(tmp_path)
+        del manifest[key]
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match=re.escape(mpath)):
+            load_checkpoint(path)
+
+    def test_list_manifest_names_the_file(self, tmp_path):
+        path, mpath, manifest = self._saved_manifest(tmp_path)
+        with open(mpath, "w") as fh:
+            json.dump([manifest], fh)
+        with pytest.raises(ValueError, match=re.escape(mpath)):
+            load_checkpoint(path)
+
+    def test_short_layer_row_names_the_file(self, tmp_path):
+        path, mpath, manifest = self._saved_manifest(tmp_path)
+        manifest["model"]["config"]["layers"][0] = [2, 3]
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match=re.escape(mpath) + ": bad model config"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("fname", ["../../etc/hostname", "/etc/hostname", "sub/x.votb"])
+    def test_blob_outside_the_directory_rejected(self, tmp_path, fname):
+        path, mpath, manifest = self._saved_manifest(tmp_path)
+        manifest["params"]["head.track.bias"] = fname
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match=re.escape(mpath) + ".*not a file beside"):
+            load_checkpoint(path)
+
+    def test_non_finite_blob_rejected(self, tmp_path):
+        path, _, _ = self._saved_manifest(tmp_path)
+        blob = os.path.join(path, "head.track.bias.votb")
+        write_votb(blob, np.array([0.0, np.nan, 0.0, 0.0, np.inf, 0.0]))
+        with pytest.raises(ValueError, match=re.escape(blob) + ".*non-finite"):
+            load_checkpoint(path)

@@ -301,7 +301,9 @@ class TestRefineSequence:
         abs_poses, _ = refine_sequence(m, track.feats, slots)
         loss = T.tsum(T.mul(abs_poses[-1], abs_poses[-1]))
         loss.backward()
-        for name in ("refine.i.wx", "fuse.conv1.kernel", "head.refine.weight",
-                     "encoder.l1.kernel"):
+        h = m.hidden
+        # refine.kernel[:h, :h] is the input gate's x block (v1 "refine.i.wx")
+        for name, block in (("refine.kernel", np.s_[:h, :h]), ("fuse.conv1.kernel", np.s_[:]),
+                            ("head.refine.weight", np.s_[:]), ("encoder.l1.kernel", np.s_[:])):
             g = m.params[name].grad
-            assert g is not None and np.any(g != 0), name
+            assert g is not None and np.any(g[block] != 0), name

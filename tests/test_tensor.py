@@ -27,6 +27,38 @@ def conv2d_reference(x, kernel, bias=None, stride=1, padding=0):
     return out
 
 
+
+def conv2d_tensordot(x, kernel, bias=None, stride=1, padding=0):
+    """The conv2d op the matmul form replaced: np.pad, then one tensordot over
+    the strided im2col view; the oracle for values and gradients."""
+    c, h, w = x.data.shape
+    o, _, k, _ = kernel.data.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    h_out, w_out = (hp - k) // stride + 1, (wp - k) // stride + 1
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
+    s0, s1, s2 = xp.strides
+    cols = np.lib.stride_tricks.as_strided(xp, shape=(c, k, k, h_out, w_out),
+                                           strides=(s0, s1, s2, stride * s1, stride * s2),
+                                           writeable=False)
+    out_data = np.tensordot(kernel.data, cols, axes=([1, 2, 3], [0, 1, 2]))
+    if bias is not None:
+        out_data = out_data + bias.data[:, None, None]
+
+    def backward_fn(g):
+        kernel._accum(np.tensordot(g, cols, axes=([1, 2], [3, 4])))
+        dcols = np.tensordot(kernel.data, g, axes=([0], [0]))
+        dxp = np.zeros_like(xp)
+        for di in range(k):
+            for dj in range(k):
+                dxp[:, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride] += dcols[:, di, dj]
+        x._accum(dxp[:, padding:hp - padding, padding:wp - padding])
+        if bias is not None:
+            bias._accum(g.sum(axis=(1, 2)))
+
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return T._make(out_data, parents, backward_fn, "conv2d")
+
+
 class TestArithmetic:
     def test_add_mul_forward(self):
         a = T.Tensor([1.0, 2.0, 3.0])
@@ -58,6 +90,16 @@ class TestArithmetic:
         y = T.add(T.mul(x, x), x)  # x^2 + x, d/dx = 2x + 1 = 7
         y.backward()
         assert np.allclose(x.grad, 7.0)
+
+    def test_first_gradient_is_a_copy(self):
+        # add hands the same g to both parents; a kept reference would make a
+        # later accumulation into one leak into the other
+        a = T.Tensor(np.ones(3), requires_grad=True)
+        b = T.Tensor(np.ones(3), requires_grad=True)
+        T.tsum(T.add(T.add(a, b), a)).backward()
+        assert a.grad is not b.grad
+        assert np.array_equal(a.grad, [2.0, 2.0, 2.0])
+        assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
 
     def test_backward_needs_scalar_root(self):
         x = T.Tensor(np.zeros(3), requires_grad=True)
@@ -125,6 +167,31 @@ class TestConv:
             want = conv2d_reference(x, kern, bias, stride, pad)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-12
+
+    # (C, O, k, H, W, stride, padding): the desk encoder's layer shapes, the
+    # fused ConvLSTM gate conv, and one unpadded case
+    TENSORDOT_CASES = [
+        (6, 8, 7, 64, 64, 2, 3), (8, 8, 5, 32, 32, 2, 2), (8, 16, 3, 16, 16, 2, 1),
+        (16, 16, 3, 8, 8, 1, 1), (16, 32, 3, 8, 8, 2, 1), (128, 256, 3, 4, 4, 1, 1),
+        (3, 4, 3, 9, 7, 1, 0), (2, 3, 3, 7, 8, 2, 0),
+    ]
+
+    def test_matches_tensordot_conv_values_and_gradients(self):
+        rng = np.random.default_rng(12)
+        for c, o, k, h, w, stride, pad in self.TENSORDOT_CASES:
+            arrays = [rng.normal(size=(c, h, w)), rng.normal(size=(o, c, k, k)),
+                      rng.normal(size=o)]
+            h_out, w_out = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+            weights = T.Tensor(rng.normal(size=(o, h_out, w_out)))
+            results = []
+            for conv in (T.conv2d, conv2d_tensordot):
+                x, kern, bias = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+                out = conv(x, kern, bias, stride=stride, padding=pad)
+                T.tsum(T.mul(out, weights)).backward()
+                results.append((out.data, x.grad, kern.grad, bias.grad))
+            for got, want in zip(*results):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) < 1e-12, (c, o, k, stride, pad)
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(3)
@@ -266,6 +333,21 @@ class TestStructuralOps:
             T.stack([T.Tensor(np.zeros((2, 3, 3))), T.Tensor(np.zeros((2, 3, 2)))])
         with pytest.raises(ValueError):
             T.stack([])
+
+    def test_slice1d_leading_axis_of_a_map(self):
+        rng = np.random.default_rng(13)
+        z = T.Tensor(rng.normal(size=(8, 2, 3)), requires_grad=True)
+        parts = [T.slice1d(z, k, k + 2) for k in range(0, 8, 2)]
+        assert all(np.array_equal(p.data, z.data[k:k + 2]) for p, k in zip(parts, range(0, 8, 2)))
+        weights = rng.normal(size=(4, 2, 2, 3))
+        total = None
+        for p, wk in zip(parts, weights):
+            term = T.tsum(T.mul(p, T.Tensor(wk)))
+            total = term if total is None else T.add(total, term)
+        total.backward()
+        assert np.array_equal(z.grad, weights.reshape(8, 2, 3))
+        with pytest.raises(ValueError):
+            T.slice1d(T.Tensor(1.0), 0, 1)
 
     def test_slice1d_bounds(self):
         v = T.Tensor(np.arange(4.0))

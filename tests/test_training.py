@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import memvo.tensor as T
+import memvo.training as training
 from memvo.geometry import Pose6DoF, integrate_relative, pose_compose
 from memvo.memory import MemoryPolicy
 from memvo.net import VONet
@@ -312,6 +313,26 @@ class TestWindowPipeline:
         assert np.isfinite(glob.data) and glob.data > 0
 
 
+
+def batch_mean_one_graph(dataset, config):
+    """First-iteration gradients as one graph over the whole batch mean and one
+    backward(): the oracle for train's per-window backward. Returns the model,
+    holding the gradients, and the batch-mean loss."""
+    rng = np.random.default_rng(config.seed)
+    model = VONet(preset=config.preset, seed=config.seed)
+    policy = config.policy()
+    batch_total = None
+    for _ in range(config.batch_size):
+        seq = dataset[int(rng.integers(len(dataset)))]
+        start = int(rng.integers(len(seq.frames) - config.window_length + 1))
+        local, glob, _ = window_loss(model, seq, start, config, policy)
+        total = T.add(local, glob)
+        batch_total = total if batch_total is None else T.add(batch_total, total)
+    batch_total = T.div(batch_total, float(config.batch_size))
+    batch_total.backward()
+    return model, float(batch_total.data)
+
+
 class TestTrain:
     def test_history_and_determinism(self):
         data = tiny_dataset()
@@ -330,6 +351,33 @@ class TestTrain:
         _, hist = train(data, tiny_config(batch_size=1))
         for _, local, glob, total in hist:
             assert abs(total - (local + glob)) < 1e-9
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 4])
+    def test_per_window_backward_matches_one_graph(self, batch_size):
+        data = tiny_dataset(n=3, seed=2)
+        cfg = tiny_config(batch_size=batch_size, iterations=1)
+        model, hist = train(data, cfg)  # p.grad keeps the iteration's gradients
+        oracle, loss = batch_mean_one_graph(data, cfg)
+        assert hist[0][3] == loss
+        for name, p in oracle.params.items():
+            assert np.max(np.abs(model.params[name].grad - p.grad)) < 1e-12, name
+
+    def test_non_finite_window_raises_before_any_step(self, monkeypatch):
+        real, calls = training.window_loss, []
+
+        def third_window_nan(*args):
+            local, glob, res = real(*args)
+            calls.append(len(calls))
+            return (T.mul(local, float("nan")) if len(calls) == 3 else local), glob, res
+
+        monkeypatch.setattr(training, "window_loss", third_window_nan)
+        model = VONet(preset="tiny", seed=0)
+        before = {name: p.data.copy() for name, p in model.params.items()}
+        with pytest.raises(TrainingDiverged, match="iteration 0"):
+            train(tiny_dataset(), tiny_config(batch_size=4), model=model)
+        assert len(calls) == 3
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, before[name]), name
 
     def test_short_sequence_rejected(self):
         data = tiny_dataset(frames=3)
