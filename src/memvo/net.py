@@ -170,9 +170,6 @@ class VONet:
             self._add("head.%s.weight" % head, glorot(rng, (6, h), h, 6))
             self._add("head.%s.bias" % head, np.zeros(6))
 
-    def param_tensors(self):
-        return list(self.params.values())
-
     def zero_grads(self):
         for p in self.params.values():
             p.zero_grad()
@@ -232,8 +229,8 @@ class VONet:
         return T.conv2d(x, self.params["fuse.conv2.kernel"],
                         self.params["fuse.conv2.bias"], padding=1)
 
-    def track_sequence(self, frames):
-        """Run the tracking pass over T >= 2 frames.
+    def track_sequence(self, frames, feats=None):
+        """Run the tracking pass over T >= 2 frames; feats, if given, are their T-1 pair features.
 
         Returns a TrackResult with, per step t = 1..T-1: the encoded pair
         features, the ConvLSTM output map, and the relative pose 6-vector
@@ -242,12 +239,15 @@ class VONet:
         frames = [T._as_tensor(f) for f in frames]
         if len(frames) < 2:
             raise ValueError("track_sequence needs at least 2 frames")
+        if feats is None:
+            feats = [self.encode_pair(a, b) for a, b in zip(frames, frames[1:])]
+        elif len(feats) != len(frames) - 1:
+            raise ValueError("track_sequence needs %d pair features, got %d"
+                             % (len(frames) - 1, len(feats)))
         h, c = self.zero_state()
-        feats, outs, rels = [], [], []
-        for t in range(1, len(frames)):
-            x = self.encode_pair(frames[t - 1], frames[t])
+        outs, rels = [], []
+        for x in feats:
             out, h, c = self.track_step(x, h, c)
-            feats.append(x)
             outs.append(out)
             rels.append(self.pose_head("track", out))
         return TrackResult(feats=feats, outs=outs, rels=rels)

@@ -1,12 +1,28 @@
 """Reverse-mode autodiff on float64 numpy arrays.
 
 Every op builds a closure graph; Tensor.backward() walks it in reverse
-topological order. Only the broadcasting the ops below document is allowed,
-everything else is a shape error. All math is float64 and single threaded,
-so repeated runs on the same machine are bit identical.
+topological order, and inside a no_grad() block no op records one. Only the
+broadcasting the ops below document is allowed, everything else is a shape
+error. All math is float64 and single threaded, so repeated runs on the same
+machine are bit identical.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Every op inside the block returns a constant; blocks nest, and any exit restores the flag."""
+    global _grad_enabled
+    outer, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = outer
 
 
 class Tensor:
@@ -113,7 +129,7 @@ def _topo_order(root):
 
 
 def _make(data, parents, backward_fn, op):
-    if not any(p.requires_grad for p in parents):
+    if not _grad_enabled or not any(p.requires_grad for p in parents):
         return Tensor(data)
     return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn, op=op)
 

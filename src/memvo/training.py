@@ -115,14 +115,15 @@ class Adam:
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
 
     def step(self, lr):
+        """One update of every parameter with a gradient; a non-finite gradient changes nothing."""
+        live = [(name, p) for name, p in self.params.items() if p.grad is not None]
+        for name, p in live:
+            if not np.all(np.isfinite(p.grad)):
+                raise TrainingDiverged("non-finite gradient in %s" % name)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
+        for name, p in live:
             g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise TrainingDiverged("non-finite gradient in %s" % name)
             if self.weight_decay:
                 p.data -= lr * self.weight_decay * p.data
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
@@ -145,14 +146,15 @@ class WindowResult:
         return [Pose6DoF.from_vector(v.data) for v in self.abs_tensors]
 
 
-def run_window(model, frames, policy, detach_memory=True):
+def run_window(model, frames, policy, detach_memory=True, feats=None):
     """Track, select memory, refine: the full pass over one window.
 
     Memory anchors come from integrating the predicted relatives, so the
     selection sees exactly what inference would see. detach_memory mirrors
-    MemoryBuffer.observe: by default stored states are constants.
+    MemoryBuffer.observe: by default stored states are constants. feats are
+    the window's encoded pair features, if already computed.
     """
-    track = model.track_sequence(frames)
+    track = model.track_sequence(frames, feats)
     buffer = MemoryBuffer(policy)
     pose = np.eye(4)
     for t, (out, rel) in enumerate(zip(track.outs, track.rels), start=1):
@@ -231,14 +233,15 @@ def write_loss_csv(path, history):
             fh.write("%d,%.9g,%.9g,%.9g\n" % (it, local, glob, total))
 
 
-def sliding_window_infer(model, frames, policy, window=11, stride=None,
-                         detach_memory=True):
+def sliding_window_infer(model, frames, policy, window=11, stride=None):
     """Whole-trajectory inference by chaining refined windows.
 
     Each window is refined independently with a fresh memory; its refined
     absolute poses (relative to the window's first frame) are re-anchored
     onto the trajectory pose of that first frame. Later windows overwrite
     overlapping frames. Returns one 4x4 pose per frame, frame 0 = identity.
+    No tape is built, and each frame pair is encoded once: overlapping
+    windows share its features, which are dropped once no window needs them.
     """
     n = len(frames)
     if n < 2:
@@ -254,10 +257,16 @@ def sliding_window_infer(model, frames, policy, window=11, stride=None,
     if starts[-1] != n - window:
         starts.append(n - window)
     traj = [np.eye(4) for _ in range(n)]
-    for s in starts:
-        result = run_window(model, [frames[t] for t in range(s, s + window)],
-                            policy, detach_memory=detach_memory)
-        anchor = traj[s]
-        for t, pose in enumerate(result.refined_poses(), start=1):
-            traj[s + t] = pose_compose(anchor, pose.to_matrix())
+    feats = {}  # t -> features of the pair (t-1, t)
+    with T.no_grad():
+        for s in starts:
+            feats = {t: f for t, f in feats.items() if t > s}
+            for t in range(s + 1, s + window):
+                if t not in feats:
+                    feats[t] = model.encode_pair(frames[t - 1], frames[t])
+            result = run_window(model, [frames[t] for t in range(s, s + window)], policy,
+                                feats=[feats[t] for t in range(s + 1, s + window)])
+            anchor = traj[s]
+            for t, pose in enumerate(result.refined_poses(), start=1):
+                traj[s + t] = pose_compose(anchor, pose.to_matrix())
     return traj

@@ -548,3 +548,33 @@ class TestBackwardMachinery:
         assert abs(float(n.data) - 5.0) < 1e-12
         n.backward()
         assert np.allclose(v.grad, [0.6, 0.8])
+
+
+class TestNoGrad:
+    def test_ops_inside_return_constants_with_the_same_values(self):
+        x = T.Tensor(np.linspace(-1.0, 1.0, 4), requires_grad=True)
+        taped = T.tanh(T.mul(x, x))
+        with T.no_grad():
+            const = T.tanh(T.mul(x, x))
+        assert taped.requires_grad and taped._parents
+        assert not const.requires_grad and const._parents == () and const._backward_fn is None
+        assert np.array_equal(const.data, taped.data)
+
+    def test_nests_and_restores_the_flag(self):
+        x = T.Tensor([2.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert not T.mul(x, x).requires_grad
+            assert not T.mul(x, x).requires_grad
+        assert T._grad_enabled
+        T.mul(x, x).backward()
+        assert np.array_equal(x.grad, [4.0])
+
+    def test_exception_restores_the_flag(self):
+        x = T.Tensor([2.0], requires_grad=True)
+        with pytest.raises(ZeroDivisionError):
+            with T.no_grad():
+                with T.no_grad():
+                    T.div(x, 0.0)
+        assert T._grad_enabled
+        assert T.mul(x, x).requires_grad

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -251,6 +255,23 @@ class TestAdam:
         with pytest.raises(TrainingDiverged, match="encoder.l1.kernel"):
             opt.step(lr=0.1)
 
+    def test_nan_in_last_gradient_changes_nothing(self):
+        params = VONet(preset="tiny", seed=0).params
+        opt = Adam(params)
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        opt.step(lr=0.1)  # nonzero moments to watch
+        last = list(params)[-1]
+        params[last].grad[-1] = np.nan
+        before = {n: (p.data.copy(), opt.m[n].copy(), opt.v[n].copy()) for n, p in params.items()}
+        with pytest.raises(TrainingDiverged, match=last):
+            opt.step(lr=0.1)
+        assert opt.t == 1
+        for n, p in params.items():
+            assert np.array_equal(p.data, before[n][0]), n
+            assert np.array_equal(opt.m[n], before[n][1]), n
+            assert np.array_equal(opt.v[n], before[n][2]), n
+
     def test_two_params_independent(self):
         a = T.Tensor(np.array([1.0]), requires_grad=True)
         b = T.Tensor(np.array([1.0]), requires_grad=True)
@@ -403,12 +424,33 @@ class TestTrain:
         assert len(lines) == 3
 
 
+def sliding_window_infer_taped(model, frames, policy, window=11, stride=None):
+    """The inference loop before the shared, tape-free encoding: every window
+    encodes its own pairs and records a full graph. The oracle for
+    sliding_window_infer."""
+    n = len(frames)
+    window = min(window, n)
+    if stride is None:
+        stride = window - 1
+    starts = list(range(0, n - window + 1, stride))
+    if starts[-1] != n - window:
+        starts.append(n - window)
+    traj = [np.eye(4) for _ in range(n)]
+    for s in starts:
+        result = run_window(model, [frames[t] for t in range(s, s + window)], policy)
+        anchor = traj[s]
+        for t, pose in enumerate(result.refined_poses(), start=1):
+            traj[s + t] = pose_compose(anchor, pose.to_matrix())
+    return traj
+
+
 class TestSlidingWindowInfer:
+    policy = MemoryPolicy(theta_rot=0.0, theta_trans=0.0, max_slots=11)
+
     def _infer(self, n_frames, **kw):
         model = VONet(preset="tiny", seed=2)
         seq = generate_sequence(SyntheticSpec(frames=n_frames, height=32, width=32, seed=7))
-        policy = MemoryPolicy(theta_rot=0.0, theta_trans=0.0, max_slots=11)
-        return sliding_window_infer(model, seq.frames, policy, **kw)
+        return sliding_window_infer(model, seq.frames, self.policy, **kw)
 
     def test_one_pose_per_frame_identity_start(self):
         traj = self._infer(9, window=4)
@@ -441,3 +483,124 @@ class TestSlidingWindowInfer:
         with pytest.raises(ValueError):
             sliding_window_infer(model, [np.zeros((3, 32, 32))],
                                  MemoryPolicy(), window=4)
+
+    @staticmethod
+    def frames(n):
+        spec = SyntheticSpec(frames=n, height=32, width=32, max_shift=1.0, seed=11)
+        return list(generate_sequence(spec).frames)
+
+    @pytest.mark.parametrize("n, window, stride", [
+        (9, 4, 1),   # every pair shared by up to 3 windows
+        (10, 4, 3),  # stride window - 1: windows share one frame, no pair
+        (9, 4, 2),   # starts 0, 2, 4 and the clamped last start 5
+    ])
+    def test_bit_identical_to_taped_oracle(self, n, window, stride):
+        model = VONet(preset="tiny", seed=3)
+        frames = self.frames(n)
+        got = sliding_window_infer(model, frames, self.policy, window=window, stride=stride)
+        want = sliding_window_infer_taped(model, frames, self.policy, window=window, stride=stride)
+        assert len(got) == len(want) == n
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("n, window, stride", [(9, 4, 1), (9, 4, 2), (12, 4, 3)])
+    def test_each_pair_encoded_once(self, monkeypatch, n, window, stride):
+        real, pairs = VONet.encode_pair, []
+
+        def counted(self, prev_frame, frame):
+            pairs.append(id(frame))
+            return real(self, prev_frame, frame)
+
+        monkeypatch.setattr(VONet, "encode_pair", counted)
+        frames = self.frames(n)
+        sliding_window_infer(VONet(preset="tiny", seed=3), frames, self.policy,
+                             window=window, stride=stride)
+        assert sorted(pairs) == sorted(id(f) for f in frames[1:])
+
+    def test_builds_no_taped_node(self, monkeypatch):
+        real, taped = T._make, []
+
+        def spy(data, parents, backward_fn, op):
+            out = real(data, parents, backward_fn, op)
+            if out.requires_grad or out._parents:
+                taped.append(op)
+            return out
+
+        monkeypatch.setattr(T, "_make", spy)
+        sliding_window_infer(VONet(preset="tiny", seed=3), self.frames(9), self.policy,
+                             window=4, stride=1)
+        assert taped == []
+        run_window(VONet(preset="tiny", seed=3), self.frames(3), self.policy)
+        assert taped  # the spy does see a taped pass
+
+    def test_keeps_at_most_a_window_of_features(self, monkeypatch):
+        # live pair features when each new one is encoded: the shared ones plus
+        # the previous window's, never the whole sequence
+        real, made, live = VONet.encode_pair, [], []
+
+        def tracked(self, prev_frame, frame):
+            live.append(sum(r() is not None for r in made))
+            out = real(self, prev_frame, frame)
+            made.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(VONet, "encode_pair", tracked)
+        window = 4
+        sliding_window_infer(VONet(preset="tiny", seed=3), self.frames(20), self.policy,
+                             window=window, stride=1)
+        assert len(made) == 19
+        assert max(live) <= window - 1
+
+    def test_taped_run_window_after_inference_has_gradients(self):
+        model = VONet(preset="tiny", seed=3)
+        frames = self.frames(6)
+        sliding_window_infer(model, frames, self.policy, window=4, stride=1)
+        assert T._grad_enabled
+        res = run_window(model, frames[:4], self.policy)
+        T.add(T.tmean(res.track.rels[-1]), T.tmean(res.abs_tensors[-1])).backward()
+        for name in ("encoder.l1.kernel", "track.kernel", "refine.kernel", "head.refine.weight"):
+            g = model.params[name].grad
+            assert g is not None and np.any(g != 0.0), name
+
+    def test_feature_count_must_match_the_frames(self):
+        model = VONet(preset="tiny", seed=3)
+        frames = self.frames(4)
+        feats = [model.encode_pair(a, b) for a, b in zip(frames, frames[1:])]
+        with pytest.raises(ValueError, match="3 pair features, got 2"):
+            model.track_sequence(frames, feats[:2])
+
+
+# Train for 2 iterations, then infer at stride 1, and print the digests. On a
+# 2-vCPU x86 host the tiny preset's GEMMs are too small for a second BLAS
+# thread to take part (2 threads: 0.07 s CPU in 0.05 s wall), the desk
+# preset's are not (0.57 s CPU in 0.30 s wall), so both run.
+THREAD_CHILD = """
+import hashlib
+import numpy as np
+from memvo.synthetic import SyntheticSpec, generate_dataset
+from memvo.training import TrainConfig, sliding_window_infer, train
+
+for preset, side in (("tiny", 32), ("desk", 64)):
+    data = generate_dataset(2, SyntheticSpec(frames=6, height=side, width=side, max_shift=1.0,
+                                             max_yaw=0.05, seed=0), seed=0)
+    cfg = TrainConfig(window_length=4, batch_size=2, base_lr=1e-3, k=10.0, theta_rot=0.0,
+                      theta_trans=0.0, memory_size=4, seed=0, preset=preset, iterations=2)
+    model, history = train(data, cfg)
+    traj = sliding_window_infer(model, list(data[0].frames), cfg.policy(), window=4, stride=1)
+    for arr in (np.array(history), np.array(traj)):
+        print(hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest())
+"""
+
+
+def test_outputs_identical_across_blas_thread_counts():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", THREAD_CHILD], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        digests[threads] = out.stdout.split()
+        assert len(digests[threads]) == 4
+    assert digests["1"] == digests["2"]
