@@ -8,10 +8,9 @@ plain average. Refinement then runs the full window against the buffer.
 import numpy as np
 
 import memvo.tensor as T
-from memvo.memory import MemoryPolicy, MemorySlot
+from memvo.memory import MemoryPolicy
 from memvo.net import VONet
-from memvo.refining import (guided_memory, refine_sequence, spatial_weights,
-                            temporal_weights)
+from memvo.refining import guided_memory, spatial_weights, temporal_weights
 from memvo.synthetic import SyntheticSpec, generate_sequence
 from memvo.training import run_window
 
@@ -19,18 +18,18 @@ rng = np.random.default_rng(2)
 guidance = rng.normal(size=(4, 3, 3))
 states = [rng.normal(size=(4, 3, 3)) for _ in range(3)]
 states.append(guidance + 0.05 * rng.normal(size=(4, 3, 3)))  # nearly aligned
-slots = [MemorySlot(i, T.Tensor(s), np.eye(4)) for i, s in enumerate(states)]
+memory = T.Tensor(np.stack(states))  # the (S,C,H,W) stack both attentions read
 
-alpha = temporal_weights(T.Tensor(guidance), slots)
+alpha = temporal_weights(T.Tensor(guidance), memory)
 print("temporal weights %s  (slot 3 is aligned with the guidance)" %
       np.round(alpha.data, 4).tolist())
 print("weights sum to   %.12f" % alpha.data.sum())
 
-beta = spatial_weights(T.Tensor(guidance), slots[3].state)
+beta = spatial_weights(T.Tensor(guidance), T.Tensor(states[3]))
 print("spatial weights  %s  mean %.12f" %
       (np.round(beta.data, 4).tolist(), beta.data.mean()))
 
-mem = guided_memory(T.Tensor(np.zeros_like(guidance)), slots)
+mem = guided_memory(T.Tensor(np.zeros_like(guidance)), memory)
 avg = np.mean(states, axis=0)
 print("zero guidance -> plain slot average, max dev %.2e" %
       np.max(np.abs(mem.data - avg)))

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,12 +37,6 @@ def _cmd_synth_data(args):
     return 0
 
 
-class _Loaded:
-    def __init__(self, frames, poses):
-        self.frames = frames
-        self.poses = poses
-
-
 def _collect_containers(path):
     if os.path.isfile(os.path.join(path, "manifest.json")):
         return [path]
@@ -60,7 +55,7 @@ def _load_training_data(spec):
             frames, poses = load_sequence(path)
             if poses is None:
                 raise ValueError("%s: training needs ground-truth poses" % path)
-            seqs.append(_Loaded(frames, poses))
+            seqs.append(SimpleNamespace(frames=frames, poses=poses))
     return seqs
 
 
@@ -103,13 +98,13 @@ def _cmd_eval(args):
     gt = load_trajectory(args.gt, args.format)
     if args.format == "kitti":
         result = kitti_drift(est, gt, step=args.step, aggregate=args.aggregate)
-        rows = [(("%d" % l), t, r, c) for l, t, r, c in result.per_length]
+        header, rows = error_vs_length_rows(result)
         rows.append(("all", result.t_rel_percent, result.r_rel_deg_per_100m,
                      len(result.segments)))
         print("t_rel %.6g %%  r_rel %.6g deg/100m over %d segments"
               % (result.t_rel_percent, result.r_rel_deg_per_100m, len(result.segments)))
         if args.out:
-            export_csv(args.out, ["length_m", "t_rel_percent", "r_rel_deg_per_100m", "segments"], rows)
+            export_csv(args.out, header, rows)
     else:
         result = tum_rmse_drift(est, gt)
         print("rmse %.6g m/s over %d pairs (scale %.6g)"

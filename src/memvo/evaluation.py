@@ -20,6 +20,7 @@ import numpy as np
 from . import tensor as T
 from .geometry import (StackError, apply_similarity, check_se3, matrix_to_quat,
                        pose_inverse, quat_to_matrix, rotation_angle, umeyama_align)
+from .training import run_window
 from .votb import read_votb, write_votb
 
 SEQUENCE_MANIFEST = "manifest.json"
@@ -62,9 +63,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.poses)
-
-    def positions(self):
-        return self.poses[:, :3, 3].copy()
 
 
 def _format_rows(rows):
@@ -432,8 +430,6 @@ def saliency_map(model, frames, policy, target=None, which="refined",
     yields an (H,W) map: channel-max of |d scalar / d pixel|. Frames the
     target cannot depend on give all-zero maps.
     """
-    from .training import run_window
-
     leaves = [T.Tensor(np.asarray(f, dtype=np.float64), requires_grad=True)
               for f in frames]
     result = run_window(model, leaves, policy, detach_memory=detach_memory)

@@ -215,10 +215,6 @@ def translation(pose):
     return np.asarray(pose, dtype=np.float64)[:3, 3].copy()
 
 
-def rotation(pose):
-    return np.asarray(pose, dtype=np.float64)[:3, :3].copy()
-
-
 def pose_compose(a, b):
     """a @ b with the rotation block snapped back onto SO(3).
 

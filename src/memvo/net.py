@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .votb import read_votb, write_votb
+from .geometry import Pose6DoF
+from .votb import read_votb, read_votb_shape, write_votb
 
 CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_FORMAT = "memvo-checkpoint"
@@ -61,6 +62,12 @@ class EncoderConfig:
     @property
     def out_channels(self):
         return self.layers[-1].out_channels
+
+    @property
+    def kernel_shapes(self):
+        """(out, in, k, k) of each layer's kernel, in layer order."""
+        ins = (self.in_channels,) + tuple(l.out_channels for l in self.layers[:-1])
+        return [(l.out_channels, c, l.kernel, l.kernel) for l, c in zip(self.layers, ins)]
 
     @property
     def out_extents(self):
@@ -147,14 +154,10 @@ class VONet:
         self.params[name] = T.Tensor(data, requires_grad=True)
 
     def _init_params(self, rng):
-        cfg = self.config
-        c_in = cfg.in_channels
-        for i, layer in enumerate(cfg.layers, start=1):
-            k, o = layer.kernel, layer.out_channels
-            fan_in, fan_out = c_in * k * k, o * k * k
-            self._add("encoder.l%d.kernel" % i, glorot(rng, (o, c_in, k, k), fan_in, fan_out))
+        for i, shape in enumerate(self.config.kernel_shapes, start=1):
+            o, c_in, k, _ = shape
+            self._add("encoder.l%d.kernel" % i, glorot(rng, shape, c_in * k * k, o * k * k))
             self._add("encoder.l%d.bias" % i, np.zeros(o))
-            c_in = o
         h = self.hidden
         for stage in ("track", "refine"):
             self._add(stage + ".kernel", np.empty((4 * h, 2 * h, 3, 3)))
@@ -253,14 +256,13 @@ class VONet:
         return TrackResult(feats=feats, outs=outs, rels=rels)
 
 
+@dataclass
 class TrackResult:
-    def __init__(self, feats, outs, rels):
-        self.feats = feats
-        self.outs = outs
-        self.rels = rels
+    feats: list
+    outs: list
+    rels: list
 
     def rel_poses(self):
-        from .geometry import Pose6DoF
         return [Pose6DoF.from_vector(r.data) for r in self.rels]
 
 
@@ -329,24 +331,36 @@ def load_checkpoint(dirpath):
     if not isinstance(preset, str) or type(seed) is not int or seed < 0:
         raise ValueError("%s: model preset must be a string and seed an int >= 0" % mpath)
     try:
-        model = VONet(preset=preset, seed=seed, config=EncoderConfig.from_dict(info.get("config")))
+        config = EncoderConfig.from_dict(info.get("config"))
     except ValueError as exc:
         raise ValueError("%s: bad model config: %s" % (mpath, exc)) from None
+
+    def checked_blob(name, want):
+        """Path of name's blob: a file beside the manifest whose header declares shape want."""
+        fname = entries.get(name)
+        path = os.path.join(dirpath, fname) if isinstance(fname, str) else ""
+        if os.path.basename(path) != fname or not os.path.isfile(path):
+            raise ValueError("%s: parameter %s names %r, not a file beside the manifest"
+                             % (mpath, name, fname))
+        shape = read_votb_shape(path)  # the header alone, so a wrong shape costs no payload
+        if shape != want:
+            raise ValueError("%s: parameter %s has shape %s, model wants %s"
+                             % (path, name, shape, want))
+        return path
+
+    # the encoder kernels fix every other shape: check them before the model is allocated
+    for i, want in enumerate(config.kernel_shapes, start=1):
+        checked_blob("encoder.l%d.kernel" % i, want)
+    model = VONet(preset=preset, seed=seed, config=config)
     views = dict(_v1_views(model))
     missing = set(views) - set(entries)
     extra = set(entries) - set(views)
     if missing or extra:
         raise ValueError("%s: checkpoint parameter set mismatch (missing %s, extra %s)"
                          % (mpath, sorted(missing), sorted(extra)))
-    for name, fname in entries.items():
-        path = os.path.join(dirpath, fname) if isinstance(fname, str) else ""
-        if os.path.basename(path) != fname or not os.path.isfile(path):
-            raise ValueError("%s: parameter %s names %r, not a file beside the manifest"
-                             % (mpath, name, fname))
+    for name in entries:
+        path = checked_blob(name, views[name].shape)
         data = read_votb(path)
-        if data.shape != views[name].shape:
-            raise ValueError("%s: parameter %s has shape %s, model wants %s"
-                             % (path, name, data.shape, views[name].shape))
         if not np.all(np.isfinite(data)):
             raise ValueError("%s: parameter %s has non-finite values" % (path, name))
         views[name][...] = data  # in place: the gate blocks are views of the fused kernels

@@ -12,11 +12,11 @@ import numpy as np
 from . import tensor as T
 
 
-def temporal_weights(guidance, slots):
-    """Softmax over cosine(guidance, slot state); uniform for zero guidance."""
-    if not slots:
-        raise ValueError("temporal_weights needs at least one slot")
-    return T.softmax(T.cosine_similarity(guidance, T.stack([s.state for s in slots])))
+def temporal_weights(guidance, memory):
+    """Softmax over cosine(guidance, slot state), memory (S,C,H,W); uniform for zero guidance."""
+    if memory.data.ndim != 4:
+        raise ValueError("temporal_weights needs a stacked (S,C,H,W) memory")
+    return T.softmax(T.cosine_similarity(guidance, memory))
 
 
 def spatial_weights(guidance, state):
@@ -34,15 +34,14 @@ def recalibrate(guidance, state):
     return T.scale_channels(state, spatial_weights(guidance, state))
 
 
-def guided_memory(guidance, slots):
-    """Aggregate the buffer into one map: sum_i alpha_i * recalibrated(m_i).
+def guided_memory(guidance, memory):
+    """Aggregate the stacked memory (S,C,H,W) into one map: sum_i alpha_i * recalibrated(m_i).
 
     alpha comes from the raw slot states; the per-channel recalibration
     happens inside each slot before the weighted sum. Both run once over the
-    stacked memory (S,C,H,W), so the graph does not grow with S.
+    whole stack, so the graph does not grow with S.
     """
-    alpha = temporal_weights(guidance, slots)
-    return T.weighted_sum(alpha, recalibrate(guidance, T.stack([s.state for s in slots])))
+    return T.weighted_sum(temporal_weights(guidance, memory), recalibrate(guidance, memory))
 
 
 def guided_observation(guidance, feat):
@@ -54,18 +53,17 @@ def refine_sequence(model, feats, slots):
     """Run the refinement pass over tracked features.
 
     feats are the encoded pair features X_1..X_N from the tracking pass;
-    slots are the memory slots selected for the same window. Step t is
-    guided by the refined output of step t-1 (zeros at the start).
-    Returns (absolute pose tensors, refined output maps), one per step; the
-    pose at step t is the pose of frame t in frame 0 coordinates.
+    slots, the window's selected memory, are stacked once (an empty list
+    raises ValueError). Step t is guided by the refined output of step t-1
+    (zeros at the start). Returns (absolute pose tensors, refined output
+    maps), one per step; step t gives frame t's pose in frame 0 coordinates.
     """
-    if not slots:
-        raise ValueError("refine_sequence needs a non-empty memory")
+    memory = T.stack([s.state for s in slots])
     h, c = model.zero_state()
     guidance = T.Tensor(np.zeros((model.hidden,) + model.extents))
     abs_poses, outs = [], []
     for feat in feats:
-        mem = guided_memory(guidance, slots)
+        mem = guided_memory(guidance, memory)
         obs = guided_observation(guidance, feat)
         fused = model.fuse(mem, obs)
         out, h, c = model.refine_step(fused, h, c)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import JsonConfig
-from .geometry import Pose6DoF, euler_to_matrix, make_se3, pose_compose, pose_inverse
+from .geometry import euler_to_matrix, make_se3
 
 KINDS = ("translate", "rotate", "mixed")
 
@@ -48,12 +48,6 @@ class SyntheticSequence:
         self.frames = frames
         self.poses = poses
         self.spec = spec
-
-    def relative_poses(self):
-        out = []
-        for a, b in zip(self.poses[:-1], self.poses[1:]):
-            out.append(Pose6DoF.from_matrix(pose_compose(pose_inverse(a), b)))
-        return out
 
 
 def _texture(rng, n_waves=8):

@@ -78,22 +78,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def sum(self):
         return tsum(self)
@@ -162,16 +150,6 @@ def add(a, b):
             b._accum(_reduce_to(g, b.data.shape))
 
     return _make(out_data, (a, b), backward_fn, "add")
-
-
-def neg(a):
-    a = _as_tensor(a)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accum(-g)
-
-    return _make(-a.data, (a,), backward_fn, "neg")
 
 
 def mul(a, b):
@@ -533,11 +511,6 @@ def slice1d(v, start, stop):
 def l2_norm(a):
     """Scalar euclidean norm of a tensor."""
     return sqrt(tsum(mul(a, a)))
-
-
-def zero_grads(tensors):
-    for t in tensors:
-        t.zero_grad()
 
 
 def finite_diff_check(f, x, h=1e-5, coords=None):

@@ -13,9 +13,9 @@ import numpy as np
 
 from . import tensor as T
 from .config import JsonConfig
-from .geometry import Pose6DoF, pose_compose, pose_inverse
+from .geometry import Pose6DoF, integrate_relative, pose_compose, pose_inverse
 from .memory import MemoryBuffer, MemoryPolicy
-from .net import PRESETS, VONet
+from .net import PRESETS, TrackResult, VONet
 from .refining import refine_sequence
 
 
@@ -133,14 +133,13 @@ class Adam:
             p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+@dataclass
 class WindowResult:
     """Everything the pipeline produced for one window."""
 
-    def __init__(self, track, buffer, abs_tensors, refined_outs):
-        self.track = track
-        self.buffer = buffer
-        self.abs_tensors = abs_tensors
-        self.refined_outs = refined_outs
+    track: TrackResult
+    buffer: MemoryBuffer
+    abs_tensors: list
 
     def refined_poses(self):
         return [Pose6DoF.from_vector(v.data) for v in self.abs_tensors]
@@ -155,15 +154,15 @@ def run_window(model, frames, policy, detach_memory=True, feats=None):
     the window's encoded pair features, if already computed.
     """
     track = model.track_sequence(frames, feats)
-    buffer = MemoryBuffer(policy)
-    pose = np.eye(4)
-    for t, (out, rel) in enumerate(zip(track.outs, track.rels), start=1):
+    for t, rel in enumerate(track.rels, start=1):
         if not np.all(np.isfinite(rel.data)):
             raise TrainingDiverged("non-finite relative pose at window step %d" % t)
-        pose = pose_compose(pose, Pose6DoF.from_vector(rel.data).to_matrix())
-        buffer.observe(out, pose, frame=t, detach=detach_memory)
-    abs_tensors, refined_outs = refine_sequence(model, track.feats, buffer.snapshot())
-    return WindowResult(track, buffer, abs_tensors, refined_outs)
+    buffer = MemoryBuffer(policy)
+    poses = integrate_relative(track.rel_poses())
+    for t, out in enumerate(track.outs, start=1):
+        buffer.observe(out, poses[t], frame=t, detach=detach_memory)
+    abs_tensors = refine_sequence(model, track.feats, buffer.snapshot())[0]
+    return WindowResult(track, buffer, abs_tensors)
 
 
 def window_ground_truth(poses, start, length):
@@ -238,8 +237,8 @@ def sliding_window_infer(model, frames, policy, window=11, stride=None):
 
     Each window is refined independently with a fresh memory; its refined
     absolute poses (relative to the window's first frame) are re-anchored
-    onto the trajectory pose of that first frame. Later windows overwrite
-    overlapping frames. Returns one 4x4 pose per frame, frame 0 = identity.
+    onto the trajectory pose of that first frame, up to the next window's
+    start. Returns one 4x4 pose per frame, frame 0 = identity.
     No tape is built, and each frame pair is encoded once: overlapping
     windows share its features, which are dropped once no window needs them.
     """
@@ -259,14 +258,13 @@ def sliding_window_infer(model, frames, policy, window=11, stride=None):
     traj = [np.eye(4) for _ in range(n)]
     feats = {}  # t -> features of the pair (t-1, t)
     with T.no_grad():
-        for s in starts:
+        for s, end in zip(starts, starts[1:] + [n - 1]):
             feats = {t: f for t, f in feats.items() if t > s}
             for t in range(s + 1, s + window):
                 if t not in feats:
                     feats[t] = model.encode_pair(frames[t - 1], frames[t])
             result = run_window(model, [frames[t] for t in range(s, s + window)], policy,
                                 feats=[feats[t] for t in range(s + 1, s + window)])
-            anchor = traj[s]
-            for t, pose in enumerate(result.refined_poses(), start=1):
-                traj[s + t] = pose_compose(anchor, pose.to_matrix())
+            for t, pose in enumerate(result.refined_poses()[:end - s], start=1):
+                traj[s + t] = pose_compose(traj[s], pose.to_matrix())
     return traj

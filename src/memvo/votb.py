@@ -11,6 +11,8 @@ Round trips are bit exact: the payload is the raw float64 memory of a
 C-contiguous array.
 """
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -32,31 +34,35 @@ def write_votb(path, array):
         fh.write(arr.tobytes("C"))
 
 
+def read_votb_shape(path):
+    """The extents a VOTB blob declares, read from its header alone."""
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+        if len(head) < 12:
+            raise ValueError("%s: truncated VOTB header" % path)
+        if head[:4] != MAGIC:
+            raise ValueError("%s: bad magic %r" % (path, head[:4]))
+        version, ndim = struct.unpack("<II", head[4:12])
+        if version != VERSION:
+            raise ValueError("%s: unsupported VOTB version %d" % (path, version))
+        if ndim == 0:
+            raise ValueError("%s: zero-dimensional blob" % path)
+        if os.fstat(fh.fileno()).st_size < 12 + 4 * ndim:
+            raise ValueError("%s: truncated extents" % path)
+        extents = struct.unpack("<%dI" % ndim, fh.read(4 * ndim))
+    if 0 in extents:
+        raise ValueError("%s: zero extent" % path)
+    return extents
+
+
 def read_votb(path):
     """Read a VOTB blob back into a float64 ndarray."""
+    extents = read_votb_shape(path)
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12:
-        raise ValueError("%s: truncated VOTB header" % path)
-    if raw[:4] != MAGIC:
-        raise ValueError("%s: bad magic %r" % (path, raw[:4]))
-    version, ndim = struct.unpack("<II", raw[4:12])
-    if version != VERSION:
-        raise ValueError("%s: unsupported VOTB version %d" % (path, version))
-    if ndim == 0:
-        raise ValueError("%s: zero-dimensional blob" % path)
-    need = 12 + 4 * ndim
-    if len(raw) < need:
-        raise ValueError("%s: truncated extents" % path)
-    extents = struct.unpack("<%dI" % ndim, raw[12:need])
-    count = 1
-    for e in extents:
-        if e == 0:
-            raise ValueError("%s: zero extent" % path)
-        count *= e
-    payload = raw[need:]
-    if len(payload) != 8 * count:
+        fh.seek(12 + 4 * len(extents))
+        payload = fh.read()
+    if len(payload) != 8 * math.prod(extents):
         raise ValueError("%s: payload is %d bytes, extents %s need %d"
-                         % (path, len(payload), extents, 8 * count))
+                         % (path, len(payload), extents, 8 * math.prod(extents)))
     flat = np.frombuffer(payload, dtype="<f8")
     return flat.reshape(extents).copy()

@@ -101,15 +101,16 @@ def test_criterion_2_attention_invariants(capsys):
         slots = [MemorySlot(i, T.Tensor(s), np.eye(4)) for i, s in enumerate(states)]
         g = rng.normal(size=(c, hw, hw))
 
-        alpha = temporal_weights(T.Tensor(g), slots).data
+        memory = T.stack([s.state for s in slots])
+        alpha = temporal_weights(T.Tensor(g), memory).data
         worst_alpha = max(worst_alpha, abs(alpha.sum() - 1.0))
         for s in slots:
             beta = spatial_weights(T.Tensor(g), s.state).data
             worst_beta = max(worst_beta, abs(beta.mean() - 1.0))
-        mem = guided_memory(T.Tensor(g), slots).data
+        mem = guided_memory(T.Tensor(g), memory).data
         worst_mem = max(worst_mem, float(np.max(np.abs(mem - _guided_memory_ref(g, states)))))
         scale = float(2.0 ** rng.integers(-3, 4))
-        scaled = temporal_weights(T.Tensor(g * scale), slots).data
+        scaled = temporal_weights(T.Tensor(g * scale), memory).data
         scaling_exact = scaling_exact and np.array_equal(scaled, alpha)
     ok = worst_alpha < 1e-9 and worst_beta < 1e-9 and worst_mem < 1e-12 and scaling_exact
     report(capsys, 2, "attention invariants", ok,

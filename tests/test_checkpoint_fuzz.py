@@ -8,8 +8,10 @@ file at fault.
 import copy
 import json
 import os
+import re
 import shutil
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from memvo.net import VONet, load_checkpoint, save_checkpoint  # noqa: E402
-from memvo.votb import MAGIC, read_votb  # noqa: E402
+from memvo.votb import MAGIC, read_votb, write_votb  # noqa: E402
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -135,3 +137,40 @@ def test_load_checkpoint_mutated_manifest(saved_checkpoint, data):
 @given(text=st.text(max_size=200))
 def test_load_checkpoint_any_manifest_text(saved_checkpoint, text):
     _fuzz_load(saved_checkpoint, text)
+
+
+def _peak_of_failed_load(path, blob):
+    """Peak traced allocation while load_checkpoint(path) fails on blob's shape."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(blob) + ": .*has shape"):
+            load_checkpoint(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inflated_widths_fail_before_the_model_is_built(saved_checkpoint):
+    # five encoder layers declared 512 wide would allocate hundreds of MB of
+    # parameters; the blob headers must refute them first
+    src, manifest = saved_checkpoint
+    doc = copy.deepcopy(manifest)
+    for row in doc["model"]["config"]["layers"][4:]:
+        row[0] = 512
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "ckpt")
+        shutil.copytree(src, path)
+        with open(os.path.join(path, "manifest.json"), "w") as fh:
+            json.dump(doc, fh)
+        peak = _peak_of_failed_load(path, os.path.join(path, "encoder.l5.kernel.votb"))
+    assert peak < 10 * 2 ** 20, "peak %.1f MB during the failed load" % (peak / 2 ** 20)
+
+
+def test_oversized_blob_fails_before_its_payload_is_read(saved_checkpoint):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "ckpt")
+        shutil.copytree(saved_checkpoint[0], path)
+        blob = os.path.join(path, "head.track.bias.votb")
+        write_votb(blob, np.zeros(2 ** 21))  # 16 MB where the model wants (6,)
+        peak = _peak_of_failed_load(path, blob)
+    assert peak < 10 * 2 ** 20, "peak %.1f MB during the failed load" % (peak / 2 ** 20)

@@ -16,6 +16,11 @@ from memvo.net import VONet
 from memvo.synthetic import SyntheticSpec, generate_sequence
 
 
+def positions(traj):
+    """The (N,3) camera positions of a Trajectory."""
+    return traj.poses[:, :3, 3].copy()
+
+
 def random_trajectory(rng, n=400, step_len=1.0, rot_scale=0.03, wobble=0.1):
     """Forward-dominated random walk; covers roughly n*step_len meters."""
     poses, pose = [], np.eye(4)
@@ -206,7 +211,7 @@ class TestKittiFormat:
     def test_poses_are_one_stack(self):
         traj = parse_kitti(format_kitti(straight_line(4)))
         assert traj.poses.shape == (4, 4, 4)
-        assert np.array_equal(traj.positions()[:, 0], np.arange(4.0))
+        assert np.array_equal(positions(traj)[:, 0], np.arange(4.0))
 
 
 class TestTumFormat:
@@ -491,7 +496,7 @@ class TestVectorisedAgainstLoop:
         want, _ = tum_pairs_loop(est, gt, delta=1.0, tol=0.02, with_scale=False)
         a = np.array([p[0] for p in want])
         b = np.array([p[1] for p in want])
-        scale, rot, trans = umeyama_align(est.positions(), gt.positions(), with_scale=False)
+        scale, rot, trans = umeyama_align(positions(est), positions(gt), with_scale=False)
         aligned = apply_similarity(scale, rot, trans, est.poses)
         t_err, _ = _pair_errors(aligned, pose_inverse(aligned), gt.poses, pose_inverse(gt.poses),
                                 a, b)

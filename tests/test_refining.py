@@ -61,6 +61,11 @@ def make_slots(rng, n, shape=(4, 3, 3)):
             for i in range(n)]
 
 
+def stacked(slots):
+    """The (S,C,H,W) memory the attention functions take, as refine_sequence builds it."""
+    return T.stack([s.state for s in slots])
+
+
 class TestTemporalWeights:
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
@@ -68,7 +73,7 @@ class TestTemporalWeights:
             n = int(rng.integers(1, 9))
             slots = make_slots(rng, n)
             g = T.Tensor(rng.normal(size=(4, 3, 3)))
-            alpha = temporal_weights(g, slots)
+            alpha = temporal_weights(g, stacked(slots))
             assert alpha.data.shape == (n,)
             assert abs(alpha.data.sum() - 1.0) < 1e-12
             assert np.all(alpha.data > 0)
@@ -76,12 +81,12 @@ class TestTemporalWeights:
     def test_zero_guidance_uniform_exactly(self):
         rng = np.random.default_rng(1)
         slots = make_slots(rng, 5)
-        alpha = temporal_weights(T.Tensor(np.zeros((4, 3, 3))), slots)
+        alpha = temporal_weights(T.Tensor(np.zeros((4, 3, 3))), stacked(slots))
         assert np.all(alpha.data == 0.2)
 
     def test_single_slot_is_one(self):
         rng = np.random.default_rng(2)
-        alpha = temporal_weights(T.Tensor(rng.normal(size=(4, 3, 3))), make_slots(rng, 1))
+        alpha = temporal_weights(T.Tensor(rng.normal(size=(4, 3, 3))), stacked(make_slots(rng, 1)))
         assert alpha.data.shape == (1,) and alpha.data[0] == 1.0
 
     def test_power_of_two_guidance_scaling_bit_exact(self):
@@ -89,27 +94,27 @@ class TestTemporalWeights:
         rng = np.random.default_rng(3)
         slots = make_slots(rng, 6)
         g = rng.normal(size=(4, 3, 3))
-        base = temporal_weights(T.Tensor(g), slots).data
+        base = temporal_weights(T.Tensor(g), stacked(slots)).data
         for c in (0.5, 2.0, 4.0, 8.0, 0.25):
-            scaled = temporal_weights(T.Tensor(g * c), slots).data
+            scaled = temporal_weights(T.Tensor(g * c), stacked(slots)).data
             assert np.array_equal(scaled, base)
 
     def test_arbitrary_positive_scaling(self):
         rng = np.random.default_rng(4)
         slots = make_slots(rng, 6)
         g = rng.normal(size=(4, 3, 3))
-        base = temporal_weights(T.Tensor(g), slots).data
+        base = temporal_weights(T.Tensor(g), stacked(slots)).data
         for c in (0.3, 1.7, 9.9):
-            scaled = temporal_weights(T.Tensor(g * c), slots).data
+            scaled = temporal_weights(T.Tensor(g * c), stacked(slots)).data
             assert np.max(np.abs(scaled - base)) < 1e-12
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)
         slots = make_slots(rng, 7)
         g = T.Tensor(rng.normal(size=(4, 3, 3)))
-        base = temporal_weights(g, slots).data
+        base = temporal_weights(g, stacked(slots)).data
         perm = [3, 0, 6, 1, 5, 2, 4]
-        shuffled = temporal_weights(g, [slots[i] for i in perm]).data
+        shuffled = temporal_weights(g, stacked([slots[i] for i in perm])).data
         assert np.max(np.abs(shuffled - base[perm])) < 1e-12
 
     def test_aligned_slot_dominates(self):
@@ -117,12 +122,17 @@ class TestTemporalWeights:
         g = rng.normal(size=(4, 3, 3))
         slots = [MemorySlot(0, T.Tensor(g.copy()), np.eye(4)),
                  MemorySlot(1, T.Tensor(-g), np.eye(4))]
-        alpha = temporal_weights(T.Tensor(g), slots)
+        alpha = temporal_weights(T.Tensor(g), stacked(slots))
         assert alpha.data[0] > alpha.data[1]
 
     def test_empty_slots_rejected(self):
         with pytest.raises(ValueError):
-            temporal_weights(T.Tensor(np.zeros((4, 3, 3))), [])
+            temporal_weights(T.Tensor(np.zeros((4, 3, 3))), stacked([]))
+
+    def test_unstacked_memory_rejected(self):
+        # a single (C,H,W) state is no memory stack
+        with pytest.raises(ValueError, match="stacked"):
+            temporal_weights(T.Tensor(np.zeros((4, 3, 3))), T.Tensor(np.ones((4, 3, 3))))
 
 
 class TestSpatialWeights:
@@ -168,7 +178,7 @@ class TestGuidedMemory:
             n = int(rng.integers(1, 9))
             slots = make_slots(rng, n)
             g = rng.normal(size=(4, 3, 3))
-            mine = guided_memory(T.Tensor(g), slots).data
+            mine = guided_memory(T.Tensor(g), stacked(slots)).data
             ref = guided_memory_reference(g, [s.state.data for s in slots])
             assert np.max(np.abs(mine - ref)) < 1e-12
 
@@ -176,14 +186,14 @@ class TestGuidedMemory:
         # uniform alpha and unit beta reduce the aggregate to a plain mean
         rng = np.random.default_rng(12)
         slots = make_slots(rng, 5)
-        out = guided_memory(T.Tensor(np.zeros((4, 3, 3))), slots).data
+        out = guided_memory(T.Tensor(np.zeros((4, 3, 3))), stacked(slots)).data
         mean = np.mean([s.state.data for s in slots], axis=0)
         assert np.max(np.abs(out - mean)) < 1e-12
 
     def test_single_slot_zero_guidance_identity(self):
         rng = np.random.default_rng(13)
         slots = make_slots(rng, 1)
-        out = guided_memory(T.Tensor(np.zeros((4, 3, 3))), slots).data
+        out = guided_memory(T.Tensor(np.zeros((4, 3, 3))), stacked(slots)).data
         assert np.max(np.abs(out - slots[0].state.data)) < 1e-15
 
     def test_gradient_reaches_live_slot_state(self):
@@ -192,7 +202,7 @@ class TestGuidedMemory:
         live = T.tanh(x)
         slots = [MemorySlot(0, live, np.eye(4))]
         g = T.Tensor(rng.normal(size=(4, 3, 3)))
-        T.tsum(guided_memory(g, slots)).backward()
+        T.tsum(guided_memory(g, stacked(slots))).backward()
         assert x.grad is not None and np.any(x.grad != 0)
 
     def test_gradient_blocked_by_detached_slot(self):
@@ -201,17 +211,17 @@ class TestGuidedMemory:
         live = T.tanh(x)
         slots = [MemorySlot(0, live.detach(), np.eye(4))]
         g = T.Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
-        T.tsum(guided_memory(g, slots)).backward()
+        T.tsum(guided_memory(g, stacked(slots))).backward()
         assert x.grad is None
         assert g.grad is not None
 
     def test_guided_memory_gradcheck(self):
         rng = np.random.default_rng(16)
-        slots = make_slots(rng, 3)
+        memory = stacked(make_slots(rng, 3))
         g = T.Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
 
         def f(gv):
-            return T.tsum(T.mul(guided_memory(gv, slots), guided_memory(gv, slots)))
+            return T.tsum(T.mul(guided_memory(gv, memory), guided_memory(gv, memory)))
 
         assert T.finite_diff_check(lambda _: f(g), g, coords=[0, 5, 17, 30]) < 1e-6
 
@@ -231,7 +241,11 @@ class TestGuidedMemory:
             states[0, 2] = 0.0
         w = T.Tensor(rng.normal(size=(4, 3, 3)))
         grads, outs = [], []
-        for fn in (guided_memory, guided_memory_per_slot):
+
+        def batched(guidance, slots):
+            return guided_memory(guidance, stacked(slots))
+
+        for fn in (batched, guided_memory_per_slot):
             gt = T.Tensor(g, requires_grad=True)
             xs = [T.Tensor(st, requires_grad=True) for st in states]
             slots = [MemorySlot(i, T.mul(x, 1.0), np.eye(4)) for i, x in enumerate(xs)]
@@ -251,7 +265,7 @@ class TestGuidedMemory:
         for n in (1, 10):
             slots = [MemorySlot(i, T.Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True),
                                 np.eye(4)) for i in range(n)]
-            out = guided_memory(g, slots)
+            out = guided_memory(g, stacked(slots))
             counts.add(sum(node._backward_fn is not None for node in T._topo_order(out)))
         assert len(counts) == 1
 
@@ -276,6 +290,19 @@ class TestRefineSequence:
         m, track = self._setup(seed=1)
         with pytest.raises(ValueError):
             refine_sequence(m, track.feats, [])
+
+    def test_memory_stacked_once(self, monkeypatch):
+        m, track = self._setup(seed=5, frames=6)
+        slots = [MemorySlot(i, f.detach(), np.eye(4)) for i, f in enumerate(track.feats)]
+        real, calls = T.stack, []
+
+        def spy(parts):
+            calls.append(len(parts))
+            return real(parts)
+
+        monkeypatch.setattr(T, "stack", spy)
+        refine_sequence(m, track.feats, slots)
+        assert calls == [len(slots)]
 
     def test_deterministic(self):
         m, track = self._setup(seed=2)

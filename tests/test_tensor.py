@@ -65,7 +65,6 @@ class TestArithmetic:
         b = T.Tensor([4.0, 5.0, 6.0])
         assert np.array_equal(T.add(a, b).data, [5.0, 7.0, 9.0])
         assert np.array_equal(T.mul(a, b).data, [4.0, 10.0, 18.0])
-        assert np.array_equal((a - b).data, [-3.0, -3.0, -3.0])
 
     def test_scalar_broadcast(self):
         a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])

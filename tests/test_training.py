@@ -13,6 +13,7 @@ import memvo.training as training
 from memvo.geometry import Pose6DoF, integrate_relative, pose_compose
 from memvo.memory import MemoryPolicy
 from memvo.net import VONet
+from memvo.refining import guided_observation, recalibrate
 from memvo.synthetic import SyntheticSpec, generate_dataset, generate_sequence
 from memvo.training import (Adam, TrainConfig, TrainingDiverged, _pose_term, loss_global,
                             loss_local, loss_total, lr_at, run_window,
@@ -325,6 +326,21 @@ class TestWindowPipeline:
         assert all(not s.state.requires_grad for s in detached.buffer.snapshot())
         assert any(s.state.requires_grad for s in live.buffer.snapshot())
 
+    @pytest.mark.parametrize("stop_memory_gradient", [False, True])
+    def test_gradients_match_per_step_stack_oracle(self, monkeypatch, stop_memory_gradient):
+        seq = generate_sequence(SyntheticSpec(frames=6, height=32, width=32, seed=6))
+        cfg = tiny_config(window_length=6, memory_size=6, stop_memory_gradient=stop_memory_gradient)
+        grads = []
+        for refine in (training.refine_sequence, refine_sequence_per_step_stack):
+            monkeypatch.setattr(training, "refine_sequence", refine)
+            model = VONet(preset="tiny", seed=1)
+            local, glob, res = window_loss(model, seq, 0, cfg, cfg.policy())
+            assert len(res.buffer) == 5
+            T.add(local, glob).backward()
+            grads.append({name: p.grad for name, p in model.params.items()})
+        for name, g in grads[0].items():
+            assert np.max(np.abs(g - grads[1][name])) < 1e-12, name
+
     def test_window_loss_finite_and_positive(self):
         model = VONet(preset="tiny", seed=1)
         seq = generate_sequence(SyntheticSpec(frames=6, height=32, width=32, seed=6))
@@ -333,6 +349,24 @@ class TestWindowPipeline:
         assert np.isfinite(local.data) and local.data > 0
         assert np.isfinite(glob.data) and glob.data > 0
 
+
+
+def refine_sequence_per_step_stack(model, feats, slots):
+    """refine_sequence before the memory was stacked once per window: both
+    attentions stack the slot states again at every step. The oracle for the
+    gradients a live memory (stop_memory_gradient=False) passes back."""
+    h, c = model.zero_state()
+    guidance = T.Tensor(np.zeros((model.hidden,) + model.extents))
+    abs_poses, outs = [], []
+    for feat in feats:
+        alpha = T.softmax(T.cosine_similarity(guidance, T.stack([s.state for s in slots])))
+        mem = T.weighted_sum(alpha, recalibrate(guidance, T.stack([s.state for s in slots])))
+        fused = model.fuse(mem, guided_observation(guidance, feat))
+        out, h, c = model.refine_step(fused, h, c)
+        abs_poses.append(model.pose_head("refine", out))
+        outs.append(out)
+        guidance = out
+    return abs_poses, outs
 
 
 def batch_mean_one_graph(dataset, config):
