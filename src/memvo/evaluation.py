@@ -125,8 +125,7 @@ def format_tum(traj):
     rows = np.zeros((len(poses), 8))
     rows[:, 0] = traj.stamps
     rows[:, 1:4] = poses[:, :3, 3]
-    for row, pose in zip(rows, poses):
-        row[4:] = matrix_to_quat(pose[:3, :3])
+    rows[:, 4:] = matrix_to_quat(poses[:, :3, :3])
     return _format_rows(rows)
 
 

@@ -91,12 +91,13 @@ def _non_finite(m):
     return ~np.isfinite(m).all(axis=(-2, -1))
 
 
-def _check_rotation(r, tol=_ORTHO_TOL):
+def _check_rotation(r, tol=_ORTHO_TOL, stack=False):
+    # with stack=True an (N,3,3) stack passes too, its errors naming a rotation
     r = np.asarray(r, dtype=np.float64)
-    if r.shape != (3, 3):
+    if r.shape[-2:] != (3, 3) or r.ndim != 2 and not (stack and r.ndim == 3):
         raise ValueError("rotation must be 3x3, got %s" % (r.shape,))
     _raise_first([(_non_finite(r), "matrix has non-finite entries")] + _rotation_faults(r, tol),
-                 "matrix")
+                 "rotation")
     return r
 
 
@@ -141,39 +142,47 @@ def quat_to_matrix(q):
 
 
 def matrix_to_quat(r):
-    """Rotation matrix -> (qx, qy, qz, qw), unit, qw >= 0."""
-    r = _check_rotation(r)
+    """Rotation matrix -> (qx, qy, qz, qw), unit, qw >= 0.
+
+    An (N,3,3) stack gives an (N,4) stack, bit-identical to converting each
+    rotation alone, and is validated once; an error names the first bad
+    rotation.
+    """
+    r = _check_rotation(r, stack=True)
+    m = r.reshape(-1, 3, 3)
     # branch on the largest diagonal combination for stability
-    tr = np.trace(r)
-    if tr > 0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        w = 0.25 * s
-        x = (r[2, 1] - r[1, 2]) / s
-        y = (r[0, 2] - r[2, 0]) / s
-        z = (r[1, 0] - r[0, 1]) / s
-    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
-        s = np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        w = (r[2, 1] - r[1, 2]) / s
-        x = 0.25 * s
-        y = (r[0, 1] + r[1, 0]) / s
-        z = (r[0, 2] + r[2, 0]) / s
-    elif r[1, 1] > r[2, 2]:
-        s = np.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
-        w = (r[0, 2] - r[2, 0]) / s
-        x = (r[0, 1] + r[1, 0]) / s
-        y = 0.25 * s
-        z = (r[1, 2] + r[2, 1]) / s
-    else:
-        s = np.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
-        w = (r[1, 0] - r[0, 1]) / s
-        x = (r[0, 2] + r[2, 0]) / s
-        y = (r[1, 2] + r[2, 1]) / s
-        z = 0.25 * s
-    q = np.array([x, y, z, w])
-    q /= np.linalg.norm(q)
-    if q[3] < 0:
-        q = -q
-    return q
+    d0, d1, d2 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
+    tr = d0 + d1 + d2
+    branch = np.select([tr > 0, (d0 > d1) & (d0 > d2), d1 > d2], [0, 1, 2], 3)
+    q = np.empty((len(m), 4))
+    sel = branch == 0
+    b, s = m[sel], np.sqrt(tr[sel] + 1.0) * 2.0
+    q[sel] = _columns((b[:, 2, 1] - b[:, 1, 2]) / s, (b[:, 0, 2] - b[:, 2, 0]) / s,
+                      (b[:, 1, 0] - b[:, 0, 1]) / s, 0.25 * s)
+    sel = branch == 1
+    b = m[sel]
+    s = np.sqrt(1.0 + b[:, 0, 0] - b[:, 1, 1] - b[:, 2, 2]) * 2.0
+    q[sel] = _columns(0.25 * s, (b[:, 0, 1] + b[:, 1, 0]) / s,
+                      (b[:, 0, 2] + b[:, 2, 0]) / s, (b[:, 2, 1] - b[:, 1, 2]) / s)
+    sel = branch == 2
+    b = m[sel]
+    s = np.sqrt(1.0 + b[:, 1, 1] - b[:, 0, 0] - b[:, 2, 2]) * 2.0
+    q[sel] = _columns((b[:, 0, 1] + b[:, 1, 0]) / s, 0.25 * s,
+                      (b[:, 1, 2] + b[:, 2, 1]) / s, (b[:, 0, 2] - b[:, 2, 0]) / s)
+    sel = branch == 3
+    b = m[sel]
+    s = np.sqrt(1.0 + b[:, 2, 2] - b[:, 0, 0] - b[:, 1, 1]) * 2.0
+    q[sel] = _columns((b[:, 0, 2] + b[:, 2, 0]) / s, (b[:, 1, 2] + b[:, 2, 1]) / s,
+                      0.25 * s, (b[:, 1, 0] - b[:, 0, 1]) / s)
+    # a per-row dot, the same BLAS reduction np.linalg.norm runs on one quaternion
+    q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    q[q[:, 3] < 0] *= -1.0
+    return q.reshape(r.shape[:-2] + (4,))
+
+
+def _columns(*cols):
+    # (n,) columns side by side -> (n, len(cols))
+    return np.stack(cols, axis=-1)
 
 
 def orthonormalize(m):

@@ -5,6 +5,12 @@ topological order, and inside a no_grad() block no op records one. Only the
 broadcasting the ops below document is allowed, everything else is a shape
 error. All math is float64 and single threaded, so repeated runs on the same
 machine are bit identical.
+
+A conv2d kernel with more output channels than output pixels gets its
+gradient once per backward, not once per use: each use queues its
+(g, im2col columns) pair on the kernel, and the walk multiplies the queue as
+one GEMM when it reaches the kernel. The walk drops each interior node's
+.grad once that node's backward has run, so afterwards only leaves hold one.
 """
 
 from contextlib import contextmanager
@@ -35,6 +41,7 @@ class Tensor:
         self._parents = tuple(parents)
         self._backward_fn = backward_fn
         self._op = op
+        self._deferred = None  # queued (g, cols) kernel-gradient pairs, see conv2d
 
     @property
     def shape(self):
@@ -54,6 +61,7 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
+        self._deferred = None
 
     def _accum(self, g):
         if self.grad is None:
@@ -62,15 +70,54 @@ class Tensor:
         else:
             self.grad += g
 
+    def _defer(self, g, cols):
+        if self._deferred is None:
+            self._deferred = []
+        self._deferred.append((g, cols))
+
+    def _flush(self):
+        # every queued g (O,H',W') and cols (C,k,k,H',W') side by side, then
+        # one (O, sum N) @ (sum N, C*k*k) GEMM
+        queue, self._deferred = self._deferred, None
+        o = self.data.shape[0]
+        widths = [g.shape[1] * g.shape[2] for g, _ in queue]
+        gs = np.empty((o, sum(widths)))
+        cs = np.empty((self.data.size // o, sum(widths)))
+        at = 0
+        for (g, cols), n in zip(queue, widths):
+            gs[:, at:at + n] = g.reshape(o, n)
+            # splitting both axes of a column slice is a view: cols is copied once
+            cs[:, at:at + n].reshape(cols.shape)[...] = cols
+            at += n
+        self._accum((gs @ cs.T).reshape(self.data.shape))
+
     def backward(self):
-        """Backpropagate from a scalar root."""
+        """Backpropagate from a scalar root, adding into every leaf's .grad.
+
+        In reverse topological order a node is reached only after every op
+        that uses it, so there its queued conv2d kernel gradients are
+        complete and are flushed as one GEMM, before its own backward runs.
+        After that its .grad is dropped; leaves keep theirs, so two
+        backward() calls add up. Any exit, also an exception, drops every
+        queue and interior .grad of the graph, so none leaks into the next
+        backward().
+        """
         if self.data.size != 1:
             raise ValueError("backward() root must be a scalar, got shape %s" % (self.shape,))
         order = _topo_order(self)
         self._accum(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        try:
+            for node in reversed(order):
+                if node._deferred:
+                    node._flush()
+                if node._backward_fn is not None and node.grad is not None:
+                    node._backward_fn(node.grad)
+                    node.grad = None
+        finally:
+            for node in order:
+                node._deferred = None
+                if node._backward_fn is not None:
+                    node.grad = None
 
     # operator sugar; constants may be python scalars
     def __add__(self, other):
@@ -259,6 +306,9 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
     axes. Output is (O, H', W') with H' = (H + 2*padding - k)//stride + 1.
     Forward is one matmul over the im2col matrix, a fixed deterministic
     reduction order; backward re-reads the strided im2col view instead of keeping it.
+    When O > H'*W' the kernel gradient outsizes those columns, so backward
+    queues (g, cols) on the kernel for Tensor.backward to multiply in one
+    GEMM with the kernel's other uses; otherwise it multiplies at once.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != 3 or kernel.data.ndim != 4:
@@ -293,8 +343,11 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
 
     def backward_fn(g):
         if kernel.requires_grad:
-            # g (O,H',W') x cols (C,k,k,H',W') -> (O,C,k,k)
-            kernel._accum(np.tensordot(g, cols, axes=([1, 2], [3, 4])))
+            if o > h_out * w_out:
+                kernel._defer(g, cols)
+            else:
+                # g (O,H',W') x cols (C,k,k,H',W') -> (O,C,k,k)
+                kernel._accum(np.tensordot(g, cols, axes=([1, 2], [3, 4])))
         if x.requires_grad:
             dcols = np.tensordot(kernel.data, g, axes=([0], [0]))  # (C,k,k,H',W')
             dxp = np.zeros_like(xp)

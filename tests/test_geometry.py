@@ -82,7 +82,74 @@ class TestEuler:
             G.matrix_to_euler(np.diag([1.0, 1.0, -1.0]))  # reflection
 
 
+def matrix_to_quat_scalar(r):
+    """matrix_to_quat before it took stacks: one rotation, scalar branches.
+    The oracle for the batched version."""
+    r = G._check_rotation(r)
+    tr = np.trace(r)
+    if tr > 0:
+        s = np.sqrt(tr + 1.0) * 2.0
+        w, x, y, z = 0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s
+    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
+        s = np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
+        w, x, y, z = (r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s
+    elif r[1, 1] > r[2, 2]:
+        s = np.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
+        w, x, y, z = (r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s
+    else:
+        s = np.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
+        w, x, y, z = (r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s
+    q = np.array([x, y, z, w])
+    q /= np.linalg.norm(q)
+    return -q if q[3] < 0 else q
+
+
+def rotations_on_every_branch(rng, n=200):
+    """Random rotations plus half turns about each axis: trace > 0 and each
+    of the three largest-diagonal cases of matrix_to_quat."""
+    rots = [random_rotation(rng) for _ in range(n)]
+    for axis in np.eye(3):
+        for angle in (np.pi, np.pi - 1e-3, 2.5):
+            rots.append(G.euler_to_matrix(axis * angle))
+    rots = np.array(rots)
+    d = np.diagonal(rots, axis1=1, axis2=2)
+    tr = d.sum(axis=1)
+    first = (tr <= 0) & (d[:, 0] > d[:, 1]) & (d[:, 0] > d[:, 2])
+    second = (tr <= 0) & ~first & (d[:, 1] > d[:, 2])
+    third = (tr <= 0) & ~first & ~second
+    assert all(m.any() for m in (tr > 0, first, second, third))
+    return rots
+
+
 class TestQuaternion:
+    def test_matrix_to_quat_matches_scalar_oracle(self):
+        rots = rotations_on_every_branch(np.random.default_rng(30))
+        batched = G.matrix_to_quat(rots)
+        assert batched.shape == (len(rots), 4)
+        for r, q in zip(rots, batched):
+            single = G.matrix_to_quat(r)
+            assert single.shape == (4,)
+            assert np.array_equal(q, single)
+            assert np.array_equal(single, matrix_to_quat_scalar(r))
+        assert G.matrix_to_quat(rots[:0]).shape == (0, 4)
+
+    def test_matrix_to_quat_errors(self):
+        rots = rotations_on_every_branch(np.random.default_rng(31), n=10)
+        bad = rots.copy()
+        bad[4] *= 1.01
+        bad[7, 0, 0] = np.nan
+        with pytest.raises(G.StackError, match="^rotation 4: matrix is not orthonormal") as info:
+            G.matrix_to_quat(bad)
+        assert info.value.index == 4
+        for r in (bad[4], bad[7], np.diag([1.0, 1.0, -1.0]), np.zeros((2, 3))):
+            with pytest.raises(ValueError) as new:
+                G.matrix_to_quat(r)
+            with pytest.raises(ValueError) as old:
+                matrix_to_quat_scalar(r)
+            assert type(new.value) is ValueError and str(new.value) == str(old.value)
+        with pytest.raises(ValueError, match="3x3"):
+            G.matrix_to_quat(np.zeros((2, 2, 3, 3)))
+
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         for _ in range(300):

@@ -226,6 +226,106 @@ class TestConv:
         assert T.conv2d(x, k, stride=2, padding=1).data.shape == (2, 6, 5)
 
 
+def recurrent_graph(conv, kernel, x0, weights, steps=10):
+    """h <- tanh(conv(h, kernel)) for steps steps from x0: one kernel used at
+    every step, as a ConvLSTM stage uses its gate kernel."""
+    h = x0
+    for _ in range(steps):
+        h = T.tanh(conv(h, kernel, padding=1))
+    return T.tsum(T.mul(h, weights))
+
+
+class TestDeferredKernelGradient:
+    # kernel (8,8,3,3) on (8,2,2) maps: O = 8 > H'*W' = 4, so conv2d defers
+    def arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(8, 8, 3, 3)) * 0.3, rng.normal(size=(8, 2, 2)),
+                T.Tensor(rng.normal(size=(8, 2, 2))))
+
+    def grads(self, conv, kern, x0, weights, through=None, calls=1):
+        k = T.Tensor(kern.copy(), requires_grad=True)
+        x = T.Tensor(x0.copy(), requires_grad=True)
+        used = k if through is None else through(k)
+        for _ in range(calls):
+            recurrent_graph(conv, used, x, weights).backward()
+        return k.grad, x.grad
+
+    def assert_match(self, monkeypatch, **kw):
+        flushes = []
+        flush = T.Tensor._flush
+        monkeypatch.setattr(T.Tensor, "_flush", lambda t: (flushes.append(t), flush(t)))
+        kern, x0, weights = self.arrays(40)
+        got = self.grads(T.conv2d, kern, x0, weights, **kw)
+        assert len(flushes) == kw.get("calls", 1)
+        want = self.grads(conv2d_tensordot, kern, x0, weights, **kw)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) < 1e-12
+
+    def test_ten_uses_flush_as_one_gemm(self, monkeypatch):
+        self.assert_match(monkeypatch)
+
+    def test_non_leaf_kernel(self, monkeypatch):
+        self.assert_match(monkeypatch, through=lambda k: T.mul(k, 2.0))
+
+    def test_two_backward_calls_add_up(self, monkeypatch):
+        self.assert_match(monkeypatch, calls=2)
+        # twice on one graph: the same as one backward of twice the loss
+        kern, x0, weights = self.arrays(41)
+        k = T.Tensor(kern, requires_grad=True)
+        loss = recurrent_graph(T.conv2d, k, T.Tensor(x0), weights)
+        loss.backward()
+        once = k.grad.copy()
+        loss.backward()
+        assert np.max(np.abs(k.grad - 2.0 * once)) < 1e-12
+
+    def test_small_kernels_multiply_at_once(self, monkeypatch):
+        # O = 2 <= H'*W' = 4: nothing is queued
+        monkeypatch.setattr(T.Tensor, "_defer", None)
+        k = T.Tensor(np.ones((2, 8, 3, 3)), requires_grad=True)
+        T.tsum(T.conv2d(T.Tensor(np.ones((8, 2, 2))), k, padding=1)).backward()
+        assert k.grad is not None
+
+    def test_a_raising_backward_leaves_no_queue(self):
+        kern, x0, weights = self.arrays(42)
+
+        def raising(x):
+            def backward_fn(g):
+                raise RuntimeError("backward failed")
+            return T._make(x.data, (x,), backward_fn, "raising")
+
+        k = T.Tensor(kern.copy(), requires_grad=True)
+        x = T.Tensor(x0, requires_grad=True)
+        # the convs queue their kernel gradients before the walk reaches raising
+        with pytest.raises(RuntimeError, match="backward failed"):
+            recurrent_graph(T.conv2d, k, raising(x), weights).backward()
+        assert k._deferred is None and k.grad is None
+        recurrent_graph(T.conv2d, k, T.Tensor(x0), weights).backward()
+        oracle = T.Tensor(kern.copy(), requires_grad=True)
+        recurrent_graph(conv2d_tensordot, oracle, T.Tensor(x0), weights).backward()
+        assert np.max(np.abs(k.grad - oracle.grad)) < 1e-12
+
+    def test_zero_grad_drops_the_queue(self):
+        kern, x0, _ = self.arrays(43)
+        k = T.Tensor(kern, requires_grad=True)
+        out = T.conv2d(T.Tensor(x0), k, padding=1)
+        out._backward_fn(np.ones(out.shape))
+        assert len(k._deferred) == 1
+        k.zero_grad()
+        assert k._deferred is None and k.grad is None
+
+    def test_only_leaves_keep_gradients(self):
+        kern, x0, weights = self.arrays(44)
+        k = T.Tensor(kern, requires_grad=True)
+        x = T.Tensor(x0, requires_grad=True)
+        k2 = T.mul(k, 2.0)
+        h = T.tanh(T.conv2d(x, k2, padding=1))
+        loss = T.tsum(T.mul(h, weights))
+        loss.backward()
+        assert k.grad is not None and x.grad is not None
+        assert k2.grad is None and h.grad is None and loss.grad is None
+        assert weights.grad is None  # a constant never gets one
+
+
 class TestStructuralOps:
     def test_concat_slice_round_trip(self):
         rng = np.random.default_rng(4)

@@ -19,6 +19,7 @@ from memvo.training import (Adam, TrainConfig, TrainingDiverged, _pose_term, los
                             loss_local, loss_total, lr_at, run_window,
                             sliding_window_infer, train, window_ground_truth,
                             window_loss, write_loss_csv)
+from test_tensor import conv2d_tensordot
 
 
 def vec(p=(0, 0, 0), phi=(0, 0, 0)):
@@ -388,6 +389,37 @@ def batch_mean_one_graph(dataset, config):
     return model, float(batch_total.data)
 
 
+class TestDeferredKernelGradients:
+    """Every VONet.params gradient on the desk preset, where the encoder's
+    l5-l9, both ConvLSTM stages and both fuse convs defer their kernel
+    gradients, against the immediate conv2d of the tests' oracle."""
+
+    @staticmethod
+    def both(monkeypatch, run):
+        grads = []
+        for conv in (T.conv2d, conv2d_tensordot):
+            monkeypatch.setattr(T, "conv2d", conv)
+            grads.append({name: p.grad for name, p in run().params.items()})
+        for name, g in grads[0].items():
+            assert np.max(np.abs(g - grads[1][name])) < 1e-12, name
+
+    def test_one_desk_window(self, monkeypatch):
+        seq = generate_sequence(SyntheticSpec(frames=11, height=64, width=64, seed=8))
+        cfg = TrainConfig(preset="desk", window_length=11)
+
+        def run():
+            model = VONet(preset="desk", seed=0)
+            T.add(*window_loss(model, seq, 0, cfg, cfg.policy())[:2]).backward()
+            return model
+
+        self.both(monkeypatch, run)
+
+    def test_four_window_desk_batch(self, monkeypatch):
+        data = generate_dataset(3, SyntheticSpec(frames=12, height=64, width=64, seed=9), seed=9)
+        cfg = TrainConfig(preset="desk", window_length=11, batch_size=4, iterations=1, seed=3)
+        self.both(monkeypatch, lambda: train(data, cfg)[0])  # p.grad keeps the batch's gradients
+
+
 class TestTrain:
     def test_history_and_determinism(self):
         data = tiny_dataset()
@@ -607,12 +639,23 @@ class TestSlidingWindowInfer:
 # Train for 2 iterations, then infer at stride 1, and print the digests. On a
 # 2-vCPU x86 host the tiny preset's GEMMs are too small for a second BLAS
 # thread to take part (2 threads: 0.07 s CPU in 0.05 s wall), the desk
-# preset's are not (0.57 s CPU in 0.30 s wall), so both run.
+# preset's are not (0.57 s CPU in 0.30 s wall), so both run. Last, the digest
+# of every parameter gradient after one 11-frame desk window's backward(),
+# which multiplies each ConvLSTM kernel's deferred gradient as one
+# (256x160)(160x1152) GEMM.
 THREAD_CHILD = """
 import hashlib
 import numpy as np
-from memvo.synthetic import SyntheticSpec, generate_dataset
-from memvo.training import TrainConfig, sliding_window_infer, train
+import memvo.tensor as T
+from memvo.net import VONet
+from memvo.synthetic import SyntheticSpec, generate_dataset, generate_sequence
+from memvo.training import TrainConfig, sliding_window_infer, train, window_loss
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    return h.hexdigest()
 
 for preset, side in (("tiny", 32), ("desk", 64)):
     data = generate_dataset(2, SyntheticSpec(frames=6, height=side, width=side, max_shift=1.0,
@@ -621,8 +664,14 @@ for preset, side in (("tiny", 32), ("desk", 64)):
                       theta_trans=0.0, memory_size=4, seed=0, preset=preset, iterations=2)
     model, history = train(data, cfg)
     traj = sliding_window_infer(model, list(data[0].frames), cfg.policy(), window=4, stride=1)
-    for arr in (np.array(history), np.array(traj)):
-        print(hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest())
+    print(digest([np.array(history)]))
+    print(digest([np.array(traj)]))
+
+cfg = TrainConfig(preset="desk", window_length=11)
+model = VONet(preset="desk", seed=0)
+seq = generate_sequence(SyntheticSpec(frames=11, height=64, width=64, seed=0))
+T.add(*window_loss(model, seq, 0, cfg, cfg.policy())[:2]).backward()
+print(digest(p.grad for p in model.params.values()))
 """
 
 
@@ -636,5 +685,5 @@ def test_outputs_identical_across_blas_thread_counts():
                              capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
         digests[threads] = out.stdout.split()
-        assert len(digests[threads]) == 4
+        assert len(digests[threads]) == 5
     assert digests["1"] == digests["2"]
