@@ -7,7 +7,6 @@ nonzero; argparse handles unknown flags the same way.
 """
 
 import argparse
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -22,7 +21,7 @@ from .net import PRESETS, load_checkpoint, save_checkpoint
 from .synthetic import SyntheticSpec, generate_sequence
 from .training import (TrainConfig, TrainingDiverged, sliding_window_infer,
                        train, write_loss_csv)
-from .votb import write_votb
+from .votb import MANIFEST, write_votb
 
 FRAME_HZ = 10.0  # timestamp rate assumed for containers written here
 
@@ -38,11 +37,11 @@ def _cmd_synth_data(args):
 
 
 def _collect_containers(path):
-    if os.path.isfile(os.path.join(path, "manifest.json")):
+    if os.path.isfile(os.path.join(path, MANIFEST)):
         return [path]
     if os.path.isdir(path):
         subs = sorted(d for d in os.listdir(path)
-                      if os.path.isfile(os.path.join(path, d, "manifest.json")))
+                      if os.path.isfile(os.path.join(path, d, MANIFEST)))
         if subs:
             return [os.path.join(path, d) for d in subs]
     raise ValueError("%s: no sequence container found" % path)
@@ -209,7 +208,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError, TrainingDiverged, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, TrainingDiverged) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -1,7 +1,26 @@
-"""JSON round trip shared by the flat config dataclasses."""
+"""The JSON reader/writer shared by configs, checkpoints and sequences."""
 
 import json
 from dataclasses import asdict, fields
+
+
+def read_json(path):
+    """The JSON object in path; anything else raises ValueError("<path>: ...")."""
+    with open(path, "rb") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError("%s: malformed JSON: %s" % (path, exc)) from None
+    if not isinstance(obj, dict):
+        raise ValueError("%s: must be a JSON object" % path)
+    return obj
+
+
+def write_json(path, obj):
+    """Write obj indented, with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _fits(value, kind):
@@ -15,9 +34,7 @@ class JsonConfig:
     """to_json/from_json for a dataclass whose fields are int, float, str or bool."""
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path):
@@ -26,13 +43,7 @@ class JsonConfig:
         Rejected: malformed JSON, unknown fields, values of the wrong JSON
         type and values the constructor refuses.
         """
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except ValueError as exc:
-                raise ValueError("%s: %s" % (path, exc)) from None
-        if not isinstance(raw, dict):
-            raise ValueError("%s: must be a JSON object" % path)
+        raw = read_json(path)
         kinds = {f.name: f.type for f in fields(cls)}
         unknown = sorted(set(raw) - set(kinds))
         if unknown:

@@ -5,26 +5,27 @@ Formats:
     camera-to-world matrix in row-major order. Line i is frame i.
   - TUM pose text: "t x y z qx qy qz qw" per line, timestamps strictly
     increasing, '#' comments allowed.
-  - sequence container: a directory with manifest.json plus one VOTB blob
+  - sequence container: a directory with a manifest plus one VOTB blob
     per frame and an optional ground-truth pose file.
 Floats are written with 17 significant digits (lossless for float64);
 metric CSVs use 9.
 """
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .config import write_json
 from .geometry import (StackError, apply_similarity, check_se3, matrix_to_quat,
                        pose_inverse, quat_to_matrix, rotation_angle, umeyama_align)
 from .training import run_window
-from .votb import read_votb, write_votb
+from .votb import MANIFEST, beside, manifest_blob, read_manifest, read_votb, write_votb
 
-SEQUENCE_MANIFEST = "manifest.json"
 SEQUENCE_FORMAT = "memvo-sequence"
+SEQUENCE_VERSION = 1
+TRAJECTORY_FORMATS = ("kitti", "tum")
 KITTI_LENGTHS = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0)
 # Segments or pairs scored per batched product in the drift metrics: bounds
 # the temporary (n,4,4) stacks, and with them peak memory.
@@ -143,16 +144,23 @@ def parse_tum(text):
     return Trajectory(stamps, _by_line(linenos, check_se3, poses))
 
 
+def _check_format(path, fmt):
+    if fmt not in TRAJECTORY_FORMATS:
+        raise ValueError("%s: trajectory format must be 'kitti' or 'tum', got %r" % (path, fmt))
+
+
 def load_trajectory(path, fmt):
-    with open(path) as fh:
-        text = fh.read()
+    _check_format(path, fmt)
     try:
+        with open(path) as fh:
+            text = fh.read()
         return parse_kitti(text) if fmt == "kitti" else parse_tum(text)
-    except ValueError as exc:
+    except ValueError as exc:  # UnicodeDecodeError too
         raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def save_trajectory(path, traj, fmt):
+    _check_format(path, fmt)
     text = format_kitti(traj.poses) if fmt == "kitti" else format_tum(traj)
     with open(path, "w") as fh:
         fh.write(text)
@@ -178,7 +186,7 @@ def save_sequence(dirpath, frames, poses=None):
             fh.write(format_kitti(poses))
     manifest = {
         "format": SEQUENCE_FORMAT,
-        "version": 1,
+        "version": SEQUENCE_VERSION,
         "frame_count": int(frames.shape[0]),
         "channels": int(frames.shape[1]),
         "height": int(frames.shape[2]),
@@ -187,38 +195,33 @@ def save_sequence(dirpath, frames, poses=None):
         "pose_file": pose_file,
         "pose_format": "kitti" if pose_file else None,
     }
-    with open(os.path.join(dirpath, SEQUENCE_MANIFEST), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(dirpath, MANIFEST), manifest)
 
 
 def load_sequence(dirpath):
-    """Read a sequence container; returns (frames, poses-or-None)."""
-    mpath = os.path.join(dirpath, SEQUENCE_MANIFEST)
-    if not os.path.isfile(mpath):
-        raise ValueError("%s: no sequence manifest" % dirpath)
-    with open(mpath) as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != SEQUENCE_FORMAT:
-        raise ValueError("%s: not a sequence container" % dirpath)
-    shape = (manifest["channels"], manifest["height"], manifest["width"])
-    frames = []
-    for name in manifest["frames"]:
-        arr = read_votb(os.path.join(dirpath, name))
-        if arr.shape != shape:
-            raise ValueError("%s: frame %s has shape %s, manifest says %s"
-                             % (dirpath, name, arr.shape, shape))
-        frames.append(arr)
-    if len(frames) != manifest["frame_count"]:
-        raise ValueError("%s: frame count mismatch" % dirpath)
+    """Read a sequence container; returns (frames, poses-or-None).
+
+    Bad sizes, frame lists, frame blobs or pose files raise a ValueError
+    naming dirpath or the file at fault.
+    """
+    mpath, manifest = read_manifest(dirpath, SEQUENCE_FORMAT, SEQUENCE_VERSION)
+    sizes = [manifest.get(k) for k in ("frame_count", "channels", "height", "width")]
+    if not all(type(v) is int and v >= 1 for v in sizes):
+        raise ValueError("%s: frame_count, channels, height and width must be ints >= 1" % mpath)
+    names = manifest.get("frames")
+    if not isinstance(names, list) or len(names) != sizes[0]:
+        raise ValueError("%s: frames must list frame_count = %d names" % (mpath, sizes[0]))
+    shape = tuple(sizes[1:])
+    frames = np.array([read_votb(manifest_blob(mpath, "frame %d" % t, name, shape))
+                       for t, name in enumerate(names)])
     poses = None
     if manifest.get("pose_file"):
-        traj = load_trajectory(os.path.join(dirpath, manifest["pose_file"]),
+        traj = load_trajectory(beside(mpath, "pose_file", manifest["pose_file"]),
                                manifest.get("pose_format", "kitti"))
         if len(traj) != len(frames):
-            raise ValueError("%s: pose count mismatch" % dirpath)
+            raise ValueError("%s: pose count mismatch" % mpath)
         poses = traj.poses
-    return np.array(frames), poses
+    return frames, poses
 
 
 @dataclass

@@ -8,7 +8,6 @@ pose (tx, ty, tz, phi_x, phi_y, phi_z) of the newer frame in the older
 frame's coordinates.
 """
 
-import json
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -16,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import write_json
 from .geometry import Pose6DoF
-from .votb import read_votb, read_votb_shape, write_votb
+from .votb import MANIFEST, manifest_blob, read_manifest, read_votb, write_votb
 
-CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_FORMAT = "memvo-checkpoint"
 CHECKPOINT_VERSION = 1
 
@@ -305,25 +304,12 @@ def save_checkpoint(model, dirpath):
         },
         "params": entries,
     }
-    with open(os.path.join(dirpath, CHECKPOINT_MANIFEST), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(dirpath, MANIFEST), manifest)
 
 
 def load_checkpoint(dirpath):
     """Rebuild a VONet from save_checkpoint output, bit exact; bad files raise ValueError."""
-    mpath = os.path.join(dirpath, CHECKPOINT_MANIFEST)
-    if not os.path.isfile(mpath):
-        raise ValueError("%s: no checkpoint manifest" % dirpath)
-    try:
-        with open(mpath, "rb") as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ValueError("%s: malformed JSON: %s" % (mpath, exc)) from None
-    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError("%s: not a checkpoint manifest" % mpath)
-    if manifest.get("version") != CHECKPOINT_VERSION:
-        raise ValueError("%s: unsupported checkpoint version %r" % (mpath, manifest.get("version")))
+    mpath, manifest = read_manifest(dirpath, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     info, entries = manifest.get("model"), manifest.get("params")
     if not isinstance(info, dict) or not isinstance(entries, dict):
         raise ValueError("%s: manifest needs a 'model' and a 'params' object" % mpath)
@@ -335,22 +321,10 @@ def load_checkpoint(dirpath):
     except ValueError as exc:
         raise ValueError("%s: bad model config: %s" % (mpath, exc)) from None
 
-    def checked_blob(name, want):
-        """Path of name's blob: a file beside the manifest whose header declares shape want."""
-        fname = entries.get(name)
-        path = os.path.join(dirpath, fname) if isinstance(fname, str) else ""
-        if os.path.basename(path) != fname or not os.path.isfile(path):
-            raise ValueError("%s: parameter %s names %r, not a file beside the manifest"
-                             % (mpath, name, fname))
-        shape = read_votb_shape(path)  # the header alone, so a wrong shape costs no payload
-        if shape != want:
-            raise ValueError("%s: parameter %s has shape %s, model wants %s"
-                             % (path, name, shape, want))
-        return path
-
     # the encoder kernels fix every other shape: check them before the model is allocated
     for i, want in enumerate(config.kernel_shapes, start=1):
-        checked_blob("encoder.l%d.kernel" % i, want)
+        name = "encoder.l%d.kernel" % i
+        manifest_blob(mpath, "parameter " + name, entries.get(name), want)
     model = VONet(preset=preset, seed=seed, config=config)
     views = dict(_v1_views(model))
     missing = set(views) - set(entries)
@@ -359,7 +333,7 @@ def load_checkpoint(dirpath):
         raise ValueError("%s: checkpoint parameter set mismatch (missing %s, extra %s)"
                          % (mpath, sorted(missing), sorted(extra)))
     for name in entries:
-        path = checked_blob(name, views[name].shape)
+        path = manifest_blob(mpath, "parameter " + name, entries[name], views[name].shape)
         data = read_votb(path)
         if not np.all(np.isfinite(data)):
             raise ValueError("%s: parameter %s has non-finite values" % (path, name))

@@ -89,7 +89,11 @@ class Tensor:
             # splitting both axes of a column slice is a view: cols is copied once
             cs[:, at:at + n].reshape(cols.shape)[...] = cols
             at += n
-        self._accum((gs @ cs.T).reshape(self.data.shape))
+        grad = (gs @ cs.T).reshape(self.data.shape)
+        if self.grad is None:
+            self.grad = grad  # fresh and held by nothing else, so _accum's copy is not needed
+        else:
+            self.grad += grad
 
     def backward(self):
         """Backpropagate from a scalar root, adding into every leaf's .grad.

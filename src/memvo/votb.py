@@ -1,4 +1,4 @@
-"""VOTB tensor blobs: a tiny self-describing binary array format.
+"""VOTB tensor blobs, a tiny self-describing array format, and the manifests that name them.
 
 Layout, all little endian:
   4 bytes  magic "VOTB"
@@ -9,6 +9,9 @@ Layout, all little endian:
 
 Round trips are bit exact: the payload is the raw float64 memory of a
 C-contiguous array.
+
+A container (checkpoint or sequence) is a directory whose MANIFEST, a JSON
+object with a format and a version, names files beside it.
 """
 
 import math
@@ -17,8 +20,11 @@ import struct
 
 import numpy as np
 
+from .config import read_json
+
 MAGIC = b"VOTB"
 VERSION = 1
+MANIFEST = "manifest.json"
 
 
 def write_votb(path, array):
@@ -66,3 +72,33 @@ def read_votb(path):
                          % (path, len(payload), extents, 8 * math.prod(extents)))
     flat = np.frombuffer(payload, dtype="<f8")
     return flat.reshape(extents).copy()
+
+
+def read_manifest(dirpath, fmt, version):
+    """(path, object) of dirpath's manifest, which must declare fmt at version."""
+    mpath = os.path.join(dirpath, MANIFEST)
+    if not os.path.isfile(mpath):
+        raise ValueError("%s: no %s manifest" % (dirpath, fmt))
+    manifest = read_json(mpath)
+    if manifest.get("format") != fmt:
+        raise ValueError("%s: not a %s manifest" % (mpath, fmt))
+    if manifest.get("version") != version:
+        raise ValueError("%s: unsupported %s version %r" % (mpath, fmt, manifest.get("version")))
+    return mpath, manifest
+
+
+def beside(mpath, what, fname):
+    """Path of the file fname, a manifest entry, which must sit beside manifest mpath."""
+    path = os.path.join(os.path.dirname(mpath), fname) if isinstance(fname, str) else ""
+    if os.path.basename(path) != fname or not os.path.isfile(path):
+        raise ValueError("%s: %s names %r, not a file beside the manifest" % (mpath, what, fname))
+    return path
+
+
+def manifest_blob(mpath, what, fname, want):
+    """Path of the blob fname beside manifest mpath, whose header declares shape want."""
+    path = beside(mpath, what, fname)
+    shape = read_votb_shape(path)  # the header alone, so a wrong shape costs no payload
+    if shape != want:
+        raise ValueError("%s: %s has shape %s, manifest wants %s" % (path, what, shape, want))
+    return path

@@ -1,8 +1,8 @@
-"""Property tests of the VOTB reader and the checkpoint loader.
+"""Property tests of the VOTB reader and the container loaders.
 
-Any bytes given to read_votb, and any mutation of a checkpoint manifest,
-either load or raise a ValueError whose message starts with the path of the
-file at fault.
+Any bytes given to read_votb, and any mutation of a checkpoint or sequence
+manifest, either load or raise a ValueError whose message starts with the
+path of the file at fault.
 """
 
 import copy
@@ -19,6 +19,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from memvo.evaluation import load_sequence, save_sequence  # noqa: E402
 from memvo.net import VONet, load_checkpoint, save_checkpoint  # noqa: E402
 from memvo.votb import MAGIC, read_votb, write_votb  # noqa: E402
 
@@ -30,22 +31,36 @@ json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 40),
               st.floats(allow_nan=False, allow_infinity=False),
               st.sampled_from(["", ".", "..", "../manifest.json", "/etc/hostname", "x.votb",
-                               "head.track.bias.votb", "memvo-checkpoint", "tiny", "a/b"]),
+                               "head.track.bias.votb", "memvo-checkpoint", "tiny", "a/b",
+                               "frame_0001.votb", "poses_gt.txt", "memvo-sequence", "tum"]),
               st.text(max_size=8)),
     lambda inner: st.one_of(st.lists(inner, max_size=3),
                             st.dictionaries(st.text(max_size=6), inner, max_size=3)),
     max_leaves=6)
 
 
-@pytest.fixture(scope="module")
-def saved_checkpoint():
+def _saved(save, name):
+    """(path, manifest) of a container save(path) writes in a fresh directory."""
     root = tempfile.mkdtemp()
-    path = os.path.join(root, "ckpt")
-    save_checkpoint(VONet(preset="tiny", seed=0), path)
+    path = os.path.join(root, name)
+    save(path)
     with open(os.path.join(path, "manifest.json")) as fh:
         manifest = json.load(fh)
     yield path, manifest
     shutil.rmtree(root)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint():
+    yield from _saved(lambda path: save_checkpoint(VONet(preset="tiny", seed=0), path), "ckpt")
+
+
+@pytest.fixture(scope="module")
+def saved_sequence():
+    poses = np.tile(np.eye(4), (3, 1, 1))
+    poses[:, 0, 3] = [0.0, 1.0, 2.0]
+    frames = np.random.default_rng(0).normal(size=(3, 3, 4, 4))
+    yield from _saved(lambda path: save_sequence(path, frames, poses), "seq")
 
 
 def check_outcome(load, directory):
@@ -116,35 +131,42 @@ def mutated_manifests(draw, manifest):
     return text
 
 
-def _fuzz_load(saved_checkpoint, text):
-    src, _ = saved_checkpoint
+def _fuzz_load(saved, load, text):
+    src, _ = saved
     with tempfile.TemporaryDirectory() as root:
-        path = os.path.join(root, "ckpt")
+        path = os.path.join(root, os.path.basename(src))
         shutil.copytree(src, path)
         mpath = os.path.join(path, "manifest.json")
         with open(mpath, "w") as fh:
             fh.write(text)
-        check_outcome(lambda: load_checkpoint(path), path)
+        check_outcome(lambda: load(path), path)
 
 
 @SETTINGS
 @given(data=st.data())
 def test_load_checkpoint_mutated_manifest(saved_checkpoint, data):
-    _fuzz_load(saved_checkpoint, data.draw(mutated_manifests(saved_checkpoint[1])))
+    _fuzz_load(saved_checkpoint, load_checkpoint,
+               data.draw(mutated_manifests(saved_checkpoint[1])))
 
 
 @SETTINGS
 @given(text=st.text(max_size=200))
 def test_load_checkpoint_any_manifest_text(saved_checkpoint, text):
-    _fuzz_load(saved_checkpoint, text)
+    _fuzz_load(saved_checkpoint, load_checkpoint, text)
 
 
-def _peak_of_failed_load(path, blob):
-    """Peak traced allocation while load_checkpoint(path) fails on blob's shape."""
+@SETTINGS
+@given(data=st.data())
+def test_load_sequence_mutated_manifest(saved_sequence, data):
+    _fuzz_load(saved_sequence, load_sequence, data.draw(mutated_manifests(saved_sequence[1])))
+
+
+def _peak_of_failed_load(path, blob, load=load_checkpoint):
+    """Peak traced allocation while load(path) fails on blob's shape."""
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=re.escape(blob) + ": .*has shape"):
-            load_checkpoint(path)
+            load(path)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -173,4 +195,14 @@ def test_oversized_blob_fails_before_its_payload_is_read(saved_checkpoint):
         blob = os.path.join(path, "head.track.bias.votb")
         write_votb(blob, np.zeros(2 ** 21))  # 16 MB where the model wants (6,)
         peak = _peak_of_failed_load(path, blob)
+    assert peak < 10 * 2 ** 20, "peak %.1f MB during the failed load" % (peak / 2 ** 20)
+
+
+def test_oversized_frame_fails_before_its_payload_is_read(saved_sequence):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "seq")
+        shutil.copytree(saved_sequence[0], path)
+        blob = os.path.join(path, "frame_0001.votb")
+        write_votb(blob, np.zeros((8, 512, 512)))  # 16 MB where the manifest says (3,4,4)
+        peak = _peak_of_failed_load(path, blob, load=load_sequence)
     assert peak < 10 * 2 ** 20, "peak %.1f MB during the failed load" % (peak / 2 ** 20)

@@ -144,6 +144,23 @@ class TestTrain:
         assert rc == 1
         assert "ground-truth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["list", "frames"])
+    def test_bad_manifest_prints_one_error_line(self, tmp_path, capsys, bad):
+        data = make_container(tmp_path)
+        mpath = os.path.join(data, "manifest.json")
+        with open(mpath) as fh:
+            manifest = json.load(fh)
+        manifest["frames"] = 5
+        with open(mpath, "w") as fh:
+            json.dump([1] if bad == "list" else manifest, fh)
+        cfg = write_config(str(tmp_path / "cfg.json"))
+        capsys.readouterr()
+        rc = main(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: %s: " % mpath) and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
     def test_preset_override_rejects_unknown(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["train", "--config", "x", "--data", "y", "--out", "z",

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from memvo.geometry import (apply_similarity, euler_to_matrix, make_se3, orthono
 from memvo.memory import MemoryPolicy
 from memvo.net import VONet
 from memvo.synthetic import SyntheticSpec, generate_sequence
+from memvo.votb import write_votb
 
 
 def positions(traj):
@@ -281,6 +284,16 @@ class TestTumFormat:
         with pytest.raises(ValueError, match="bad.txt"):
             load_trajectory(bad, "tum")
 
+    @pytest.mark.parametrize("fmt", ["KITTI", "euroc", None])
+    def test_unknown_format_names_the_file(self, tmp_path, fmt):
+        path = str(tmp_path / "traj.txt")
+        with pytest.raises(ValueError, match="^" + re.escape(path) + ": .*'kitti' or 'tum'"):
+            save_trajectory(path, self._traj(n=4), fmt)
+        assert not os.path.exists(path)
+        save_trajectory(path, self._traj(n=4), "tum")
+        with pytest.raises(ValueError, match="^" + re.escape(path) + ": .*'kitti' or 'tum'"):
+            load_trajectory(path, fmt)
+
 
 class TestSequenceContainer:
     def test_round_trip_with_poses(self, tmp_path):
@@ -307,11 +320,62 @@ class TestSequenceContainer:
             load_sequence(str(tmp_path))
 
     def test_frame_shape_mismatch(self, tmp_path):
-        from memvo.votb import write_votb
         d = str(tmp_path / "seq")
         save_sequence(d, np.zeros((2, 3, 4, 4)))
         write_votb(os.path.join(d, "frame_0001.votb"), np.zeros((3, 4, 5)))
         with pytest.raises(ValueError, match="shape"):
+            load_sequence(d)
+
+    def _rewrite_manifest(self, d, **changes):
+        mpath = os.path.join(d, "manifest.json")
+        with open(mpath) as fh:
+            manifest = json.load(fh)
+        manifest.update(changes)
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        return mpath
+
+    def test_files_outside_the_container_rejected(self, tmp_path):
+        # each named file exists and is valid; only where it lies is wrong
+        frames, poses = np.zeros((2, 3, 4, 4)), straight_line(2)
+        d = str(tmp_path / "seq")
+        save_sequence(d, frames, poses)
+        write_votb(str(tmp_path / "x.votb"), frames[0])
+        os.makedirs(str(tmp_path / "abs"))
+        absolute = str(tmp_path / "abs" / "path.votb")
+        write_votb(absolute, frames[0])
+        with open(str(tmp_path / "poses.txt"), "w") as fh:
+            fh.write(format_kitti(poses))
+        for changes in ({"frames": ["frame_0000.votb", "../x.votb"]},
+                        {"frames": ["frame_0000.votb", absolute]},
+                        {"pose_file": "../poses.txt"},
+                        {"pose_file": str(tmp_path / "poses.txt")}):
+            save_sequence(d, frames, poses)
+            mpath = self._rewrite_manifest(d, **changes)
+            with pytest.raises(ValueError, match="^" + re.escape(mpath) + ": .*not a file beside"):
+                load_sequence(d)
+
+    @pytest.mark.parametrize("changes, why", [
+        ({"frames": 5}, "frames must list"),
+        ({"frames": ["frame_0000.votb"]}, "frames must list"),
+        ({"height": "4"}, "ints >= 1"),
+        ({"frame_count": 0, "frames": []}, "ints >= 1"),
+        ({"version": 2}, "version 2"),
+        ({"format": "memvo-checkpoint"}, "not a memvo-sequence manifest"),
+    ])
+    def test_bad_manifest_names_the_file(self, tmp_path, changes, why):
+        d = str(tmp_path / "seq")
+        save_sequence(d, np.zeros((2, 3, 4, 4)))
+        mpath = self._rewrite_manifest(d, **changes)
+        with pytest.raises(ValueError, match="^" + re.escape(mpath) + ": .*" + why):
+            load_sequence(d)
+
+    def test_unknown_pose_format_names_the_pose_file(self, tmp_path):
+        d = str(tmp_path / "seq")
+        save_sequence(d, np.zeros((2, 3, 4, 4)), straight_line(2))
+        self._rewrite_manifest(d, pose_format="euroc")
+        pose_path = os.path.join(d, "poses_gt.txt")
+        with pytest.raises(ValueError, match="^" + re.escape(pose_path) + ": .*'kitti' or 'tum'"):
             load_sequence(d)
 
     def test_pose_count_mismatch_rejected(self, tmp_path):
