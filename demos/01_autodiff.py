@@ -6,7 +6,7 @@ kernel coordinate against a central finite difference.
 
 import numpy as np
 
-from memvo.tensor import Tensor, conv2d, finite_diff_check, tanh
+from memvo.tensor import Tensor, add, conv2d, finite_diff_check, mul, tanh, tmean, tsum
 
 rng = np.random.default_rng(0)
 x = Tensor(rng.normal(size=(1, 6, 6)))
@@ -15,7 +15,7 @@ bias = Tensor(np.zeros(2), requires_grad=True)
 
 
 def forward(_):
-    return tanh(conv2d(x, kernel, bias, stride=1, padding=1)).mean()
+    return tmean(tanh(conv2d(x, kernel, bias, stride=1, padding=1)))
 
 
 loss = forward(None)
@@ -29,8 +29,8 @@ err = finite_diff_check(forward, kernel, h=1e-5, coords=[7])
 print("coordinate 7    analytic %.10f, rel err vs central diff %.2e" %
       (analytic, err))
 
-# the same graph also differentiates through arithmetic sugar
+# the same tape also differentiates elementwise arithmetic
 a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-b = (a * a + 2.0 * a).sum()
+b = tsum(add(mul(a, a), mul(a, 2.0)))
 b.backward()
 print("d/da sum(a^2+2a) = %s (expect 2a+2 = [4 6 8])" % a.grad)

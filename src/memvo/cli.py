@@ -13,17 +13,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .evaluation import (error_vs_length_rows, error_vs_speed_rows, export_csv,
-                         kitti_drift, load_sequence, load_trajectory,
-                         saliency_map, save_sequence, save_trajectory,
+from .evaluation import (FRAME_HZ, TRAJECTORY_FORMATS, error_vs_length_rows,
+                         error_vs_speed_rows, export_csv, kitti_drift, load_sequence,
+                         load_trajectory, saliency_map, save_sequence, save_trajectory,
                          Trajectory, tum_rmse_drift)
 from .net import PRESETS, load_checkpoint, save_checkpoint
 from .synthetic import SyntheticSpec, generate_sequence
 from .training import (TrainConfig, TrainingDiverged, sliding_window_infer,
                        train, write_loss_csv)
 from .votb import MANIFEST, write_votb
-
-FRAME_HZ = 10.0  # timestamp rate assumed for containers written here
 
 
 def _cmd_synth_data(args):
@@ -172,11 +170,11 @@ def build_parser():
     p.add_argument("--config", default=None, help="training config JSON for thresholds")
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--stride", type=int, default=None)
-    p.add_argument("--format", choices=("kitti", "tum"), default="kitti")
+    p.add_argument("--format", choices=TRAJECTORY_FORMATS, default="kitti")
     p.set_defaults(fn=_cmd_infer)
 
     p = sub.add_parser("eval", help="drift metrics for est vs gt trajectories")
-    p.add_argument("--format", choices=("kitti", "tum"), default="kitti")
+    p.add_argument("--format", choices=TRAJECTORY_FORMATS, default="kitti")
     p.add_argument("--est", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", default=None, help="optional metrics CSV")

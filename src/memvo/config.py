@@ -1,15 +1,24 @@
 """The JSON reader/writer shared by configs, checkpoints and sequences."""
 
 import json
+import math
 from dataclasses import asdict, fields
 
 
+def _finite(text):
+    # every JSON float, and the constants NaN, Infinity and -Infinity
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("non-finite number %s" % text)
+    return value
+
+
 def read_json(path):
-    """The JSON object in path; anything else raises ValueError("<path>: ...")."""
+    """The JSON object in path, every number finite; else ValueError("<path>: ...")."""
     with open(path, "rb") as fh:
         try:
-            obj = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            obj = json.load(fh, parse_float=_finite, parse_constant=_finite)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, _finite
             raise ValueError("%s: malformed JSON: %s" % (path, exc)) from None
     if not isinstance(obj, dict):
         raise ValueError("%s: must be a JSON object" % path)
@@ -17,10 +26,10 @@ def read_json(path):
 
 
 def write_json(path, obj):
-    """Write obj indented, with sorted keys and a final newline."""
+    """Write obj indented, with sorted keys and a final newline; NaN or inf raises ValueError."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _fits(value, kind):

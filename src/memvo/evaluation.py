@@ -26,6 +26,8 @@ from .votb import MANIFEST, beside, manifest_blob, read_manifest, read_votb, wri
 SEQUENCE_FORMAT = "memvo-sequence"
 SEQUENCE_VERSION = 1
 TRAJECTORY_FORMATS = ("kitti", "tum")
+FRAME_HZ = 10.0  # frames per second: KITTI's camera rate, and the stamps cli infer writes
+SPEED_BIN = 2.0  # m/s width of the error-vs-speed bins
 KITTI_LENGTHS = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0)
 # Segments or pairs scored per batched product in the drift metrics: bounds
 # the temporary (n,4,4) stacks, and with them peak memory.
@@ -201,8 +203,8 @@ def save_sequence(dirpath, frames, poses=None):
 def load_sequence(dirpath):
     """Read a sequence container; returns (frames, poses-or-None).
 
-    Bad sizes, frame lists, frame blobs or pose files raise a ValueError
-    naming dirpath or the file at fault.
+    Bad sizes, frame lists, frame blobs (also non-finite ones) or pose
+    files raise a ValueError naming dirpath or the file at fault.
     """
     mpath, manifest = read_manifest(dirpath, SEQUENCE_FORMAT, SEQUENCE_VERSION)
     sizes = [manifest.get(k) for k in ("frame_count", "channels", "height", "width")]
@@ -211,9 +213,13 @@ def load_sequence(dirpath):
     names = manifest.get("frames")
     if not isinstance(names, list) or len(names) != sizes[0]:
         raise ValueError("%s: frames must list frame_count = %d names" % (mpath, sizes[0]))
-    shape = tuple(sizes[1:])
-    frames = np.array([read_votb(manifest_blob(mpath, "frame %d" % t, name, shape))
-                       for t, name in enumerate(names)])
+    frames = []
+    for t, name in enumerate(names):
+        path = manifest_blob(mpath, "frame %d" % t, name, tuple(sizes[1:]))
+        frames.append(read_votb(path))
+        if not np.all(np.isfinite(frames[-1])):
+            raise ValueError("%s: frame %d has non-finite values" % (path, t))
+    frames = np.array(frames)
     poses = None
     if manifest.get("pose_file"):
         traj = load_trajectory(beside(mpath, "pose_file", manifest["pose_file"]),
@@ -274,7 +280,7 @@ def _pair_errors(est, est_inv, gt, gt_inv, i, j):
 
 
 def kitti_drift(est, gt, lengths=KITTI_LENGTHS, step=1, aggregate="mean",
-                frame_hz=10.0):
+                frame_hz=FRAME_HZ):
     """Average drift over all subsegments of the given path lengths.
 
     For every start frame (thinned by step) and every length L, the first
@@ -476,11 +482,11 @@ def error_vs_length_rows(result):
             [(int(l), t, r, c) for l, t, r, c in result.per_length])
 
 
-def error_vs_speed_rows(result, bin_width=2.0):
+def error_vs_speed_rows(result):
     header = ["speed_mps", "t_rel_percent", "r_rel_deg_per_100m", "segments"]
     bins = {}
     for seg in result.segments:
-        key = round(seg.speed / bin_width) * bin_width
+        key = round(seg.speed / SPEED_BIN) * SPEED_BIN
         bins.setdefault(key, []).append(seg)
     rows = []
     for key in sorted(bins):

@@ -73,7 +73,7 @@ def _raise_first(faults, what):
             raise ValueError(reason)
 
 
-def _rotation_faults(r, tol):
+def _rotation_faults(r):
     """Orthonormality and orientation checks of (...,3,3) matrices.
 
     Non-finite or huge entries raise no warning here: a finiteness check
@@ -82,7 +82,7 @@ def _rotation_faults(r, tol):
     with np.errstate(all="ignore"):
         dev = np.abs(r.swapaxes(-1, -2) @ r - _EYE3).max(axis=(-2, -1))
         det = np.linalg.det(r)
-    return [(dev > tol, lambda i: "matrix is not orthonormal (max deviation %.3g)" % dev[i]),
+    return [(dev > _ORTHO_TOL, lambda i: "matrix is not orthonormal (max deviation %.3g)" % dev[i]),
             (det < 0.0, "matrix has negative determinant (reflection)")]
 
 
@@ -91,12 +91,12 @@ def _non_finite(m):
     return ~np.isfinite(m).all(axis=(-2, -1))
 
 
-def _check_rotation(r, tol=_ORTHO_TOL, stack=False):
+def _check_rotation(r, stack=False):
     # with stack=True an (N,3,3) stack passes too, its errors naming a rotation
     r = np.asarray(r, dtype=np.float64)
     if r.shape[-2:] != (3, 3) or r.ndim != 2 and not (stack and r.ndim == 3):
         raise ValueError("rotation must be 3x3, got %s" % (r.shape,))
-    _raise_first([(_non_finite(r), "matrix has non-finite entries")] + _rotation_faults(r, tol),
+    _raise_first([(_non_finite(r), "matrix has non-finite entries")] + _rotation_faults(r),
                  "rotation")
     return r
 
@@ -203,7 +203,7 @@ def make_se3(r, t):
     return out
 
 
-def check_se3(pose, tol=_ORTHO_TOL):
+def check_se3(pose):
     """Validate a 4x4 pose or an (N,4,4) stack; returns it as float64.
 
     Entries must be finite, the last row (0,0,0,1) and the rotation block
@@ -214,9 +214,9 @@ def check_se3(pose, tol=_ORTHO_TOL):
     if pose.ndim not in (2, 3) or pose.shape[-2:] != (4, 4):
         raise ValueError("pose must be 4x4, got %s" % (pose.shape,))
     _raise_first([(_non_finite(pose), "pose has non-finite entries"),
-                  (np.abs(pose[..., 3, :] - _LAST_ROW).max(axis=-1) > tol,
+                  (np.abs(pose[..., 3, :] - _LAST_ROW).max(axis=-1) > _ORTHO_TOL,
                    "pose last row must be (0,0,0,1)")]
-                 + _rotation_faults(pose[..., :3, :3], tol), "pose")
+                 + _rotation_faults(pose[..., :3, :3]), "pose")
     return pose
 
 

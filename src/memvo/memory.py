@@ -24,7 +24,7 @@ class MemoryPolicy:
     require_both: bool = False
 
     def __post_init__(self):
-        if self.theta_rot < 0 or self.theta_trans < 0:
+        if not (self.theta_rot >= 0 and self.theta_trans >= 0):  # NaN fails too
             raise ValueError("thresholds must be nonnegative")
         if self.max_slots < 1:
             raise ValueError("max_slots must be at least 1")

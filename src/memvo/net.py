@@ -10,7 +10,7 @@ frame's coordinates.
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .votb import MANIFEST, manifest_blob, read_manifest, read_votb, write_votb
 
 CHECKPOINT_FORMAT = "memvo-checkpoint"
 CHECKPOINT_VERSION = 1
+FRAME_CHANNELS = 3  # RGB
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class EncoderConfig:
     height: int
     width: int
     layers: tuple
-    in_channels: int = 6
+    in_channels: int = field(default=2 * FRAME_CHANNELS, init=False)
 
     def __post_init__(self):
         if len(self.layers) != 9:
@@ -90,11 +91,15 @@ class EncoderConfig:
         rows = d.get("layers") if isinstance(d, dict) else None
         if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == 3 for r in rows):
             raise ValueError("config needs 'layers' rows of [out_channels, kernel, stride]")
-        sizes = [d.get("height"), d.get("width"), d.get("in_channels", 6)]
+        sizes = [d.get("height"), d.get("width")]
         if not all(type(v) is int and v >= 1 for v in sizes + [v for r in rows for v in r]):
             raise ValueError("config sizes must be ints >= 1")
+        channels = d.get("in_channels", cls.in_channels)
+        if type(channels) is not int or channels != cls.in_channels:
+            raise ValueError("in_channels must be %d (two %d-channel frames), got %r"
+                             % (cls.in_channels, FRAME_CHANNELS, channels))
         layers = tuple(EncoderLayer(*row) for row in rows)
-        return cls(height=sizes[0], width=sizes[1], layers=layers, in_channels=sizes[2])
+        return cls(height=sizes[0], width=sizes[1], layers=layers)
 
 
 def _layers(channels, kernels, strides):
@@ -181,7 +186,7 @@ class VONet:
         return T.Tensor(np.zeros((c, h, w))), T.Tensor(np.zeros((c, h, w)))
 
     def _check_frame(self, frame):
-        want = (3, self.config.height, self.config.width)
+        want = (FRAME_CHANNELS, self.config.height, self.config.width)
         if frame.data.shape != want:
             raise ValueError("frame shape %s, preset wants %s" % (frame.data.shape, want))
         return frame
@@ -209,13 +214,11 @@ class VONet:
         return h_new, c_new
 
     def track_step(self, x, h, c):
-        """One ConvLSTM update; the output equals the new hidden state."""
-        h_new, c_new = self._lstm_step("track", x, h, c)
-        return h_new, h_new, c_new
+        """One ConvLSTM update, (h, c); the output is the new hidden state h."""
+        return self._lstm_step("track", x, h, c)
 
     def refine_step(self, x, h, c):
-        h_new, c_new = self._lstm_step("refine", x, h, c)
-        return h_new, h_new, c_new
+        return self._lstm_step("refine", x, h, c)
 
     def pose_head(self, which, out_map):
         """Pooled linear readout of a (C,h,w) state to a 6-vector."""
@@ -249,9 +252,9 @@ class VONet:
         h, c = self.zero_state()
         outs, rels = [], []
         for x in feats:
-            out, h, c = self.track_step(x, h, c)
-            outs.append(out)
-            rels.append(self.pose_head("track", out))
+            h, c = self.track_step(x, h, c)
+            outs.append(h)
+            rels.append(self.pose_head("track", h))
         return TrackResult(feats=feats, outs=outs, rels=rels)
 
 

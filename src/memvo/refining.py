@@ -66,8 +66,8 @@ def refine_sequence(model, feats, slots):
         mem = guided_memory(guidance, memory)
         obs = guided_observation(guidance, feat)
         fused = model.fuse(mem, obs)
-        out, h, c = model.refine_step(fused, h, c)
-        abs_poses.append(model.pose_head("refine", out))
-        outs.append(out)
-        guidance = out
+        h, c = model.refine_step(fused, h, c)
+        abs_poses.append(model.pose_head("refine", h))
+        outs.append(h)
+        guidance = h
     return abs_poses, outs

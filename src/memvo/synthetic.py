@@ -9,14 +9,16 @@ pixel is one length unit ("meter"), which keeps the KITTI-style thresholds
 and losses in familiar ranges.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import JsonConfig
 from .geometry import euler_to_matrix, make_se3
+from .net import FRAME_CHANNELS
 
 KINDS = ("translate", "rotate", "mixed")
+N_WAVES = 8  # plane waves per texture channel
 
 
 @dataclass
@@ -50,19 +52,19 @@ class SyntheticSequence:
         self.spec = spec
 
 
-def _texture(rng, n_waves=8):
+def _texture(rng):
     # random band-limited plane waves, wavelengths 8..32 px
-    freq = rng.uniform(2 * np.pi / 32.0, 2 * np.pi / 8.0, size=n_waves)
-    theta = rng.uniform(0, 2 * np.pi, size=n_waves)
-    phase = rng.uniform(0, 2 * np.pi, size=n_waves)
-    amp = rng.uniform(0.5, 1.0, size=n_waves)
+    freq = rng.uniform(2 * np.pi / 32.0, 2 * np.pi / 8.0, size=N_WAVES)
+    theta = rng.uniform(0, 2 * np.pi, size=N_WAVES)
+    phase = rng.uniform(0, 2 * np.pi, size=N_WAVES)
+    amp = rng.uniform(0.5, 1.0, size=N_WAVES)
     kx = freq * np.cos(theta)
     ky = freq * np.sin(theta)
     total = amp.sum()
 
     def sample(x, y):
         acc = np.zeros_like(x)
-        for j in range(n_waves):
+        for j in range(N_WAVES):
             acc += amp[j] * np.sin(kx[j] * x + ky[j] * y + phase[j])
         return 0.5 + 0.5 * acc / total
 
@@ -83,7 +85,7 @@ def _motion(rng, spec):
 def generate_sequence(spec):
     """Render one sequence from a SyntheticSpec, fully seeded."""
     rng = np.random.default_rng(spec.seed)
-    textures = [_texture(rng) for _ in range(3)]
+    textures = [_texture(rng) for _ in range(FRAME_CHANNELS)]
     vx, vy, yaw = _motion(rng, spec)
 
     h, w = spec.height, spec.width
@@ -92,7 +94,7 @@ def generate_sequence(spec):
     py, px = np.meshgrid(rows, cols, indexing="ij")
     sigma = 0.5 * min(h, w)
 
-    frames = np.empty((spec.frames, 3, h, w))
+    frames = np.empty((spec.frames, FRAME_CHANNELS, h, w))
     poses = []
     for t in range(spec.frames):
         tx, ty, psi = vx * t, vy * t, yaw * t
@@ -100,7 +102,7 @@ def generate_sequence(spec):
         wx = c * px - s * py + tx
         wy = s * px + c * py + ty
         envelope = np.exp(-(wx * wx + wy * wy) / (2.0 * sigma * sigma))
-        for ch in range(3):
+        for ch in range(FRAME_CHANNELS):
             frames[t, ch] = envelope * textures[ch](wx, wy)
         poses.append(make_se3(euler_to_matrix((0.0, 0.0, psi)), (tx, ty, 0.0)))
     if spec.noise > 0:
@@ -110,11 +112,5 @@ def generate_sequence(spec):
 
 def generate_dataset(n_sequences, base_spec, seed=0):
     """n sequences sharing base_spec shape, each with its own derived seed."""
-    out = []
-    for i in range(n_sequences):
-        spec = SyntheticSpec(frames=base_spec.frames, height=base_spec.height,
-                             width=base_spec.width, kind=base_spec.kind,
-                             max_shift=base_spec.max_shift, max_yaw=base_spec.max_yaw,
-                             noise=base_spec.noise, seed=seed * 100003 + i)
-        out.append(generate_sequence(spec))
-    return out
+    return [generate_sequence(replace(base_spec, seed=seed * 100003 + i))
+            for i in range(n_sequences)]

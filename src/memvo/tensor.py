@@ -34,13 +34,12 @@ def no_grad():
 class Tensor:
     """A numpy array plus gradient bookkeeping."""
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None, op=""):
+    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = tuple(parents)
         self._backward_fn = backward_fn
-        self._op = op
         self._deferred = None  # queued (g, cols) kernel-gradient pairs, see conv2d
 
     @property
@@ -123,23 +122,6 @@ class Tensor:
                 if node._backward_fn is not None:
                     node.grad = None
 
-    # operator sugar; constants may be python scalars
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return tmean(self)
-
 
 def _as_tensor(x):
     if isinstance(x, Tensor):
@@ -167,10 +149,10 @@ def _topo_order(root):
     return order
 
 
-def _make(data, parents, backward_fn, op):
+def _make(data, parents, backward_fn):
     if not _grad_enabled or not any(p.requires_grad for p in parents):
         return Tensor(data)
-    return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn, op=op)
+    return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
 
 
 def _check_scalar_or_same(a, b, opname):
@@ -200,7 +182,7 @@ def add(a, b):
         if b.requires_grad:
             b._accum(_reduce_to(g, b.data.shape))
 
-    return _make(out_data, (a, b), backward_fn, "add")
+    return _make(out_data, (a, b), backward_fn)
 
 
 def mul(a, b):
@@ -214,7 +196,7 @@ def mul(a, b):
         if b.requires_grad:
             b._accum(_reduce_to(g * a.data, b.data.shape))
 
-    return _make(out_data, (a, b), backward_fn, "mul")
+    return _make(out_data, (a, b), backward_fn)
 
 
 def div(a, b):
@@ -230,7 +212,7 @@ def div(a, b):
         if b.requires_grad:
             b._accum(_reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
 
-    return _make(out_data, (a, b), backward_fn, "div")
+    return _make(out_data, (a, b), backward_fn)
 
 
 def tsum(a):
@@ -240,7 +222,7 @@ def tsum(a):
         if a.requires_grad:
             a._accum(np.full_like(a.data, float(g)))
 
-    return _make(np.sum(a.data), (a,), backward_fn, "sum")
+    return _make(np.sum(a.data), (a,), backward_fn)
 
 
 def tmean(a):
@@ -251,7 +233,7 @@ def tmean(a):
         if a.requires_grad:
             a._accum(np.full_like(a.data, float(g) / n))
 
-    return _make(np.mean(a.data), (a,), backward_fn, "mean")
+    return _make(np.mean(a.data), (a,), backward_fn)
 
 
 def sqrt(a):
@@ -266,7 +248,7 @@ def sqrt(a):
             safe = np.where(out_data > 0.0, out_data, 1.0)
             a._accum(np.where(out_data > 0.0, g / (2.0 * safe), 0.0))
 
-    return _make(out_data, (a,), backward_fn, "sqrt")
+    return _make(out_data, (a,), backward_fn)
 
 
 def sigmoid(a):
@@ -280,7 +262,7 @@ def sigmoid(a):
         if a.requires_grad:
             a._accum(g * out_data * (1.0 - out_data))
 
-    return _make(out_data, (a,), backward_fn, "sigmoid")
+    return _make(out_data, (a,), backward_fn)
 
 
 def tanh(a):
@@ -291,7 +273,7 @@ def tanh(a):
         if a.requires_grad:
             a._accum(g * (1.0 - out_data * out_data))
 
-    return _make(out_data, (a,), backward_fn, "tanh")
+    return _make(out_data, (a,), backward_fn)
 
 
 def _im2col(xp, k, stride, h_out, w_out):
@@ -364,7 +346,7 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(1, 2)))
 
-    return _make(out_data, parents, backward_fn, "conv2d")
+    return _make(out_data, parents, backward_fn)
 
 
 def concat_channels(parts):
@@ -385,7 +367,7 @@ def concat_channels(parts):
             if p.requires_grad:
                 p._accum(piece)
 
-    return _make(out_data, tuple(parts), backward_fn, "concat")
+    return _make(out_data, tuple(parts), backward_fn)
 
 
 def scale_channels(x, w):
@@ -406,7 +388,7 @@ def scale_channels(x, w):
         if w.requires_grad:
             w._accum(np.sum(g * x.data, axis=tail))
 
-    return _make(out_data, (x, w), backward_fn, "scale_channels")
+    return _make(out_data, (x, w), backward_fn)
 
 
 def weighted_sum(w, x):
@@ -426,7 +408,7 @@ def weighted_sum(w, x):
         if x.requires_grad:
             x._accum(wb * g)
 
-    return _make(out_data, (w, x), backward_fn, "weighted_sum")
+    return _make(out_data, (w, x), backward_fn)
 
 
 def _cosine(a, b, reduce, op):
@@ -457,7 +439,7 @@ def _cosine(a, b, reduce, op):
         if b.requires_grad:
             b._accum(coef * a.data - (gout / np.where(live, nb * nb, 1.0)).reshape(tail) * b.data)
 
-    return _make(out_data, (a, b), backward_fn, op)
+    return _make(out_data, (a, b), backward_fn)
 
 
 def cosine_similarity(a, b):
@@ -493,7 +475,7 @@ def global_avg_pool(x):
         if x.requires_grad:
             x._accum(np.broadcast_to(g[:, None, None], x.data.shape) / (h * w))
 
-    return _make(out_data, (x,), backward_fn, "gap")
+    return _make(out_data, (x,), backward_fn)
 
 
 def linear(weight, x, bias=None):
@@ -517,7 +499,7 @@ def linear(weight, x, bias=None):
         if bias is not None and bias.requires_grad:
             bias._accum(g)
 
-    return _make(out_data, parents, backward_fn, "linear")
+    return _make(out_data, parents, backward_fn)
 
 
 def softmax(v):
@@ -530,7 +512,7 @@ def softmax(v):
         if v.requires_grad:
             v._accum(out_data * (g - np.sum(g * out_data, axis=-1, keepdims=True)))
 
-    return _make(out_data, (v,), backward_fn, "softmax")
+    return _make(out_data, (v,), backward_fn)
 
 
 def stack(parts):
@@ -543,7 +525,7 @@ def stack(parts):
             if p.requires_grad:
                 p._accum(piece)
 
-    return _make(out_data, tuple(parts), backward_fn, "stack")
+    return _make(out_data, tuple(parts), backward_fn)
 
 
 def slice1d(v, start, stop):
@@ -562,7 +544,7 @@ def slice1d(v, start, stop):
             full[start:stop] = g
             v._accum(full)
 
-    return _make(out_data, (v,), backward_fn, "slice")
+    return _make(out_data, (v,), backward_fn)
 
 
 def l2_norm(a):

@@ -32,24 +32,25 @@ class TrainConfig(JsonConfig):
     base_lr: float = 1e-4
     decay_every: int = 60000
     k: float = 100.0
-    theta_rot: float = 0.005
-    theta_trans: float = 0.6
-    memory_size: int = 11
+    theta_rot: float = MemoryPolicy.theta_rot
+    theta_trans: float = MemoryPolicy.theta_trans
+    memory_size: int = MemoryPolicy.max_slots
     seed: int = 0
     preset: str = "desk"
     iterations: int = 500
     stop_memory_gradient: bool = True
-    memory_require_both: bool = False
+    memory_require_both: bool = MemoryPolicy.require_both
 
     def __post_init__(self):
         if self.window_length < 2:
             raise ValueError("window_length must be at least 2")
         if self.batch_size < 1 or self.iterations < 1 or self.decay_every < 1:
             raise ValueError("batch_size, iterations, decay_every must be positive")
-        if self.base_lr <= 0:
+        if not self.base_lr > 0:  # NaN fails too
             raise ValueError("base_lr must be positive")
         if self.preset not in PRESETS:
             raise ValueError("unknown preset %r" % self.preset)
+        self.policy()  # MemoryPolicy checks the memory fields
 
     def policy(self):
         return MemoryPolicy(theta_rot=self.theta_rot, theta_trans=self.theta_trans,
@@ -232,7 +233,7 @@ def write_loss_csv(path, history):
             fh.write("%d,%.9g,%.9g,%.9g\n" % (it, local, glob, total))
 
 
-def sliding_window_infer(model, frames, policy, window=11, stride=None):
+def sliding_window_infer(model, frames, policy, window=TrainConfig.window_length, stride=None):
     """Whole-trajectory inference by chaining refined windows.
 
     Each window is refined independently with a fresh memory; its refined

@@ -161,6 +161,15 @@ class TestTrain:
         assert err.startswith("error: %s: " % mpath) and err.count("\n") == 1, err
         assert "Traceback" not in err
 
+    def test_bad_config_fails_before_any_data_is_read(self, tmp_path, capsys):
+        cfg = write_config(str(tmp_path / "cfg.json"), theta_rot=-1)
+        capsys.readouterr()
+        rc = main(["train", "--config", cfg, "--data", str(tmp_path / "missing"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: %s: thresholds must be nonnegative\n" % cfg
+        assert not os.path.exists(str(tmp_path / "out"))
+
     def test_preset_override_rejects_unknown(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["train", "--config", "x", "--data", "y", "--out", "z",

@@ -326,6 +326,15 @@ class TestSequenceContainer:
         with pytest.raises(ValueError, match="shape"):
             load_sequence(d)
 
+    def test_non_finite_frame_names_the_blob(self, tmp_path):
+        d = str(tmp_path / "seq")
+        frames = np.zeros((3, 3, 4, 4))
+        frames[1, 2, 0, 3] = np.nan
+        save_sequence(d, frames)
+        blob = os.path.join(d, "frame_0001.votb")
+        with pytest.raises(ValueError, match="^" + re.escape(blob) + ": frame 1 has non-finite"):
+            load_sequence(d)
+
     def _rewrite_manifest(self, d, **changes):
         mpath = os.path.join(d, "manifest.json")
         with open(mpath) as fh:

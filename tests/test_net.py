@@ -113,6 +113,15 @@ class TestEncoderConfig:
         back = EncoderConfig.from_dict(cfg.to_dict())
         assert back == cfg
 
+    def test_in_channels_fixed_by_the_frame_layout(self):
+        d = PRESETS["tiny"].to_dict()
+        assert d["in_channels"] == 6
+        d["in_channels"] = 4
+        with pytest.raises(ValueError, match="in_channels must be 6"):
+            EncoderConfig.from_dict(d)
+        with pytest.raises(TypeError):
+            EncoderConfig(height=32, width=32, layers=PRESETS["tiny"].layers, in_channels=6)
+
 
 class TestInit:
     def test_seed_determinism(self):
@@ -187,7 +196,7 @@ class TestConvLSTM:
         c0 = rng.uniform(-1, 1, size=(4, 2, 2))
         x = T.Tensor(np.zeros((4, 2, 2)))
         h = T.Tensor(np.zeros((4, 2, 2)))
-        _, _, c1 = m.track_step(x, h, T.Tensor(c0))
+        _, c1 = m.track_step(x, h, T.Tensor(c0))
         assert np.max(np.abs(c1.data - c0)) < 1e-9
 
     @pytest.mark.parametrize("preset", ["tiny", "desk"])
@@ -211,7 +220,7 @@ class TestConvLSTM:
             return [h_new.data, c_new.data, x.grad, h.grad, c.grad]
 
         m.zero_grads()
-        fused = run(lambda x, h, c: m.track_step(x, h, c)[1:])
+        fused = run(m.track_step)
         oracle = run(lambda x, h, c: lstm_step_per_gate(gates, x, h, c))
         for got, want in zip(fused, oracle):
             assert np.max(np.abs(got - want)) < 1e-12
@@ -229,7 +238,7 @@ class TestConvLSTM:
         for _ in range(20):
             x = T.Tensor(rng.normal(size=(4, 2, 2)) * 3)
             prev = np.abs(c.data)
-            _, h, c = m.track_step(x, h, c)
+            h, c = m.track_step(x, h, c)
             assert np.all(np.abs(c.data) <= prev + 1.0 + 1e-12)
 
     def test_step_gradcheck(self):
@@ -241,7 +250,7 @@ class TestConvLSTM:
         w = m.params["track.kernel"]
 
         def f(_):
-            out, _, _ = m.track_step(x, h0, c0)
+            out, _ = m.track_step(x, h0, c0)
             return T.tsum(T.mul(out, out))
 
         # the same four offsets inside each of the 8 (gate x {wx, wh}) blocks
@@ -423,6 +432,14 @@ class TestCheckpoint:
         with open(mpath, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(ValueError, match=re.escape(mpath) + ": bad model config"):
+            load_checkpoint(path)
+
+    def test_wrong_in_channels_names_the_manifest(self, tmp_path):
+        path, mpath, manifest = self._saved_manifest(tmp_path)
+        manifest["model"]["config"]["in_channels"] = 4
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match=re.escape(mpath) + ": bad model config: in_channels"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("fname", ["../../etc/hostname", "/etc/hostname", "sub/x.votb"])

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -54,6 +55,12 @@ class TestSpec:
         with pytest.raises(ValueError) as err:
             SyntheticSpec.from_json(path)
         assert str(err.value).startswith(path + ": ") and why in str(err.value)
+
+    def test_non_finite_value_is_not_written(self, tmp_path):
+        path = str(tmp_path / "spec.json")
+        with pytest.raises(ValueError):
+            SyntheticSpec(max_shift=float("nan")).to_json(path)
+        assert not os.path.exists(path)
 
     def test_int_accepted_for_float(self, tmp_path):
         path = str(tmp_path / "spec.json")

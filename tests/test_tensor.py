@@ -56,7 +56,7 @@ def conv2d_tensordot(x, kernel, bias=None, stride=1, padding=0):
             bias._accum(g.sum(axis=(1, 2)))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return T._make(out_data, parents, backward_fn, "conv2d")
+    return T._make(out_data, parents, backward_fn)
 
 
 class TestArithmetic:
@@ -291,7 +291,7 @@ class TestDeferredKernelGradient:
         def raising(x):
             def backward_fn(g):
                 raise RuntimeError("backward failed")
-            return T._make(x.data, (x,), backward_fn, "raising")
+            return T._make(x.data, (x,), backward_fn)
 
         k = T.Tensor(kern.copy(), requires_grad=True)
         x = T.Tensor(x0, requires_grad=True)

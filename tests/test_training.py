@@ -68,6 +68,10 @@ class TestTrainConfig:
         ({"preset": 3}, "preset must be str"),
         ({"window_length": 1}, "window_length must be at least 2"),
         ([1, 2], "must be a JSON object"),
+        ({"base_lr": float("nan")}, "malformed JSON"),
+        ({"k": float("inf")}, "malformed JSON"),
+        ({"theta_rot": -1}, "thresholds must be nonnegative"),
+        ({"memory_size": 0}, "max_slots must be at least 1"),
     ])
     def test_bad_values_name_the_file(self, tmp_path, raw, why):
         path = str(tmp_path / "cfg.json")
@@ -84,12 +88,27 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="^" + re.escape(path + ": ")):
             TrainConfig.from_json(path)
 
+    def test_overflowing_number_names_the_file(self, tmp_path):
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w") as fh:
+            fh.write('{"k": 1e999}')
+        want = "^" + re.escape(path) + ": malformed JSON: non-finite"
+        with pytest.raises(ValueError, match=want):
+            TrainConfig.from_json(path)
+
     def test_int_accepted_for_float(self, tmp_path):
         path = str(tmp_path / "cfg.json")
         with open(path, "w") as fh:
             json.dump({"base_lr": 1, "k": 10}, fh)
         c = TrainConfig.from_json(path)
         assert c.base_lr == 1.0 and c.k == 10.0
+
+    def test_memory_fields_checked_when_built(self):
+        for bad in ({"theta_rot": float("nan")}, {"theta_trans": -0.1}, {"memory_size": 0},
+                    {"base_lr": float("nan")}):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
+        assert TrainConfig().policy() == MemoryPolicy()
 
     def test_policy_mapping(self):
         c = TrainConfig(theta_rot=0.1, theta_trans=2.0, memory_size=3,
@@ -363,10 +382,10 @@ def refine_sequence_per_step_stack(model, feats, slots):
         alpha = T.softmax(T.cosine_similarity(guidance, T.stack([s.state for s in slots])))
         mem = T.weighted_sum(alpha, recalibrate(guidance, T.stack([s.state for s in slots])))
         fused = model.fuse(mem, guided_observation(guidance, feat))
-        out, h, c = model.refine_step(fused, h, c)
-        abs_poses.append(model.pose_head("refine", out))
-        outs.append(out)
-        guidance = out
+        h, c = model.refine_step(fused, h, c)
+        abs_poses.append(model.pose_head("refine", h))
+        outs.append(h)
+        guidance = h
     return abs_poses, outs
 
 
@@ -586,10 +605,10 @@ class TestSlidingWindowInfer:
     def test_builds_no_taped_node(self, monkeypatch):
         real, taped = T._make, []
 
-        def spy(data, parents, backward_fn, op):
-            out = real(data, parents, backward_fn, op)
+        def spy(data, parents, backward_fn):
+            out = real(data, parents, backward_fn)
             if out.requires_grad or out._parents:
-                taped.append(op)
+                taped.append(out)
             return out
 
         monkeypatch.setattr(T, "_make", spy)
