@@ -9,6 +9,7 @@ nonzero; argparse handles unknown flags the same way.
 import argparse
 import os
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +28,7 @@ from .votb import MANIFEST, write_votb
 def _cmd_synth_data(args):
     spec = SyntheticSpec.from_json(args.spec)
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = replace(spec, seed=args.seed)
     seq = generate_sequence(spec)
     save_sequence(args.out, seq.frames, seq.poses)
     print("wrote %d frames (%dx%d) to %s" % (spec.frames, spec.height, spec.width, args.out))
@@ -59,9 +60,9 @@ def _load_training_data(spec):
 def _cmd_train(args):
     config = TrainConfig.from_json(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)
     if args.preset is not None:
-        config.preset = args.preset
+        config = replace(config, preset=args.preset)
     dataset = _load_training_data(args.data)
     model, history = train(dataset, config)
     os.makedirs(args.out, exist_ok=True)

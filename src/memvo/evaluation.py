@@ -250,12 +250,17 @@ class KittiDriftResult:
 
 
 def _aggregate(values, how):
-    values = np.asarray(values)
     if how == "mean":
         return float(values.mean())
     if how == "rmse":
         return float(np.sqrt(np.mean(values * values)))
     raise ValueError("aggregate must be 'mean' or 'rmse'")
+
+
+def _drift_row(key, t_err, r_err, how):
+    """(key, percent, deg/100m, count) of per-meter drift arrays, aggregated by how."""
+    return (key, 100.0 * _aggregate(t_err, how),
+            float(np.degrees(_aggregate(r_err, how)) * 100.0), len(t_err))
 
 
 def _pair_errors(est, est_inv, gt, gt_inv, i, j):
@@ -327,14 +332,9 @@ def kitti_drift(est, gt, lengths=KITTI_LENGTHS, step=1, aggregate="mean",
     per_length = []
     for length, want in zip(lengths, lens):
         sel = seg_len == want
-        if not sel.any():
-            continue
-        per_length.append((length,
-                           100.0 * _aggregate(t_err[sel], aggregate),
-                           _to_deg_per_100m(_aggregate(r_err[sel], aggregate)),
-                           int(np.count_nonzero(sel))))
-    t_rel = 100.0 * _aggregate(t_err, aggregate)
-    r_rel = _to_deg_per_100m(_aggregate(r_err, aggregate))
+        if sel.any():
+            per_length.append(_drift_row(length, t_err[sel], r_err[sel], aggregate))
+    t_rel, r_rel = _drift_row(None, t_err, r_err, aggregate)[1:3]
     # Segments of one start share its int, and each refers to its length as
     # given. Built a chunk at a time, so no whole-run list of floats sits
     # beside the arrays.
@@ -346,10 +346,6 @@ def kitti_drift(est, gt, lengths=KITTI_LENGTHS, step=1, aggregate="mean",
                             [length_of[k] for k in which[part].tolist()], t_err[part].tolist(),
                             r_err[part].tolist(), speed[part].tolist()))
     return KittiDriftResult(t_rel, r_rel, per_length, segments)
-
-
-def _to_deg_per_100m(rad_per_m):
-    return float(np.degrees(rad_per_m) * 100.0)
 
 
 @dataclass
@@ -364,15 +360,16 @@ def associate_stamps(a, b, tol=0.02):
     """Greedy one-to-one nearest-neighbor matching of two stamp arrays."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    cands = []
-    for i, ta in enumerate(a):
-        j0 = int(np.searchsorted(b, ta))
-        for j in (j0 - 1, j0):
-            if 0 <= j < len(b) and abs(b[j] - ta) <= tol:
-                cands.append((abs(b[j] - ta), i, j))
-    cands.sort()
+    # candidates: the two stamps of b around each a[i], taken by (gap, i, j) within tol
+    cand_i = np.repeat(np.arange(len(a)), 2)
+    cand_j = (np.searchsorted(b, a)[:, None] + np.array([-1, 0])).ravel()
+    inside = (cand_j >= 0) & (cand_j < len(b))
+    cand_i, cand_j = cand_i[inside], cand_j[inside]
+    gap = np.abs(b[cand_j] - a[cand_i])
+    order = np.lexsort((cand_j, cand_i, gap))
+    order = order[gap[order] <= tol]
     used_a, used_b, pairs = set(), set(), []
-    for _, i, j in cands:
+    for i, j in zip(cand_i[order].tolist(), cand_j[order].tolist()):
         if i in used_a or j in used_b:
             continue
         used_a.add(i)
@@ -484,15 +481,7 @@ def error_vs_length_rows(result):
 
 def error_vs_speed_rows(result):
     header = ["speed_mps", "t_rel_percent", "r_rel_deg_per_100m", "segments"]
-    bins = {}
-    for seg in result.segments:
-        key = round(seg.speed / SPEED_BIN) * SPEED_BIN
-        bins.setdefault(key, []).append(seg)
-    rows = []
-    for key in sorted(bins):
-        sel = bins[key]
-        rows.append((key,
-                     100.0 * float(np.mean([g.t_err for g in sel])),
-                     _to_deg_per_100m(float(np.mean([g.r_err for g in sel]))),
-                     len(sel)))
-    return header, rows
+    speed, t_err, r_err = np.array([(g.speed, g.t_err, g.r_err) for g in result.segments]).T
+    keys = np.round(speed / SPEED_BIN) * SPEED_BIN
+    return header, [_drift_row(key, t_err[keys == key], r_err[keys == key], "mean")
+                    for key in np.unique(keys).tolist()]

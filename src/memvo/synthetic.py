@@ -21,7 +21,7 @@ KINDS = ("translate", "rotate", "mixed")
 N_WAVES = 8  # plane waves per texture channel
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec(JsonConfig):
     """Knobs for one generated sequence."""
 
@@ -37,6 +37,10 @@ class SyntheticSpec(JsonConfig):
     def __post_init__(self):
         if self.frames < 2:
             raise ValueError("need at least 2 frames")
+        if self.height < 1 or self.width < 1:
+            raise ValueError("height and width must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.kind not in KINDS:
             raise ValueError("kind must be one of %s" % (KINDS,))
         if self.noise < 0:

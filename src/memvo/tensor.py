@@ -253,10 +253,10 @@ def sqrt(a):
 
 def sigmoid(a):
     a = _as_tensor(a)
-    # stable both tails
-    out_data = np.where(a.data >= 0.0,
-                        1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                        np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    # stable both tails: 1/(1+e) for x >= 0 and e/(1+e) below, e = exp(-|x|)
+    e = np.exp(-np.abs(a.data))
+    out_data = np.where(a.data >= 0.0, 1.0, e)
+    out_data /= 1.0 + e
 
     def backward_fn(g):
         if a.requires_grad:

@@ -8,12 +8,13 @@ term on the refined absolute poses, with later frames downweighted by 1/i.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import tensor as T
 from .config import JsonConfig
-from .geometry import Pose6DoF, integrate_relative, pose_compose, pose_inverse
+from .geometry import Pose6DoF, integrate_relative, pose_compose, pose_inverse, wrap_angle
 from .memory import MemoryBuffer, MemoryPolicy
 from .net import PRESETS, TrackResult, VONet
 from .refining import refine_sequence
@@ -23,7 +24,7 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig(JsonConfig):
     """Everything a training run needs; JSON round-trippable."""
 
@@ -44,6 +45,8 @@ class TrainConfig(JsonConfig):
     def __post_init__(self):
         if self.window_length < 2:
             raise ValueError("window_length must be at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.batch_size < 1 or self.iterations < 1 or self.decay_every < 1:
             raise ValueError("batch_size, iterations, decay_every must be positive")
         if not self.base_lr > 0:  # NaN fails too
@@ -70,46 +73,46 @@ def _as_gt_vector(gt):
 
 def _pose_term(pred, gt, k):
     # ||p_hat - p|| + k * ||phi_hat - phi||, each angle difference wrapped
-    # into (-pi, pi] by a constant multiple of 2 pi, so the gradient is unchanged
+    # into (-pi, pi] by a constant shift, so the gradient is unchanged
     diff = T.add(pred, T.Tensor(-_as_gt_vector(gt)))
     dp = T.slice1d(diff, 0, 3)
     dphi = T.slice1d(diff, 3, 6)
-    dphi = T.add(dphi, T.Tensor(-2.0 * np.pi * np.ceil((dphi.data - np.pi) / (2.0 * np.pi))))
+    dphi = T.add(dphi, T.Tensor(wrap_angle(dphi.data) - dphi.data))
     return T.add(T.l2_norm(dp), T.mul(T.l2_norm(dphi), float(k)))
+
+
+def _pose_terms(name, preds, gts, k):
+    """The per-step pose errors of two matching non-empty pose lists."""
+    if len(preds) != len(gts) or not preds:
+        raise ValueError("%s needs matching non-empty pose lists" % name)
+    return [_pose_term(pred, gt, k) for pred, gt in zip(preds, gts)]
 
 
 def loss_local(pred_rels, gt_rels, k):
     """Mean relative-pose error over the window."""
-    if len(pred_rels) != len(gt_rels) or not pred_rels:
-        raise ValueError("loss_local needs matching non-empty pose lists")
-    total = None
-    for pred, gt in zip(pred_rels, gt_rels):
-        term = _pose_term(pred, gt, k)
-        total = term if total is None else T.add(total, term)
-    return T.div(total, float(len(pred_rels)))
+    terms = _pose_terms("loss_local", pred_rels, gt_rels, k)
+    return T.div(reduce(T.add, terms), float(len(terms)))
 
 
 def loss_global(pred_abs, gt_abs, k):
     """Absolute-pose error, frame i downweighted by 1/i (i is 1-based)."""
-    if len(pred_abs) != len(gt_abs) or not pred_abs:
-        raise ValueError("loss_global needs matching non-empty pose lists")
-    total = None
-    for i, (pred, gt) in enumerate(zip(pred_abs, gt_abs), start=1):
-        term = T.div(_pose_term(pred, gt, k), float(i))
-        total = term if total is None else T.add(total, term)
-    return total
+    terms = _pose_terms("loss_global", pred_abs, gt_abs, k)
+    return reduce(T.add, [T.div(term, float(i)) for i, term in enumerate(terms, start=1)])
 
 
 def loss_total(pred_rels, gt_rels, pred_abs, gt_abs, k):
     return T.add(loss_local(pred_rels, gt_rels, k), loss_global(pred_abs, gt_abs, k))
 
 
+ADAM_BETAS = (0.9, 0.99)  # decay rates of the first and second moments
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with decoupled weight decay, applied before each moment update."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.99, eps=1e-8, weight_decay=4e-4):
+    def __init__(self, params, weight_decay=4e-4):
         self.params = dict(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
@@ -122,7 +125,7 @@ class Adam:
             if not np.all(np.isfinite(p.grad)):
                 raise TrainingDiverged("non-finite gradient in %s" % name)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETAS
         for name, p in live:
             g = p.grad
             if self.weight_decay:
@@ -131,7 +134,7 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1 ** self.t)
             v_hat = self.v[name] / (1 - b2 ** self.t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass

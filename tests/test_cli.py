@@ -100,6 +100,22 @@ class TestSynthData:
         assert capsys.readouterr().err == "error: %s: frames must be int, got '11'\n" % spec
 
 
+@pytest.mark.parametrize("command", ["synth-data", "train"])
+def test_negative_seed_override_prints_one_error_line(tmp_path, capsys, command):
+    out = str(tmp_path / "out")
+    if command == "synth-data":
+        argv = ["synth-data", "--spec", write_spec(str(tmp_path / "spec.json"))]
+    else:
+        argv = ["train", "--config", write_config(str(tmp_path / "cfg.json")),
+                "--data", make_container(tmp_path)]
+    capsys.readouterr()
+    rc = main(argv + ["--out", out, "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: seed must be >= 0\n"
+    assert not os.path.exists(out)
+
+
 class TestTrain:
     def test_end_to_end_outputs(self, tmp_path, capsys):
         data = make_container(tmp_path)

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from memvo.evaluation import (KITTI_LENGTHS, DriftSegment, Trajectory, _delta_pairs,
+from memvo.evaluation import (KITTI_LENGTHS, SPEED_BIN, DriftSegment, KittiDriftResult,
+                              Trajectory, _delta_pairs,
                               _pair_errors, associate_stamps, error_vs_length_rows,
                               error_vs_speed_rows, export_csv, format_kitti, format_tum,
                               kitti_drift, load_sequence, load_trajectory,
@@ -101,6 +102,41 @@ def kitti_drift_loop(est, gt, lengths, step=1, frame_hz=10.0):
                                          rotation_angle(err[:3, :3]) / length,
                                          length / ((e - s) / frame_hz)))
     return segments
+
+
+def error_vs_speed_rows_loop(result):
+    """The dict-of-lists binning error_vs_speed_rows ran before it shared
+    kitti_drift's row aggregate."""
+    bins = {}
+    for seg in result.segments:
+        key = round(seg.speed / SPEED_BIN) * SPEED_BIN
+        bins.setdefault(key, []).append(seg)
+    return [(key, 100.0 * float(np.mean([g.t_err for g in bins[key]])),
+             float(np.degrees(float(np.mean([g.r_err for g in bins[key]]))) * 100.0),
+             len(bins[key])) for key in sorted(bins)]
+
+
+def associate_stamps_loop(a, b, tol=0.02):
+    """The per-stamp loop associate_stamps ran before its candidates were
+    built with one searchsorted."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    cands = []
+    for i, ta in enumerate(a):
+        j0 = int(np.searchsorted(b, ta))
+        for j in (j0 - 1, j0):
+            if 0 <= j < len(b) and abs(b[j] - ta) <= tol:
+                cands.append((abs(b[j] - ta), i, j))
+    cands.sort()
+    used_a, used_b, pairs = set(), set(), []
+    for _, i, j in cands:
+        if i in used_a or j in used_b:
+            continue
+        used_a.add(i)
+        used_b.add(j)
+        pairs.append((i, j))
+    pairs.sort()
+    return pairs
 
 
 def tum_pairs_loop(est, gt, delta=1.0, tol=0.02, with_scale=True):
@@ -512,6 +548,34 @@ class TestKittiDrift:
         assert header[0] == "speed_mps"
         assert sum(r[3] for r in rows) == len(res.segments)
 
+    def test_speed_rows_match_hand_binning(self):
+        # 2 m/s bins, rounded half to even: 3.0 and 5.0 both land in 4.0
+        speeds = [0.9, 1.1, 3.0, 5.0, 4.9, 7.2, 2.99, 8.8]
+        t_err = [0.01 * (i + 1) for i in range(len(speeds))]
+        r_err = [0.001 * (i + 2) for i in range(len(speeds))]
+        segs = [DriftSegment(i, 100.0, t, r, v)
+                for i, (t, r, v) in enumerate(zip(t_err, r_err, speeds))]
+        res = KittiDriftResult(0.0, 0.0, [], segs)
+        bins = {0.0: [0], 2.0: [1, 6], 4.0: [2, 3, 4], 8.0: [5, 7]}
+        want = [(key, 100.0 * np.mean([t_err[i] for i in idx]),
+                 np.degrees(np.mean([r_err[i] for i in idx])) * 100.0, len(idx))
+                for key, idx in bins.items()]
+        header, rows = error_vs_speed_rows(res)
+        assert [r[0] for r in rows] == [0.0, 2.0, 4.0, 8.0]
+        assert [r[3] for r in rows] == [1, 2, 3, 2]
+        assert rows == want
+
+    def test_speed_rows_match_loop(self):
+        rng = np.random.default_rng(31)
+        for step, agg in ((1, "mean"), (3, "rmse")):
+            # varied step lengths give segments across several speed bins
+            gt = random_trajectory(rng, n=300, wobble=0.9)
+            res = kitti_drift(perturb(rng, gt), gt, lengths=(20.0, 45, 90.0), step=step,
+                              aggregate=agg)
+            rows = error_vs_speed_rows(res)[1]
+            assert len(rows) >= 3
+            assert rows == error_vs_speed_rows_loop(res)
+
 
 class TestVectorisedAgainstLoop:
     """The vectorised drift metrics against the loops they replaced."""
@@ -593,6 +657,22 @@ class TestAssociate:
         # two est stamps near one gt stamp: only the closer one matches
         pairs = associate_stamps([0.99, 1.0], [1.0], tol=0.1)
         assert pairs == [(1, 0)]
+
+    def test_matches_loop(self):
+        rng = np.random.default_rng(32)
+        for trial in range(300):
+            if trial % 2:
+                # stamps on a 1/64 s grid: many exactly equal gaps, broken by (i, j)
+                a = np.sort(rng.choice(200, size=rng.integers(0, 60), replace=False)) / 64.0
+                b = np.sort(rng.choice(200, size=rng.integers(0, 60), replace=False)) / 64.0
+                tol = rng.integers(0, 3) / 64.0
+            else:
+                a = np.sort(rng.uniform(0.0, 3.0, size=rng.integers(0, 60)))
+                b = np.sort(rng.uniform(0.0, 3.0, size=rng.integers(0, 60)))
+                tol = 0.02
+            got = associate_stamps(a, b, tol)
+            assert got == associate_stamps_loop(a, b, tol)
+            assert all(type(i) is int and type(j) is int for i, j in got)
 
 
 class TestTumDrift:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -47,6 +48,7 @@ class TestSpec:
         ({"frames": 1}, "need at least 2 frames"),
         ({"kind": "zoom"}, "kind must be one of"),
         ("spec", "must be a JSON object"),
+        ({"seed": -1}, "seed must be >= 0"),
     ])
     def test_bad_values_name_the_file(self, tmp_path, raw, why):
         path = str(tmp_path / "spec.json")
@@ -55,6 +57,21 @@ class TestSpec:
         with pytest.raises(ValueError) as err:
             SyntheticSpec.from_json(path)
         assert str(err.value).startswith(path + ": ") and why in str(err.value)
+
+    @pytest.mark.parametrize("raw", [{"height": 0}, {"width": -3}])
+    def test_bad_size_names_the_file(self, tmp_path, raw):
+        path = str(tmp_path / "spec.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        with pytest.raises(ValueError) as err:
+            SyntheticSpec.from_json(path)
+        assert str(err.value) == path + ": height and width must be at least 1"
+
+    def test_fields_cannot_be_assigned(self):
+        spec = SyntheticSpec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.seed = 3
+        assert spec.seed == 0
 
     def test_non_finite_value_is_not_written(self, tmp_path):
         path = str(tmp_path / "spec.json")

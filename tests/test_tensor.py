@@ -132,6 +132,15 @@ class TestActivations:
         v = T.sigmoid(T.Tensor([-1000.0, 1000.0])).data
         assert v[0] == 0.0 and v[1] == 1.0
 
+    def test_sigmoid_bit_exact_against_three_exp_expression(self):
+        # the expression sigmoid used before it computed exp(-|x|) once
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.normal(scale=3.0, size=200), rng.uniform(20.0, 800.0, 50),
+                            -rng.uniform(20.0, 800.0, 50), [0.0, -0.0, 745.0, -745.0]])
+        want = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        assert T.sigmoid(T.Tensor(x)).data.tobytes() == want.tobytes()
+
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(1)
         for fn in (T.sigmoid, T.tanh):

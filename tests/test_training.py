@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -72,6 +73,7 @@ class TestTrainConfig:
         ({"k": float("inf")}, "malformed JSON"),
         ({"theta_rot": -1}, "thresholds must be nonnegative"),
         ({"memory_size": 0}, "max_slots must be at least 1"),
+        ({"seed": -1}, "seed must be >= 0"),
     ])
     def test_bad_values_name_the_file(self, tmp_path, raw, why):
         path = str(tmp_path / "cfg.json")
@@ -109,6 +111,12 @@ class TestTrainConfig:
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
         assert TrainConfig().policy() == MemoryPolicy()
+
+    def test_fields_cannot_be_assigned(self):
+        c = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.seed = 3
+        assert dataclasses.replace(c, seed=3).seed == 3 and c.seed == 0
 
     def test_policy_mapping(self):
         c = TrainConfig(theta_rot=0.1, theta_trans=2.0, memory_size=3,
@@ -216,6 +224,51 @@ class TestLossGlobal:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             loss_global([vec()], [], k=1.0)
+
+
+def loop_losses(pred_rels, gt_rels, pred_abs, gt_abs, k):
+    """The two summing loops and the ceil-based angle wrap the losses had
+    before they shared _pose_terms and geometry.wrap_angle."""
+    def term(pred, gt):
+        diff = T.add(pred, T.Tensor(-gt.to_vector()))
+        dp, dphi = T.slice1d(diff, 0, 3), T.slice1d(diff, 3, 6)
+        dphi = T.add(dphi, T.Tensor(-2.0 * np.pi * np.ceil((dphi.data - np.pi) / (2.0 * np.pi))))
+        return T.add(T.l2_norm(dp), T.mul(T.l2_norm(dphi), float(k)))
+
+    local = None
+    for pred, gt in zip(pred_rels, gt_rels):
+        t = term(pred, gt)
+        local = t if local is None else T.add(local, t)
+    glob = None
+    for i, (pred, gt) in enumerate(zip(pred_abs, gt_abs), start=1):
+        t = T.div(term(pred, gt), float(i))
+        glob = t if glob is None else T.add(glob, t)
+    return T.div(local, float(len(pred_rels))), glob
+
+
+class TestLossesAgainstLoops:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_values_and_gradients_bit_identical(self, seed):
+        # angle differences inside (-pi, pi], where both wraps are exact
+        rng = np.random.default_rng(seed)
+        x = T.Tensor(rng.normal(size=6), requires_grad=True)
+        preds = [T.mul(x, float(s)) for s in rng.uniform(-0.4, 0.4, size=5)]
+        gts = [Pose6DoF.from_vector(rng.normal(size=6) * 0.2) for _ in range(5)]
+        got = []
+        for losses in (lambda: (loss_local(preds[:3], gts[:3], 37.5),
+                                loss_global(preds, gts, 37.5)),
+                       lambda: loop_losses(preds[:3], gts[:3], preds, gts, 37.5)):
+            local, glob = losses()
+            x.zero_grad()
+            T.add(local, glob).backward()
+            got.append((local.data.tobytes(), glob.data.tobytes(), x.grad.tobytes()))
+        assert got[0] == got[1]
+
+    def test_error_messages_name_the_loss(self):
+        with pytest.raises(ValueError, match="^loss_local needs matching non-empty pose lists$"):
+            loss_local([vec()], [], k=1.0)
+        with pytest.raises(ValueError, match="^loss_global needs matching non-empty pose lists$"):
+            loss_global([], [], k=1.0)
 
 
 class TestLossTotal:
