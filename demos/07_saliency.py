@@ -17,8 +17,7 @@ model = VONet(preset="tiny", seed=0)
 policy = MemoryPolicy(theta_rot=0.0, theta_trans=0.0, max_slots=5)
 
 for which in ("tracking", "refined"):
-    maps = saliency_map(model, list(seq.frames), policy, target=2, which=which,
-                        detach_memory=(which == "tracking"))
+    maps = saliency_map(model, list(seq.frames), policy, target=2, which=which)
     peaks = [float(np.max(m)) for m in maps]
     print("%-8s target frame 2: per-frame peak |grad| %s" %
           (which, ["%.2e" % p for p in peaks]))

@@ -20,8 +20,7 @@ from .evaluation import (FRAME_HZ, TRAJECTORY_FORMATS, error_vs_length_rows,
                          Trajectory, tum_rmse_drift)
 from .net import PRESETS, load_checkpoint, save_checkpoint
 from .synthetic import SyntheticSpec, generate_sequence
-from .training import (TrainConfig, TrainingDiverged, sliding_window_infer,
-                       train, write_loss_csv)
+from .training import TrainConfig, TrainingDiverged, sliding_window_infer, train
 from .votb import MANIFEST, write_votb
 
 
@@ -67,7 +66,8 @@ def _cmd_train(args):
     model, history = train(dataset, config)
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(model, os.path.join(args.out, "checkpoint"))
-    write_loss_csv(os.path.join(args.out, "loss.csv"), history)
+    export_csv(os.path.join(args.out, "loss.csv"),
+               ["iteration", "loss_local", "loss_global", "loss_total"], history)
     print("trained %d iterations on %d sequences; final loss %.6g"
           % (config.iterations, len(dataset), history[-1][3]))
     return 0

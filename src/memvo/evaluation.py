@@ -29,6 +29,10 @@ TRAJECTORY_FORMATS = ("kitti", "tum")
 FRAME_HZ = 10.0  # frames per second: KITTI's camera rate, and the stamps cli infer writes
 SPEED_BIN = 2.0  # m/s width of the error-vs-speed bins
 KITTI_LENGTHS = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0)
+# TUM RPE (Sturm et al. 2012): poses are paired TUM_DELTA_S seconds apart, and
+# stamps match when they lie within STAMP_TOL_S seconds of each other.
+TUM_DELTA_S = 1.0
+STAMP_TOL_S = 0.02
 # Segments or pairs scored per batched product in the drift metrics: bounds
 # the temporary (n,4,4) stacks, and with them peak memory.
 DRIFT_CHUNK = 1024
@@ -169,23 +173,29 @@ def save_trajectory(path, traj, fmt):
 
 
 def save_sequence(dirpath, frames, poses=None):
-    """Write frames (T,C,H,W) and optional gt poses as a sequence container."""
+    """Write frames (T,C,H,W) and optional gt poses as a sequence container.
+
+    The frame rank, the pose count and every pose are checked before any
+    file is written.
+    """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 4:
         raise ValueError("frames must be (T,C,H,W)")
+    pose_file = None
+    if poses is not None:
+        if len(poses) != frames.shape[0]:
+            raise ValueError("pose count %d != frame count %d" % (len(poses), frames.shape[0]))
+        pose_file = "poses_gt.txt"
+        traj = Trajectory(np.arange(len(poses)), poses)
+        check_se3(traj.poses)
     os.makedirs(dirpath, exist_ok=True)
     names = []
     for t in range(frames.shape[0]):
         name = "frame_%04d.votb" % t
         write_votb(os.path.join(dirpath, name), frames[t])
         names.append(name)
-    pose_file = None
-    if poses is not None:
-        if len(poses) != frames.shape[0]:
-            raise ValueError("pose count %d != frame count %d" % (len(poses), frames.shape[0]))
-        pose_file = "poses_gt.txt"
-        with open(os.path.join(dirpath, pose_file), "w") as fh:
-            fh.write(format_kitti(poses))
+    if pose_file:
+        save_trajectory(os.path.join(dirpath, pose_file), traj, "kitti")
     manifest = {
         "format": SEQUENCE_FORMAT,
         "version": SEQUENCE_VERSION,
@@ -356,18 +366,18 @@ class TumDriftResult:
     scale: float
 
 
-def associate_stamps(a, b, tol=0.02):
-    """Greedy one-to-one nearest-neighbor matching of two stamp arrays."""
+def associate_stamps(a, b):
+    """Greedy one-to-one nearest-neighbor matching of two stamp arrays, within STAMP_TOL_S."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    # candidates: the two stamps of b around each a[i], taken by (gap, i, j) within tol
+    # candidates: the two stamps of b around each a[i], taken by (gap, i, j) within the tolerance
     cand_i = np.repeat(np.arange(len(a)), 2)
     cand_j = (np.searchsorted(b, a)[:, None] + np.array([-1, 0])).ravel()
     inside = (cand_j >= 0) & (cand_j < len(b))
     cand_i, cand_j = cand_i[inside], cand_j[inside]
     gap = np.abs(b[cand_j] - a[cand_i])
     order = np.lexsort((cand_j, cand_i, gap))
-    order = order[gap[order] <= tol]
+    order = order[gap[order] <= STAMP_TOL_S]
     used_a, used_b, pairs = set(), set(), []
     for i, j in zip(cand_i[order].tolist(), cand_j[order].tolist()):
         if i in used_a or j in used_b:
@@ -399,45 +409,44 @@ def _delta_pairs(stamps, delta, tol):
     return a[found], np.where(take_hi, hi, lo)[found]
 
 
-def tum_rmse_drift(est, gt, delta=1.0, tol=0.02, with_scale=True):
+def tum_rmse_drift(est, gt):
     """Translational drift rate in m/s, TUM style.
 
     est and gt are associated by timestamp (greedy nearest neighbor within
-    tol seconds), est is similarity-aligned onto gt (Umeyama, with scale by
-    default, which also recovers trajectory scale), and every associated
-    pose is paired with the associated pose delta seconds later (same
-    tolerance). The reported value is the RMSE over pairs of
-    ||relative translation error|| / dt.
+    STAMP_TOL_S seconds), est is similarity-aligned onto gt (Umeyama, which
+    also recovers trajectory scale), and every associated pose is paired
+    with the associated pose TUM_DELTA_S seconds later (same tolerance). The
+    reported value is the RMSE over pairs of ||relative translation error|| / dt.
     """
-    matches = associate_stamps(est.stamps, gt.stamps, tol)
+    matches = associate_stamps(est.stamps, gt.stamps)
     if len(matches) < 3:
         raise ValueError("only %d timestamp matches, need at least 3" % len(matches))
     ei, gj = np.array(matches).T
     gt_m, stamps = gt.poses[gj], est.stamps[ei]
-    scale, rot, trans = umeyama_align(est.poses[ei, :3, 3], gt_m[:, :3, 3], with_scale=with_scale)
+    scale, rot, trans = umeyama_align(est.poses[ei, :3, 3], gt_m[:, :3, 3])
     est_aligned = apply_similarity(scale, rot, trans, est.poses[ei])
-    a, b = _delta_pairs(stamps, delta, tol)
+    a, b = _delta_pairs(stamps, TUM_DELTA_S, STAMP_TOL_S)
     if not len(a):
-        raise ValueError("no pose pairs %.3g s apart" % delta)
+        raise ValueError("no pose pairs %.3g s apart" % TUM_DELTA_S)
     t_err, _ = _pair_errors(est_aligned, pose_inverse(est_aligned), gt_m, pose_inverse(gt_m), a, b)
     errs = t_err / (stamps[b] - stamps[a])
     rmse = float(np.sqrt(np.mean(np.square(errs))))
     return TumDriftResult(rmse, len(errs), len(matches), scale)
 
 
-def saliency_map(model, frames, policy, target=None, which="refined",
-                 detach_memory=False):
+def saliency_map(model, frames, policy, target=None, which="refined"):
     """Per-frame input saliency for one predicted pose.
 
     The scalar under the gradient is the mean of the six pose components of
     the target step (frame index 1..T-1, default the last). which picks the
-    refined absolute pose or the tracking relative pose. Each input frame
-    yields an (H,W) map: channel-max of |d scalar / d pixel|. Frames the
-    target cannot depend on give all-zero maps.
+    refined absolute pose or the tracking relative pose. The memory stays
+    live, so gradients also reach frames through their stored states. Each
+    input frame yields an (H,W) map: channel-max of |d scalar / d pixel|.
+    Frames the target cannot depend on give all-zero maps.
     """
     leaves = [T.Tensor(np.asarray(f, dtype=np.float64), requires_grad=True)
               for f in frames]
-    result = run_window(model, leaves, policy, detach_memory=detach_memory)
+    result = run_window(model, leaves, policy, detach_memory=False)
     n_steps = len(result.abs_tensors)
     if target is None:
         target = n_steps

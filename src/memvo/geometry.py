@@ -313,11 +313,11 @@ def integrate_relative(rels, origin=None):
     return out
 
 
-def umeyama_align(src, dst, with_scale=True):
+def umeyama_align(src, dst):
     """Least-squares similarity (s, R, t) with dst ~ s * R @ src + t.
 
     src and dst are (n, 3) with n >= 3; degenerate clouds (all points
-    coincident) are rejected. with_scale=False forces s = 1.
+    coincident) are rejected.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
@@ -339,7 +339,7 @@ def umeyama_align(src, dst, with_scale=True):
     if np.linalg.det(u) * np.linalg.det(vt) < 0:
         s_fix[2, 2] = -1.0
     r = u @ s_fix @ vt
-    scale = float(np.trace(np.diag(d) @ s_fix) / var_s) if with_scale else 1.0
+    scale = float(np.trace(np.diag(d) @ s_fix) / var_s)
     t = mu_d - scale * (r @ mu_s)
     return scale, r, t
 

@@ -46,10 +46,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return "Tensor(shape=%s%s)" % (self.data.shape, flag)
@@ -285,8 +281,8 @@ def _im2col(xp, k, stride, h_out, w_out):
     return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides, writeable=False)
 
 
-def conv2d(x, kernel, bias=None, stride=1, padding=0):
-    """2-D cross correlation: x (C,H,W), kernel (O,C,k,k), optional bias (O,).
+def conv2d(x, kernel, bias, stride=1, padding=0):
+    """2-D cross correlation: x (C,H,W), kernel (O,C,k,k), bias (O,).
 
     Zero padding on both spatial sides, square kernel, single stride for both
     axes. Output is (O, H', W') with H' = (H + 2*padding - k)//stride + 1.
@@ -296,7 +292,7 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
     queues (g, cols) on the kernel for Tensor.backward to multiply in one
     GEMM with the kernel's other uses; otherwise it multiplies at once.
     """
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
+    x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise ValueError("conv2d expects x (C,H,W) and kernel (O,C,k,k)")
     c, h, w = x.data.shape
@@ -313,19 +309,14 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
         raise ValueError("conv2d kernel %d exceeds padded input %dx%d" % (k, hp, wp))
     h_out = (hp - k) // stride + 1
     w_out = (wp - k) // stride + 1
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.data.shape != (o,):
-            raise ValueError("conv2d bias must have shape (%d,)" % o)
+    if bias.data.shape != (o,):
+        raise ValueError("conv2d bias must have shape (%d,)" % o)
 
     xp = np.zeros((c, hp, wp))
     xp[:, padding:padding + h, padding:padding + w] = x.data
     cols = _im2col(xp, k, stride, h_out, w_out)
     out_data = (kernel.data.reshape(o, -1) @ cols.reshape(c * k * k, -1)).reshape(o, h_out, w_out)
-    if bias is not None:
-        out_data += bias.data[:, None, None]
-
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    out_data += bias.data[:, None, None]
 
     def backward_fn(g):
         if kernel.requires_grad:
@@ -343,10 +334,10 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
             if padding:
                 dxp = dxp[:, padding:hp - padding, padding:wp - padding]
             x._accum(dxp)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accum(g.sum(axis=(1, 2)))
 
-    return _make(out_data, parents, backward_fn)
+    return _make(out_data, (x, kernel, bias), backward_fn)
 
 
 def concat_channels(parts):
@@ -478,28 +469,24 @@ def global_avg_pool(x):
     return _make(out_data, (x,), backward_fn)
 
 
-def linear(weight, x, bias=None):
+def linear(weight, x, bias):
     """weight (M,N) @ x (N,) + bias (M,)."""
-    weight, x = _as_tensor(weight), _as_tensor(x)
+    weight, x, bias = _as_tensor(weight), _as_tensor(x), _as_tensor(bias)
     if weight.data.ndim != 2 or x.data.ndim != 1 or weight.data.shape[1] != x.data.shape[0]:
         raise ValueError("linear shape mismatch: %s @ %s" % (weight.data.shape, x.data.shape))
-    out_data = weight.data @ x.data
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.data.shape != (weight.data.shape[0],):
-            raise ValueError("linear bias shape mismatch")
-        out_data = out_data + bias.data
-    parents = (weight, x) if bias is None else (weight, x, bias)
+    if bias.data.shape != (weight.data.shape[0],):
+        raise ValueError("linear bias shape mismatch")
+    out_data = weight.data @ x.data + bias.data
 
     def backward_fn(g):
         if weight.requires_grad:
             weight._accum(np.outer(g, x.data))
         if x.requires_grad:
             x._accum(weight.data.T @ g)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accum(g)
 
-    return _make(out_data, parents, backward_fn)
+    return _make(out_data, (weight, x, bias), backward_fn)
 
 
 def softmax(v):

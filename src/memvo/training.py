@@ -49,8 +49,10 @@ class TrainConfig(JsonConfig):
             raise ValueError("seed must be >= 0")
         if self.batch_size < 1 or self.iterations < 1 or self.decay_every < 1:
             raise ValueError("batch_size, iterations, decay_every must be positive")
-        if not self.base_lr > 0:  # NaN fails too
-            raise ValueError("base_lr must be positive")
+        if not 0 < self.base_lr < np.inf:  # NaN fails too
+            raise ValueError("base_lr must be positive and finite")
+        if not 0 <= self.k < np.inf:
+            raise ValueError("k must be non-negative and finite")
         if self.preset not in PRESETS:
             raise ValueError("unknown preset %r" % self.preset)
         self.policy()  # MemoryPolicy checks the memory fields
@@ -106,14 +108,14 @@ def loss_total(pred_rels, gt_rels, pred_abs, gt_abs, k):
 
 ADAM_BETAS = (0.9, 0.99)  # decay rates of the first and second moments
 ADAM_EPS = 1e-8
+ADAM_WEIGHT_DECAY = 4e-4
 
 
 class Adam:
     """Adam with decoupled weight decay, applied before each moment update."""
 
-    def __init__(self, params, weight_decay=4e-4):
+    def __init__(self, params):
         self.params = dict(params)
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
@@ -128,8 +130,7 @@ class Adam:
         b1, b2 = ADAM_BETAS
         for name, p in live:
             g = p.grad
-            if self.weight_decay:
-                p.data -= lr * self.weight_decay * p.data
+            p.data -= lr * ADAM_WEIGHT_DECAY * p.data
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1 ** self.t)
@@ -227,13 +228,6 @@ def train(dataset, config, model=None):
         history.append((it, float(np.mean(locals_)), float(np.mean(globals_)),
                         sum(totals) / config.batch_size))
     return model, history
-
-
-def write_loss_csv(path, history):
-    with open(path, "w") as fh:
-        fh.write("iteration,loss_local,loss_global,loss_total\n")
-        for it, local, glob, total in history:
-            fh.write("%d,%.9g,%.9g,%.9g\n" % (it, local, glob, total))
 
 
 def sliding_window_infer(model, frames, policy, window=TrainConfig.window_length, stride=None):

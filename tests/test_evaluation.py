@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from memvo.evaluation import (KITTI_LENGTHS, SPEED_BIN, DriftSegment, KittiDriftResult,
-                              Trajectory, _delta_pairs,
+import memvo.tensor as T
+from memvo.evaluation import (KITTI_LENGTHS, SPEED_BIN, STAMP_TOL_S, TUM_DELTA_S,
+                              DriftSegment, KittiDriftResult, Trajectory, _delta_pairs,
                               _pair_errors, associate_stamps, error_vs_length_rows,
                               error_vs_speed_rows, export_csv, format_kitti, format_tum,
                               kitti_drift, load_sequence, load_trajectory,
@@ -17,6 +18,7 @@ from memvo.geometry import (apply_similarity, euler_to_matrix, make_se3, orthono
 from memvo.memory import MemoryPolicy
 from memvo.net import VONet
 from memvo.synthetic import SyntheticSpec, generate_sequence
+from memvo.training import run_window
 from memvo.votb import write_votb
 
 
@@ -116,7 +118,7 @@ def error_vs_speed_rows_loop(result):
              len(bins[key])) for key in sorted(bins)]
 
 
-def associate_stamps_loop(a, b, tol=0.02):
+def associate_stamps_loop(a, b, tol):
     """The per-stamp loop associate_stamps ran before its candidates were
     built with one searchsorted."""
     a = np.asarray(a, dtype=np.float64)
@@ -139,18 +141,18 @@ def associate_stamps_loop(a, b, tol=0.02):
     return pairs
 
 
-def tum_pairs_loop(est, gt, delta=1.0, tol=0.02, with_scale=True):
+def tum_pairs_loop(est, gt, delta=TUM_DELTA_S, tol=STAMP_TOL_S):
     """The pairing and scoring loop tum_rmse_drift ran before it was vectorised.
 
     Returns ((a, b, error per second) per pair, rmse), with the per-pose
     similarity alignment of that version.
     """
-    matches = associate_stamps(est.stamps, gt.stamps, tol)
+    matches = associate_stamps_loop(est.stamps, gt.stamps, tol)
     est_m = [est.poses[i] for i, _ in matches]
     gt_m = [gt.poses[j] for _, j in matches]
     stamps = np.array([est.stamps[i] for i, _ in matches])
     scale, rot, trans = umeyama_align(np.array([p[:3, 3] for p in est_m]),
-                                      np.array([p[:3, 3] for p in gt_m]), with_scale=with_scale)
+                                      np.array([p[:3, 3] for p in gt_m]))
     est_aligned = []
     for pose in est_m:
         q = np.eye(4)
@@ -428,6 +430,15 @@ class TestSequenceContainer:
             save_sequence(str(tmp_path / "seq"), np.zeros((3, 3, 4, 4)),
                           straight_line(2))
 
+    def test_bad_pose_writes_nothing(self, tmp_path):
+        poses = straight_line(3)
+        poses[2][0, 0] = np.nan
+        d = str(tmp_path / "seq")
+        os.makedirs(d)
+        with pytest.raises(ValueError, match="non-finite"):
+            save_sequence(d, np.zeros((3, 3, 4, 4)), poses)
+        assert os.listdir(d) == []
+
     def test_bad_frame_rank_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="T,C,H,W"):
             save_sequence(str(tmp_path / "seq"), np.zeros((3, 4, 4)))
@@ -623,17 +634,18 @@ class TestVectorisedAgainstLoop:
             after = np.minimum(b + 1, len(s) - 1)
             ties = (b + 1 < len(s)) & (np.abs(s[b] - s[a] - delta) == np.abs(s[after] - s[a] - delta))
             assert ties.sum() > 10  # pairs where b-1 won a tie against b
-            res = tum_rmse_drift(est, gt, delta=delta, tol=tol)
+            want, rmse = tum_pairs_loop(est, gt)
+            res = tum_rmse_drift(est, gt)
             assert res.pairs == len(want)
             assert abs(res.rmse_m_per_s - rmse) < 1e-12
 
     def test_tum_pair_errors_match_loop(self):
         rng = np.random.default_rng(32)
         est, gt = self._jittered(rng)
-        want, _ = tum_pairs_loop(est, gt, delta=1.0, tol=0.02, with_scale=False)
+        want, _ = tum_pairs_loop(est, gt)
         a = np.array([p[0] for p in want])
         b = np.array([p[1] for p in want])
-        scale, rot, trans = umeyama_align(positions(est), positions(gt), with_scale=False)
+        scale, rot, trans = umeyama_align(positions(est), positions(gt))
         aligned = apply_similarity(scale, rot, trans, est.poses)
         t_err, _ = _pair_errors(aligned, pose_inverse(aligned), gt.poses, pose_inverse(gt.poses),
                                 a, b)
@@ -648,30 +660,30 @@ class TestAssociate:
 
     def test_offset_within_tolerance(self):
         a = np.arange(5, dtype=np.float64)
-        assert associate_stamps(a, a + 0.015, tol=0.02) == [(i, i) for i in range(5)]
+        assert associate_stamps(a, a + 0.015) == [(i, i) for i in range(5)]
 
     def test_outside_tolerance_unmatched(self):
-        assert associate_stamps([0.0, 1.0], [0.5], tol=0.02) == []
+        assert associate_stamps([0.0, 1.0], [0.5]) == []
+        assert associate_stamps([0.0], [STAMP_TOL_S * 1.5]) == []
 
     def test_one_to_one_greedy(self):
         # two est stamps near one gt stamp: only the closer one matches
-        pairs = associate_stamps([0.99, 1.0], [1.0], tol=0.1)
+        pairs = associate_stamps([0.99, 1.0], [1.0])
         assert pairs == [(1, 0)]
 
     def test_matches_loop(self):
         rng = np.random.default_rng(32)
         for trial in range(300):
             if trial % 2:
-                # stamps on a 1/64 s grid: many exactly equal gaps, broken by (i, j)
+                # stamps on a 1/64 s grid: gaps of 0 and 1/64 s lie within the
+                # tolerance, so many are exactly equal and broken by (i, j)
                 a = np.sort(rng.choice(200, size=rng.integers(0, 60), replace=False)) / 64.0
                 b = np.sort(rng.choice(200, size=rng.integers(0, 60), replace=False)) / 64.0
-                tol = rng.integers(0, 3) / 64.0
             else:
                 a = np.sort(rng.uniform(0.0, 3.0, size=rng.integers(0, 60)))
                 b = np.sort(rng.uniform(0.0, 3.0, size=rng.integers(0, 60)))
-                tol = 0.02
-            got = associate_stamps(a, b, tol)
-            assert got == associate_stamps_loop(a, b, tol)
+            got = associate_stamps(a, b)
+            assert got == associate_stamps_loop(a, b, STAMP_TOL_S)
             assert all(type(i) is int and type(j) is int for i, j in got)
 
 
@@ -714,7 +726,7 @@ class TestTumDrift:
     def test_no_pairs_delta_apart(self):
         est, gt = self._circle(duration=0.5)
         with pytest.raises(ValueError, match="apart"):
-            tum_rmse_drift(est, gt, delta=1.0)
+            tum_rmse_drift(est, gt)
 
 
 class TestSaliency:
@@ -737,16 +749,18 @@ class TestSaliency:
         # slots from later frames feed attention at step 1, so even the last
         # frame influences the first refined pose
         model, frames, policy = self._setup(seed=1)
-        maps = saliency_map(model, frames, policy, target=1, which="refined",
-                            detach_memory=False)
+        maps = saliency_map(model, frames, policy, target=1, which="refined")
         assert all(np.any(m > 0) for m in maps)
 
     def test_refined_detached_memory_blocks_future(self):
+        # the saliency of the first refined pose through a detached memory, as
+        # training runs it: later frames reach that pose through no path
         model, frames, policy = self._setup(seed=2)
-        maps = saliency_map(model, frames, policy, target=1, which="refined",
-                            detach_memory=True)
-        assert np.any(maps[0] > 0) and np.any(maps[1] > 0)
-        assert all(np.all(m == 0) for m in maps[2:])
+        leaves = [T.Tensor(f, requires_grad=True) for f in frames]
+        T.tmean(run_window(model, leaves, policy, detach_memory=True).abs_tensors[0]).backward()
+        assert leaves[0].grad is not None and np.any(leaves[0].grad != 0)
+        assert leaves[1].grad is not None and np.any(leaves[1].grad != 0)
+        assert all(leaf.grad is None or np.all(leaf.grad == 0) for leaf in leaves[2:])
 
     def test_validation(self):
         model, frames, policy = self._setup(seed=3)

@@ -382,19 +382,20 @@ class TestUmeyama:
             r = random_rotation(rng)
             t = rng.normal(size=3)
             dst = s * (src @ r.T) + t
-            s2, r2, t2 = G.umeyama_align(src, dst, with_scale=True)
+            s2, r2, t2 = G.umeyama_align(src, dst)
             assert abs(s2 - s) < 1e-9
             assert np.max(np.abs(r2 - r)) < 1e-9
             assert np.max(np.abs(t2 - t)) < 1e-9
 
     def test_without_scale(self):
+        # a rigid motion is fitted with scale 1
         rng = np.random.default_rng(10)
         src = rng.normal(size=(10, 3))
         r = random_rotation(rng)
         t = rng.normal(size=3)
         dst = src @ r.T + t
-        s2, r2, t2 = G.umeyama_align(src, dst, with_scale=False)
-        assert s2 == 1.0
+        s2, r2, t2 = G.umeyama_align(src, dst)
+        assert abs(s2 - 1.0) < 1e-9
         assert np.max(np.abs(r2 - r)) < 1e-9
 
     def test_planar_cloud_gives_proper_rotation(self):

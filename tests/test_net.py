@@ -25,7 +25,8 @@ def lstm_step_per_gate(gates, x, h, c):
     """
     def gate(name, f):
         wx, wh, bias = gates[name]
-        return f(T.add(T.conv2d(x, wx, bias, padding=1), T.conv2d(h, wh, padding=1)))
+        return f(T.add(T.conv2d(x, wx, bias, padding=1),
+                       T.conv2d(h, wh, np.zeros(wh.shape[0]), padding=1)))
 
     i = gate("i", T.sigmoid)
     f = gate("f", T.sigmoid)

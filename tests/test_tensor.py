@@ -4,7 +4,7 @@ import pytest
 import memvo.tensor as T
 
 
-def conv2d_reference(x, kernel, bias=None, stride=1, padding=0):
+def conv2d_reference(x, kernel, bias, stride=1, padding=0):
     """Definitional nested-loop convolution, the oracle for the fast path."""
     c, h, w = x.shape
     o, _, k, _ = kernel.shape
@@ -22,13 +22,12 @@ def conv2d_reference(x, kernel, bias=None, stride=1, padding=0):
                         for dj in range(k):
                             acc += kernel[oc, ic, di, dj] * xp[ic, i * stride + di, j * stride + dj]
                 out[oc, i, j] = acc
-        if bias is not None:
-            out[oc] += bias[oc]
+        out[oc] += bias[oc]
     return out
 
 
 
-def conv2d_tensordot(x, kernel, bias=None, stride=1, padding=0):
+def conv2d_tensordot(x, kernel, bias, stride=1, padding=0):
     """The conv2d op the matmul form replaced: np.pad, then one tensordot over
     the strided im2col view; the oracle for values and gradients."""
     c, h, w = x.data.shape
@@ -40,9 +39,7 @@ def conv2d_tensordot(x, kernel, bias=None, stride=1, padding=0):
     cols = np.lib.stride_tricks.as_strided(xp, shape=(c, k, k, h_out, w_out),
                                            strides=(s0, s1, s2, stride * s1, stride * s2),
                                            writeable=False)
-    out_data = np.tensordot(kernel.data, cols, axes=([1, 2, 3], [0, 1, 2]))
-    if bias is not None:
-        out_data = out_data + bias.data[:, None, None]
+    out_data = np.tensordot(kernel.data, cols, axes=([1, 2, 3], [0, 1, 2])) + bias.data[:, None, None]
 
     def backward_fn(g):
         kernel._accum(np.tensordot(g, cols, axes=([1, 2], [3, 4])))
@@ -52,11 +49,9 @@ def conv2d_tensordot(x, kernel, bias=None, stride=1, padding=0):
             for dj in range(k):
                 dxp[:, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride] += dcols[:, di, dj]
         x._accum(dxp[:, padding:hp - padding, padding:wp - padding])
-        if bias is not None:
-            bias._accum(g.sum(axis=(1, 2)))
+        bias._accum(g.sum(axis=(1, 2)))
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return T._make(out_data, parents, backward_fn)
+    return T._make(out_data, (x, kernel, bias), backward_fn)
 
 
 class TestArithmetic:
@@ -217,30 +212,30 @@ class TestConv:
             assert T.finite_diff_check(loss_wrt(t), t) < 1e-6
 
     def test_shape_errors(self):
-        x = T.Tensor(np.zeros((2, 5, 5)))
+        x, b = T.Tensor(np.zeros((2, 5, 5))), T.Tensor(np.zeros(3))
         with pytest.raises(ValueError):
-            T.conv2d(x, T.Tensor(np.zeros((3, 4, 3, 3))))  # channel mismatch
+            T.conv2d(x, T.Tensor(np.zeros((3, 4, 3, 3))), b)  # channel mismatch
         with pytest.raises(ValueError):
-            T.conv2d(x, T.Tensor(np.zeros((3, 2, 3, 5))))  # non-square
+            T.conv2d(x, T.Tensor(np.zeros((3, 2, 3, 5))), b)  # non-square
         with pytest.raises(ValueError):
-            T.conv2d(x, T.Tensor(np.zeros((3, 2, 9, 9))))  # kernel too large
+            T.conv2d(x, T.Tensor(np.zeros((3, 2, 9, 9))), b)  # kernel too large
         with pytest.raises(ValueError):
-            T.conv2d(x, T.Tensor(np.zeros((3, 2, 3, 3))), stride=0)
+            T.conv2d(x, T.Tensor(np.zeros((3, 2, 3, 3))), b, stride=0)
         with pytest.raises(ValueError):
-            T.conv2d(x, T.Tensor(np.zeros((3, 2, 3, 3))), bias=T.Tensor(np.zeros(4)))
+            T.conv2d(x, T.Tensor(np.zeros((3, 2, 3, 3))), T.Tensor(np.zeros(4)))
 
     def test_stride_padding_shape(self):
         x = T.Tensor(np.zeros((1, 11, 9)))
         k = T.Tensor(np.zeros((2, 1, 3, 3)))
-        assert T.conv2d(x, k, stride=2, padding=1).data.shape == (2, 6, 5)
+        assert T.conv2d(x, k, np.zeros(2), stride=2, padding=1).data.shape == (2, 6, 5)
 
 
 def recurrent_graph(conv, kernel, x0, weights, steps=10):
     """h <- tanh(conv(h, kernel)) for steps steps from x0: one kernel used at
     every step, as a ConvLSTM stage uses its gate kernel."""
-    h = x0
+    h, bias = x0, T.Tensor(np.zeros(kernel.shape[0]))
     for _ in range(steps):
-        h = T.tanh(conv(h, kernel, padding=1))
+        h = T.tanh(conv(h, kernel, bias, padding=1))
     return T.tsum(T.mul(h, weights))
 
 
@@ -291,7 +286,7 @@ class TestDeferredKernelGradient:
         # O = 2 <= H'*W' = 4: nothing is queued
         monkeypatch.setattr(T.Tensor, "_defer", None)
         k = T.Tensor(np.ones((2, 8, 3, 3)), requires_grad=True)
-        T.tsum(T.conv2d(T.Tensor(np.ones((8, 2, 2))), k, padding=1)).backward()
+        T.tsum(T.conv2d(T.Tensor(np.ones((8, 2, 2))), k, np.zeros(2), padding=1)).backward()
         assert k.grad is not None
 
     def test_a_raising_backward_leaves_no_queue(self):
@@ -316,7 +311,7 @@ class TestDeferredKernelGradient:
     def test_zero_grad_drops_the_queue(self):
         kern, x0, _ = self.arrays(43)
         k = T.Tensor(kern, requires_grad=True)
-        out = T.conv2d(T.Tensor(x0), k, padding=1)
+        out = T.conv2d(T.Tensor(x0), k, np.zeros(8), padding=1)
         out._backward_fn(np.ones(out.shape))
         assert len(k._deferred) == 1
         k.zero_grad()
@@ -327,7 +322,7 @@ class TestDeferredKernelGradient:
         k = T.Tensor(kern, requires_grad=True)
         x = T.Tensor(x0, requires_grad=True)
         k2 = T.mul(k, 2.0)
-        h = T.tanh(T.conv2d(x, k2, padding=1))
+        h = T.tanh(T.conv2d(x, k2, np.zeros(8), padding=1))
         loss = T.tsum(T.mul(h, weights))
         loss.backward()
         assert k.grad is not None and x.grad is not None

@@ -16,10 +16,10 @@ from memvo.memory import MemoryPolicy
 from memvo.net import VONet
 from memvo.refining import guided_observation, recalibrate
 from memvo.synthetic import SyntheticSpec, generate_dataset, generate_sequence
-from memvo.training import (Adam, TrainConfig, TrainingDiverged, _pose_term, loss_global,
-                            loss_local, loss_total, lr_at, run_window,
-                            sliding_window_infer, train, window_ground_truth,
-                            window_loss, write_loss_csv)
+from memvo.training import (ADAM_WEIGHT_DECAY, Adam, TrainConfig, TrainingDiverged,
+                            _pose_term, loss_global, loss_local, loss_total, lr_at,
+                            run_window, sliding_window_infer, train, window_ground_truth,
+                            window_loss)
 from test_tensor import conv2d_tensordot
 
 
@@ -43,6 +43,10 @@ class TestTrainConfig:
             TrainConfig(window_length=1)
         with pytest.raises(ValueError):
             TrainConfig(base_lr=0.0)
+        with pytest.raises(ValueError, match="base_lr must be positive and finite"):
+            TrainConfig(base_lr=float("inf"))
+        with pytest.raises(ValueError, match="k must be non-negative and finite"):
+            TrainConfig(k=float("inf"))
         with pytest.raises(ValueError):
             TrainConfig(iterations=0)
         with pytest.raises(ValueError):
@@ -74,6 +78,7 @@ class TestTrainConfig:
         ({"theta_rot": -1}, "thresholds must be nonnegative"),
         ({"memory_size": 0}, "max_slots must be at least 1"),
         ({"seed": -1}, "seed must be >= 0"),
+        ({"k": -1}, "k must be non-negative"),
     ])
     def test_bad_values_name_the_file(self, tmp_path, raw, why):
         path = str(tmp_path / "cfg.json")
@@ -291,17 +296,9 @@ class TestLossTotal:
 
 
 class TestAdam:
-    def test_zero_grad_zero_decay_unchanged(self):
-        p = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-        p.grad = np.zeros(3)
-        opt = Adam({"p": p}, weight_decay=0.0)
-        before = p.data.copy()
-        opt.step(lr=0.1)
-        assert np.array_equal(p.data, before)
-
     def test_none_grad_skipped_entirely(self):
         p = T.Tensor(np.array([1.0]), requires_grad=True)
-        opt = Adam({"p": p}, weight_decay=0.5)
+        opt = Adam({"p": p})
         opt.step(lr=0.1)
         assert p.data[0] == 1.0  # decay only applies to touched params
 
@@ -309,18 +306,18 @@ class TestAdam:
         g = np.array([2.0, -0.5])
         p = T.Tensor(np.array([1.0, 1.0]), requires_grad=True)
         p.grad = g.copy()
-        opt = Adam({"p": p}, weight_decay=0.0)
+        opt = Adam({"p": p})
         opt.step(lr=0.01)
         # bias correction cancels the (1-beta) factors on the first step
-        expect = np.array([1.0, 1.0]) - 0.01 * g / (np.abs(g) + 1e-8)
+        expect = (1.0 - 0.01 * ADAM_WEIGHT_DECAY) - 0.01 * g / (np.abs(g) + 1e-8)
         assert np.max(np.abs(p.data - expect)) < 1e-15
 
     def test_decay_applied_before_update(self):
         p = T.Tensor(np.array([10.0]), requires_grad=True)
         p.grad = np.zeros(1)
-        opt = Adam({"p": p}, weight_decay=4e-4)
+        opt = Adam({"p": p})
         opt.step(lr=0.5)
-        assert p.data[0] == 10.0 - 0.5 * 4e-4 * 10.0
+        assert p.data[0] == 10.0 - 0.5 * ADAM_WEIGHT_DECAY * 10.0
 
     def test_nonfinite_gradient_names_parameter(self):
         p = T.Tensor(np.array([1.0]), requires_grad=True)
@@ -351,7 +348,7 @@ class TestAdam:
         b = T.Tensor(np.array([1.0]), requires_grad=True)
         a.grad = np.array([1.0])
         b.grad = np.array([-1.0])
-        opt = Adam({"a": a, "b": b}, weight_decay=0.0)
+        opt = Adam({"a": a, "b": b})
         opt.step(lr=0.1)
         assert a.data[0] < 1.0 < b.data[0]
 
@@ -552,14 +549,6 @@ class TestTrain:
         data[0].frames[1][:] = np.nan
         with pytest.raises(TrainingDiverged):
             train(data, tiny_config(iterations=50))
-
-    def test_write_loss_csv(self, tmp_path):
-        path = str(tmp_path / "loss.csv")
-        write_loss_csv(path, [(0, 1.25, 2.5, 3.75), (1, 1.0, 2.0, 3.0)])
-        lines = open(path).read().splitlines()
-        assert lines[0] == "iteration,loss_local,loss_global,loss_total"
-        assert lines[1] == "0,1.25,2.5,3.75"
-        assert len(lines) == 3
 
 
 def sliding_window_infer_taped(model, frames, policy, window=11, stride=None):
