@@ -6,7 +6,7 @@ kernel coordinate against a central finite difference.
 
 import numpy as np
 
-from memvo.tensor import Tensor, add, conv2d, finite_diff_check, mul, tanh, tmean, tsum
+from memvo.tensor import Tensor, add, conv2d, div, finite_diff_check, mul, tanh, tsum
 
 rng = np.random.default_rng(0)
 x = Tensor(rng.normal(size=(1, 6, 6)))
@@ -15,7 +15,8 @@ bias = Tensor(np.zeros(2), requires_grad=True)
 
 
 def forward(_):
-    return tmean(tanh(conv2d(x, kernel, bias, stride=1, padding=1)))
+    out = tanh(conv2d(x, kernel, bias, stride=1, padding=1))
+    return div(tsum(out), float(out.data.size))
 
 
 loss = forward(None)

@@ -175,12 +175,13 @@ def save_trajectory(path, traj, fmt):
 def save_sequence(dirpath, frames, poses=None):
     """Write frames (T,C,H,W) and optional gt poses as a sequence container.
 
-    The frame rank, the pose count and every pose are checked before any
-    file is written.
+    The frame shape (rank 4, no empty extent), the pose count and every
+    pose are checked before any file is written.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 4:
-        raise ValueError("frames must be (T,C,H,W)")
+    if frames.ndim != 4 or 0 in frames.shape:
+        raise ValueError("frames must be (T,C,H,W) with every extent >= 1, got shape %s"
+                         % (frames.shape,))
     pose_file = None
     if poses is not None:
         if len(poses) != frames.shape[0]:
@@ -241,22 +242,13 @@ def load_sequence(dirpath):
 
 
 @dataclass
-class DriftSegment:
-    # a KITTI run scores tens of thousands of segments; slots keep each small
-    __slots__ = ("start", "length", "t_err", "r_err", "speed")
-    start: int
-    length: float
-    t_err: float  # ratio, error per meter
-    r_err: float  # radians per meter
-    speed: float  # meters per second
-
-
-@dataclass
 class KittiDriftResult:
     t_rel_percent: float
     r_rel_deg_per_100m: float
     per_length: list  # (length, t_rel_percent, r_rel_deg_per_100m, count)
-    segments: list
+    # one record per segment: start (int64); length, t_err (ratio, error per
+    # meter), r_err (radians per meter) and speed (meters per second), float64
+    segments: np.recarray
 
 
 def _aggregate(values, how):
@@ -271,6 +263,17 @@ def _drift_row(key, t_err, r_err, how):
     """(key, percent, deg/100m, count) of per-meter drift arrays, aggregated by how."""
     return (key, 100.0 * _aggregate(t_err, how),
             float(np.degrees(_aggregate(r_err, how)) * 100.0), len(t_err))
+
+
+def _drift_rows(keys, seg_keys, t_err, r_err, how):
+    """One _drift_row per key that some segment carries (seg_keys == float(key)),
+    in key order; each row names its key as given."""
+    rows = []
+    for key in keys:
+        sel = seg_keys == float(key)
+        if sel.any():
+            rows.append(_drift_row(key, t_err[sel], r_err[sel], how))
+    return rows
 
 
 def _pair_errors(est, est_inv, gt, gt_inv, i, j):
@@ -307,8 +310,9 @@ def kitti_drift(est, gt, lengths=KITTI_LENGTHS, step=1, aggregate="mean",
 
     est and gt are Trajectory objects, sequences of 4x4 poses or (N,4,4)
     stacks; their poses are validated once per call. lengths may come in any
-    order and must be finite and positive; every (start, length) that fits
-    is scored, and segments are listed start by start, in lengths order.
+    order and must be finite and positive, as must frame_hz; every
+    (start, length) that fits is scored. segments is a record array with one
+    record per segment, start by start, in lengths order.
     """
     est = est.poses if isinstance(est, Trajectory) else _pose_stack(est)
     gt = gt.poses if isinstance(gt, Trajectory) else _pose_stack(gt)
@@ -319,6 +323,8 @@ def kitti_drift(est, gt, lengths=KITTI_LENGTHS, step=1, aggregate="mean",
         raise ValueError("need at least 2 poses")
     if step < 1:
         raise ValueError("step must be positive")
+    if not (np.isfinite(frame_hz) and frame_hz > 0.0):
+        raise ValueError("frame_hz must be finite and positive, got %r" % (frame_hz,))
     lens = np.asarray(lengths, dtype=np.float64)
     if lens.ndim != 1 or not np.all(np.isfinite(lens) & (lens > 0.0)):
         raise ValueError("lengths must be finite and positive, got %r" % (lengths,))
@@ -334,27 +340,15 @@ def kitti_drift(est, gt, lengths=KITTI_LENGTHS, step=1, aggregate="mean",
     if not len(starts):
         raise ValueError("trajectory too short for any evaluation length")
     t_err, r_err = _pair_errors(est, est_inv, gt, gt_inv, starts, ends)
-    del est_inv, gt_inv  # not needed while the segment list is built
+    del est_inv, gt_inv  # not needed while the segment table is built
     seg_len = lens[which]
     t_err /= seg_len
     r_err /= seg_len
     speed = seg_len / ((ends - starts) / frame_hz)
-    per_length = []
-    for length, want in zip(lengths, lens):
-        sel = seg_len == want
-        if sel.any():
-            per_length.append(_drift_row(length, t_err[sel], r_err[sel], aggregate))
+    per_length = _drift_rows(lengths, seg_len, t_err, r_err, aggregate)
     t_rel, r_rel = _drift_row(None, t_err, r_err, aggregate)[1:3]
-    # Segments of one start share its int, and each refers to its length as
-    # given. Built a chunk at a time, so no whole-run list of floats sits
-    # beside the arrays.
-    start_of, length_of = first.tolist(), list(lengths)
-    segments = []
-    for a in range(0, len(starts), DRIFT_CHUNK):
-        part = slice(a, a + DRIFT_CHUNK)
-        segments.extend(map(DriftSegment, [start_of[i] for i in (starts[part] // step).tolist()],
-                            [length_of[k] for k in which[part].tolist()], t_err[part].tolist(),
-                            r_err[part].tolist(), speed[part].tolist()))
+    segments = np.rec.fromarrays([starts, seg_len, t_err, r_err, speed], formats="i8,f8,f8,f8,f8",
+                                 names="start,length,t_err,r_err,speed")
     return KittiDriftResult(t_rel, r_rel, per_length, segments)
 
 
@@ -458,7 +452,7 @@ def saliency_map(model, frames, policy, target=None, which="refined"):
         vec = result.track.rels[target - 1]
     else:
         raise ValueError("which must be 'refined' or 'tracking'")
-    T.tmean(vec).backward()
+    T.div(T.tsum(vec), float(vec.data.size)).backward()
     maps = []
     for leaf in leaves:
         if leaf.grad is None:
@@ -490,7 +484,6 @@ def error_vs_length_rows(result):
 
 def error_vs_speed_rows(result):
     header = ["speed_mps", "t_rel_percent", "r_rel_deg_per_100m", "segments"]
-    speed, t_err, r_err = np.array([(g.speed, g.t_err, g.r_err) for g in result.segments]).T
-    keys = np.round(speed / SPEED_BIN) * SPEED_BIN
-    return header, [_drift_row(key, t_err[keys == key], r_err[keys == key], "mean")
-                    for key in np.unique(keys).tolist()]
+    segs = result.segments
+    keys = np.round(segs.speed / SPEED_BIN) * SPEED_BIN
+    return header, _drift_rows(np.unique(keys).tolist(), keys, segs.t_err, segs.r_err, "mean")

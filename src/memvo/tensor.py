@@ -221,17 +221,6 @@ def tsum(a):
     return _make(np.sum(a.data), (a,), backward_fn)
 
 
-def tmean(a):
-    a = _as_tensor(a)
-    n = a.data.size
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accum(np.full_like(a.data, float(g) / n))
-
-    return _make(np.mean(a.data), (a,), backward_fn)
-
-
 def sqrt(a):
     a = _as_tensor(a)
     if np.any(a.data < 0.0):

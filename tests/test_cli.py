@@ -12,7 +12,7 @@ import memvo
 from memvo.cli import main
 from memvo.evaluation import (Trajectory, format_kitti, load_trajectory,
                               save_trajectory)
-from memvo.geometry import make_se3
+from memvo.geometry import euler_to_matrix, make_se3
 from memvo.net import VONet, save_checkpoint
 from memvo.votb import read_votb
 
@@ -337,6 +337,69 @@ class TestPlotData:
         assert speed[0] == "speed_mps,t_rel_percent,r_rel_deg_per_100m,segments"
         assert len(length) >= 2 and len(speed) >= 2
         assert "drift tables" in capsys.readouterr().out
+
+
+def rotating_walk_files(tmp_path):
+    """A fixed 900-pose walk that turns and changes speed, and an estimate
+    that drifts off it in scale, yaw, pitch and height. Closed form, no RNG."""
+    i = np.arange(900)
+    yaw = 0.6 * np.sin(i / 90.0)
+    step = 1.0 + 0.7 * np.sin(i / 120.0)
+    x, y = np.cumsum(step * np.cos(yaw)), np.cumsum(step * np.sin(yaw))
+    gt = [make_se3(euler_to_matrix((0.0, 0.0, yaw[k])), (x[k], y[k], 0.0)) for k in i]
+    est = [make_se3(euler_to_matrix((0.0, 0.001 * np.sin(k / 50.0), 1.01 * yaw[k])),
+                    (1.01 * x[k], y[k], 0.002 * k)) for k in i]
+    paths = []
+    for name, poses in (("gt.txt", gt), ("est.txt", est)):
+        paths.append(str(tmp_path / name))
+        with open(paths[-1], "w") as fh:
+            fh.write(format_kitti(poses))
+    return paths
+
+
+LENGTH_ROWS = """\
+length_m,t_rel_percent,r_rel_deg_per_100m,segments
+100,1.13365129,0.26164176,835
+200,1.07644157,0.17127374,754
+300,1.02791133,0.100707206,581
+400,1.03490287,0.0671582602,386
+500,1.03500452,0.0476769943,302
+600,1.06539182,0.0331461948,237
+700,1.08390624,0.0375388715,178
+800,1.05528148,0.0316681006,117
+"""
+
+
+class TestDriftCsvBytes:
+    """The drift CSVs of a fixed walk, digit for digit: a refactor of the
+    drift tables must not move any printed value."""
+
+    def test_eval_csv(self, tmp_path, capsys):
+        gt, est = rotating_walk_files(tmp_path)
+        csv = str(tmp_path / "metrics.csv")
+        assert main(["eval", "--format", "kitti", "--est", est, "--gt", gt, "--out", csv]) == 0
+        assert capsys.readouterr().out == (
+            "t_rel 1.07268 %  r_rel 0.137076 deg/100m over 3390 segments\n")
+        with open(csv) as fh:
+            assert fh.read() == LENGTH_ROWS + "all,1.07268355,0.137075643,3390\n"
+
+    def test_plot_data_csvs(self, tmp_path):
+        gt, est = rotating_walk_files(tmp_path)
+        out = str(tmp_path / "plots")
+        assert main(["plot-data", "--est", est, "--gt", gt, "--out", out]) == 0
+        with open(os.path.join(out, "error_vs_length.csv")) as fh:
+            assert fh.read() == LENGTH_ROWS
+        with open(os.path.join(out, "error_vs_speed.csv")) as fh:
+            assert fh.read() == """\
+speed_mps,t_rel_percent,r_rel_deg_per_100m,segments
+4,1.09982243,0.583332646,154
+6,1.01487632,0.199570745,512
+8,1.00801558,0.041114318,686
+10,1.09516892,0.065302949,728
+12,1.08901082,0.194943698,267
+14,1.0461162,0.174432785,420
+16,1.16932833,0.114953894,623
+"""
 
 
 class TestParser:

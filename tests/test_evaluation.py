@@ -1,13 +1,14 @@
 import json
 import os
 import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 import memvo.tensor as T
 from memvo.evaluation import (KITTI_LENGTHS, SPEED_BIN, STAMP_TOL_S, TUM_DELTA_S,
-                              DriftSegment, KittiDriftResult, Trajectory, _delta_pairs,
+                              KittiDriftResult, Trajectory, _delta_pairs,
                               _pair_errors, associate_stamps, error_vs_length_rows,
                               error_vs_speed_rows, export_csv, format_kitti, format_tum,
                               kitti_drift, load_sequence, load_trajectory,
@@ -82,12 +83,15 @@ def kitti_drift_reference(est, gt, lengths, step=1, aggregate="mean"):
     return 100.0 * agg(t_errs), np.degrees(agg(r_errs)) * 100.0
 
 
+LoopSegment = namedtuple("LoopSegment", "start length t_err r_err speed")
+
+
 def kitti_drift_loop(est, gt, lengths, step=1, frame_hz=10.0):
     """The per-segment loop kitti_drift ran before it was vectorised.
 
     It stopped at the first length that did not fit, which dropped segments
     when lengths were not ascending; here every fitting length is kept, as
-    the vectorised code does. Returns DriftSegments in (start, length) order.
+    the vectorised code does. Returns LoopSegments in (start, length) order.
     """
     gt_pos = np.array([p[:3, 3] for p in gt])
     dist = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(gt_pos, axis=0), axis=1))])
@@ -100,9 +104,9 @@ def kitti_drift_loop(est, gt, lengths, step=1, frame_hz=10.0):
             gt_rel = pose_inverse(gt[s]) @ gt[e]
             est_rel = pose_inverse(est[s]) @ est[e]
             err = pose_inverse(gt_rel) @ est_rel
-            segments.append(DriftSegment(s, length, float(np.linalg.norm(err[:3, 3])) / length,
-                                         rotation_angle(err[:3, :3]) / length,
-                                         length / ((e - s) / frame_hz)))
+            segments.append(LoopSegment(s, length, float(np.linalg.norm(err[:3, 3])) / length,
+                                        rotation_angle(err[:3, :3]) / length,
+                                        length / ((e - s) / frame_hz)))
     return segments
 
 
@@ -443,6 +447,14 @@ class TestSequenceContainer:
         with pytest.raises(ValueError, match="T,C,H,W"):
             save_sequence(str(tmp_path / "seq"), np.zeros((3, 4, 4)))
 
+    @pytest.mark.parametrize("shape", [(0, 3, 4, 4), (2, 3, 0, 4)])
+    def test_empty_extent_writes_nothing(self, tmp_path, shape):
+        d = str(tmp_path / "seq")
+        os.makedirs(d)
+        with pytest.raises(ValueError, match="every extent >= 1"):
+            save_sequence(d, np.zeros(shape))
+        assert os.listdir(d) == []
+
 
 class TestKittiDrift:
     def test_est_equals_gt_exactly_zero(self):
@@ -530,6 +542,12 @@ class TestKittiDrift:
         with pytest.raises(ValueError, match="lengths"):
             kitti_drift(gt, gt, lengths=lengths)
 
+    @pytest.mark.parametrize("frame_hz", [0.0, -10.0, np.nan, np.inf])
+    def test_bad_frame_hz_rejected(self, frame_hz):
+        gt = straight_line(200)
+        with pytest.raises(ValueError, match="frame_hz"):
+            kitti_drift(gt, gt, lengths=(100.0,), frame_hz=frame_hz)
+
     def test_non_finite_pose_rejected(self):
         gt = straight_line(200)
         est = [p.copy() for p in gt]
@@ -564,8 +582,9 @@ class TestKittiDrift:
         speeds = [0.9, 1.1, 3.0, 5.0, 4.9, 7.2, 2.99, 8.8]
         t_err = [0.01 * (i + 1) for i in range(len(speeds))]
         r_err = [0.001 * (i + 2) for i in range(len(speeds))]
-        segs = [DriftSegment(i, 100.0, t, r, v)
-                for i, (t, r, v) in enumerate(zip(t_err, r_err, speeds))]
+        segs = np.rec.fromrecords([(i, 100.0, t, r, v)
+                                   for i, (t, r, v) in enumerate(zip(t_err, r_err, speeds))],
+                                  names="start,length,t_err,r_err,speed")
         res = KittiDriftResult(0.0, 0.0, [], segs)
         bins = {0.0: [0], 2.0: [1, 6], 4.0: [2, 3, 4], 8.0: [5, 7]}
         want = [(key, 100.0 * np.mean([t_err[i] for i in idx]),
@@ -610,6 +629,29 @@ class TestVectorisedAgainstLoop:
             t_ref, r_ref = kitti_drift_reference(est, gt, lengths, step, agg)
             assert abs(res.t_rel_percent - t_ref) < 1e-9
             assert abs(res.r_rel_deg_per_100m - r_ref) < 1e-9
+
+    def test_segment_table_contract(self):
+        # the benchmark reads segments by len, by row attribute and by column
+        rng = np.random.default_rng(32)
+        gt = random_trajectory(rng, n=250)
+        est = perturb(rng, gt)
+        segs = kitti_drift(est, gt, lengths=(90.0, 40.0), step=2, frame_hz=7.0).segments
+        want = kitti_drift_loop(est, gt, (90.0, 40.0), step=2, frame_hz=7.0)
+        assert isinstance(segs, np.recarray)
+        assert segs.dtype.names == LoopSegment._fields
+        assert [segs.dtype[k] for k in range(5)] == ([np.dtype(np.int64)]
+                                                     + [np.dtype(np.float64)] * 4)
+        assert len(segs) == len(want) > 0
+        rows = list(segs)
+        assert len(rows) == len(want)
+        for name in LoopSegment._fields:
+            ref = np.array([getattr(w, name) for w in want])
+            assert np.array_equal([getattr(g, name) for g in rows], getattr(segs, name))
+            if name in ("start", "length"):
+                assert np.array_equal(getattr(segs, name), ref), name
+            else:
+                assert np.max(np.abs(getattr(segs, name) - ref)) < 1e-12, name
+        assert segs[0].speed == segs.speed[0]
 
     def _jittered(self, rng, n=400):
         """Stamps 1/64 s apart with delta 1 + 1/128 s: every target falls exactly
@@ -757,7 +799,8 @@ class TestSaliency:
         # training runs it: later frames reach that pose through no path
         model, frames, policy = self._setup(seed=2)
         leaves = [T.Tensor(f, requires_grad=True) for f in frames]
-        T.tmean(run_window(model, leaves, policy, detach_memory=True).abs_tensors[0]).backward()
+        pose = run_window(model, leaves, policy, detach_memory=True).abs_tensors[0]
+        T.div(T.tsum(pose), float(pose.data.size)).backward()
         assert leaves[0].grad is not None and np.any(leaves[0].grad != 0)
         assert leaves[1].grad is not None and np.any(leaves[1].grad != 0)
         assert all(leaf.grad is None or np.all(leaf.grad == 0) for leaf in leaves[2:])

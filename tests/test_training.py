@@ -684,7 +684,9 @@ class TestSlidingWindowInfer:
         sliding_window_infer(model, frames, self.policy, window=4, stride=1)
         assert T._grad_enabled
         res = run_window(model, frames[:4], self.policy)
-        T.add(T.tmean(res.track.rels[-1]), T.tmean(res.abs_tensors[-1])).backward()
+        rel, pose = res.track.rels[-1], res.abs_tensors[-1]
+        T.add(T.div(T.tsum(rel), float(rel.data.size)),
+              T.div(T.tsum(pose), float(pose.data.size))).backward()
         for name in ("encoder.l1.kernel", "track.kernel", "refine.kernel", "head.refine.weight"):
             g = model.params[name].grad
             assert g is not None and np.any(g != 0.0), name
