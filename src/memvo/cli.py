@@ -14,10 +14,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .evaluation import (FRAME_HZ, TRAJECTORY_FORMATS, error_vs_length_rows,
-                         error_vs_speed_rows, export_csv, kitti_drift, load_sequence,
-                         load_trajectory, saliency_map, save_sequence, save_trajectory,
-                         Trajectory, tum_rmse_drift)
+from .evaluation import (AGGREGATES, FRAME_HZ, SALIENCY_POSES, TRAJECTORY_FORMATS,
+                         error_vs_length_rows, error_vs_speed_rows, export_csv, kitti_drift,
+                         load_sequence, load_trajectory, saliency_map, save_sequence,
+                         save_trajectory, Trajectory, tum_rmse_drift)
 from .net import PRESETS, load_checkpoint, save_checkpoint
 from .synthetic import SyntheticSpec, generate_sequence
 from .training import TrainConfig, TrainingDiverged, sliding_window_infer, train
@@ -180,7 +180,7 @@ def build_parser():
     p.add_argument("--gt", required=True)
     p.add_argument("--out", default=None, help="optional metrics CSV")
     p.add_argument("--step", type=int, default=1, help="start-frame thinning (kitti)")
-    p.add_argument("--aggregate", choices=("mean", "rmse"), default="mean")
+    p.add_argument("--aggregate", choices=AGGREGATES, default="mean")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("saliency", help="input-pixel saliency maps for one pose")
@@ -190,7 +190,7 @@ def build_parser():
     p.add_argument("--config", default=None)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--frame", type=int, default=None, help="target frame index")
-    p.add_argument("--which", choices=("refined", "tracking"), default="refined")
+    p.add_argument("--which", choices=SALIENCY_POSES, default="refined")
     p.set_defaults(fn=_cmd_saliency)
 
     p = sub.add_parser("plot-data", help="drift-vs-length and drift-vs-speed tables")

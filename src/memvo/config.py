@@ -1,7 +1,8 @@
-"""The JSON reader/writer shared by configs, checkpoints and sequences."""
+"""The JSON reader/writer shared by configs, checkpoints and sequences, and the int check."""
 
 import json
 import math
+import numbers
 from dataclasses import asdict, fields
 
 
@@ -37,6 +38,13 @@ def _fits(value, kind):
     if isinstance(value, bool):
         return kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
+
+
+def check_int(name, value, low):
+    """value if it is an integer >= low (a bool is none), else ValueError naming name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError("%s must be an int >= %d, got %r" % (name, low, value))
+    return value
 
 
 class JsonConfig:

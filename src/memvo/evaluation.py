@@ -17,15 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import write_json
+from .config import check_int, write_json
 from .geometry import (StackError, apply_similarity, check_se3, matrix_to_quat,
                        pose_inverse, quat_to_matrix, rotation_angle, umeyama_align)
 from .training import run_window
-from .votb import MANIFEST, beside, manifest_blob, read_manifest, read_votb, write_votb
+from .votb import MANIFEST, beside, manifest_array, read_manifest, write_votb
 
 SEQUENCE_FORMAT = "memvo-sequence"
 SEQUENCE_VERSION = 1
 TRAJECTORY_FORMATS = ("kitti", "tum")
+AGGREGATES = ("mean", "rmse")  # how kitti_drift averages segment errors
+SALIENCY_POSES = ("refined", "tracking")  # the poses saliency_map can explain
 FRAME_HZ = 10.0  # frames per second: KITTI's camera rate, and the stamps cli infer writes
 SPEED_BIN = 2.0  # m/s width of the error-vs-speed bins
 KITTI_LENGTHS = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0)
@@ -224,13 +226,8 @@ def load_sequence(dirpath):
     names = manifest.get("frames")
     if not isinstance(names, list) or len(names) != sizes[0]:
         raise ValueError("%s: frames must list frame_count = %d names" % (mpath, sizes[0]))
-    frames = []
-    for t, name in enumerate(names):
-        path = manifest_blob(mpath, "frame %d" % t, name, tuple(sizes[1:]))
-        frames.append(read_votb(path))
-        if not np.all(np.isfinite(frames[-1])):
-            raise ValueError("%s: frame %d has non-finite values" % (path, t))
-    frames = np.array(frames)
+    frames = np.array([manifest_array(mpath, "frame %d" % t, name, tuple(sizes[1:]))
+                       for t, name in enumerate(names)])
     poses = None
     if manifest.get("pose_file"):
         traj = load_trajectory(beside(mpath, "pose_file", manifest["pose_file"]),
@@ -252,11 +249,10 @@ class KittiDriftResult:
 
 
 def _aggregate(values, how):
+    # how is one of AGGREGATES, checked by kitti_drift
     if how == "mean":
         return float(values.mean())
-    if how == "rmse":
-        return float(np.sqrt(np.mean(values * values)))
-    raise ValueError("aggregate must be 'mean' or 'rmse'")
+    return float(np.sqrt(np.mean(values * values)))
 
 
 def _drift_row(key, t_err, r_err, how):
@@ -309,11 +305,20 @@ def kitti_drift(est, gt, lengths=KITTI_LENGTHS, step=1, aggregate="mean",
     frames. Invariant to any rigid transform applied to both inputs.
 
     est and gt are Trajectory objects, sequences of 4x4 poses or (N,4,4)
-    stacks; their poses are validated once per call. lengths may come in any
-    order and must be finite and positive, as must frame_hz; every
-    (start, length) that fits is scored. segments is a record array with one
-    record per segment, start by start, in lengths order.
+    stacks; their poses are validated once per call, after the other
+    arguments. lengths may come in any order and must be finite and positive,
+    as must frame_hz; step is an int >= 1 and aggregate one of AGGREGATES.
+    Every (start, length) that fits is scored. segments is a record array
+    with one record per segment, start by start, in lengths order.
     """
+    check_int("step", step, 1)
+    if not (np.isfinite(frame_hz) and frame_hz > 0.0):
+        raise ValueError("frame_hz must be finite and positive, got %r" % (frame_hz,))
+    lens = np.asarray(lengths, dtype=np.float64)
+    if lens.ndim != 1 or not np.all(np.isfinite(lens) & (lens > 0.0)):
+        raise ValueError("lengths must be finite and positive, got %r" % (lengths,))
+    if aggregate not in AGGREGATES:
+        raise ValueError("aggregate must be one of %s, got %r" % (AGGREGATES, aggregate))
     est = est.poses if isinstance(est, Trajectory) else _pose_stack(est)
     gt = gt.poses if isinstance(gt, Trajectory) else _pose_stack(gt)
     if len(est) != len(gt):
@@ -321,13 +326,6 @@ def kitti_drift(est, gt, lengths=KITTI_LENGTHS, step=1, aggregate="mean",
     n = len(gt)
     if n < 2:
         raise ValueError("need at least 2 poses")
-    if step < 1:
-        raise ValueError("step must be positive")
-    if not (np.isfinite(frame_hz) and frame_hz > 0.0):
-        raise ValueError("frame_hz must be finite and positive, got %r" % (frame_hz,))
-    lens = np.asarray(lengths, dtype=np.float64)
-    if lens.ndim != 1 or not np.all(np.isfinite(lens) & (lens > 0.0)):
-        raise ValueError("lengths must be finite and positive, got %r" % (lengths,))
     est_inv, gt_inv = pose_inverse(est), pose_inverse(gt)
     seg = np.linalg.norm(np.diff(gt[:, :3, 3], axis=0), axis=1)
     dist = np.concatenate([[0.0], np.cumsum(seg)])
@@ -438,6 +436,8 @@ def saliency_map(model, frames, policy, target=None, which="refined"):
     input frame yields an (H,W) map: channel-max of |d scalar / d pixel|.
     Frames the target cannot depend on give all-zero maps.
     """
+    if which not in SALIENCY_POSES:
+        raise ValueError("which must be one of %s, got %r" % (SALIENCY_POSES, which))
     leaves = [T.Tensor(np.asarray(f, dtype=np.float64), requires_grad=True)
               for f in frames]
     result = run_window(model, leaves, policy, detach_memory=False)
@@ -446,12 +446,7 @@ def saliency_map(model, frames, policy, target=None, which="refined"):
         target = n_steps
     if not (1 <= target <= n_steps):
         raise ValueError("target must be a frame index in [1, %d]" % n_steps)
-    if which == "refined":
-        vec = result.abs_tensors[target - 1]
-    elif which == "tracking":
-        vec = result.track.rels[target - 1]
-    else:
-        raise ValueError("which must be 'refined' or 'tracking'")
+    vec = (result.abs_tensors if which == "refined" else result.track.rels)[target - 1]
     T.div(T.tsum(vec), float(vec.data.size)).backward()
     maps = []
     for leaf in leaves:

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .config import write_json
 from .geometry import Pose6DoF
-from .votb import MANIFEST, manifest_blob, read_manifest, read_votb, write_votb
+from .votb import MANIFEST, manifest_array, manifest_blob, read_manifest, write_votb
 
 CHECKPOINT_FORMAT = "memvo-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -336,9 +336,6 @@ def load_checkpoint(dirpath):
         raise ValueError("%s: checkpoint parameter set mismatch (missing %s, extra %s)"
                          % (mpath, sorted(missing), sorted(extra)))
     for name in entries:
-        path = manifest_blob(mpath, "parameter " + name, entries[name], views[name].shape)
-        data = read_votb(path)
-        if not np.all(np.isfinite(data)):
-            raise ValueError("%s: parameter %s has non-finite values" % (path, name))
+        data = manifest_array(mpath, "parameter " + name, entries[name], views[name].shape)
         views[name][...] = data  # in place: the gate blocks are views of the fused kernels
     return model

@@ -6,11 +6,15 @@ broadcasting the ops below document is allowed, everything else is a shape
 error. All math is float64 and single threaded, so repeated runs on the same
 machine are bit identical.
 
-A conv2d kernel with more output channels than output pixels gets its
-gradient once per backward, not once per use: each use queues its
-(g, im2col columns) pair on the kernel, and the walk multiplies the queue as
-one GEMM when it reaches the kernel. The walk drops each interior node's
-.grad once that node's backward has run, so afterwards only leaves hold one.
+An op's backward_fn(g) returns one gradient per parent, in parent order, or
+None where it has nothing to add; it writes no .grad itself. The walk adds
+each returned gradient into its parent's .grad, for parents that require one.
+A conv2d kernel with more output channels than output pixels is the one
+exception: its gradient is queued, not returned, and comes once per backward,
+not once per use. Each use queues its (g, im2col columns) pair on the kernel,
+and the walk multiplies the queue as one GEMM when it reaches the kernel. The
+walk drops each interior node's .grad once that node's backward has run, so
+afterwards only leaves hold one.
 """
 
 from contextlib import contextmanager
@@ -93,13 +97,15 @@ class Tensor:
     def backward(self):
         """Backpropagate from a scalar root, adding into every leaf's .grad.
 
-        In reverse topological order a node is reached only after every op
-        that uses it, so there its queued conv2d kernel gradients are
-        complete and are flushed as one GEMM, before its own backward runs.
-        After that its .grad is dropped; leaves keep theirs, so two
-        backward() calls add up. Any exit, also an exception, drops every
-        queue and interior .grad of the graph, so none leaks into the next
-        backward().
+        Each node's backward_fn returns one gradient per parent, None where
+        none is needed, and this loop alone adds them into the parents that
+        require one. A large conv2d kernel's gradient is queued on it
+        instead: in reverse topological order a node is reached only after
+        every op that uses it, so there its queue is complete and is flushed
+        as one GEMM, before its own backward runs. After that its .grad is
+        dropped; leaves keep theirs, so two backward() calls add up. Any
+        exit, also an exception, drops every queue and interior .grad of the
+        graph, so none leaks into the next backward().
         """
         if self.data.size != 1:
             raise ValueError("backward() root must be a scalar, got shape %s" % (self.shape,))
@@ -110,8 +116,11 @@ class Tensor:
                 if node._deferred:
                     node._flush()
                 if node._backward_fn is not None and node.grad is not None:
-                    node._backward_fn(node.grad)
+                    grads = node._backward_fn(node.grad)
                     node.grad = None
+                    for parent, g in zip(node._parents, grads):
+                        if g is not None and parent.requires_grad:
+                            parent._accum(g)
         finally:
             for node in order:
                 node._deferred = None
@@ -173,10 +182,7 @@ def add(a, b):
     out_data = a.data + b.data
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(_reduce_to(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_reduce_to(g, b.data.shape))
+        return _reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)
 
     return _make(out_data, (a, b), backward_fn)
 
@@ -187,10 +193,7 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(_reduce_to(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_reduce_to(g * a.data, b.data.shape))
+        return _reduce_to(g * b.data, a.data.shape), _reduce_to(g * a.data, b.data.shape)
 
     return _make(out_data, (a, b), backward_fn)
 
@@ -203,10 +206,8 @@ def div(a, b):
     out_data = a.data / b.data
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(_reduce_to(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
+        return (_reduce_to(g / b.data, a.data.shape),
+                _reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(out_data, (a, b), backward_fn)
 
@@ -215,8 +216,7 @@ def tsum(a):
     a = _as_tensor(a)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(np.full_like(a.data, float(g)))
+        return (np.full_like(a.data, float(g)),)
 
     return _make(np.sum(a.data), (a,), backward_fn)
 
@@ -228,10 +228,9 @@ def sqrt(a):
     out_data = np.sqrt(a.data)
 
     def backward_fn(g):
-        if a.requires_grad:
-            # subgradient 0 at the origin kink
-            safe = np.where(out_data > 0.0, out_data, 1.0)
-            a._accum(np.where(out_data > 0.0, g / (2.0 * safe), 0.0))
+        # subgradient 0 at the origin kink
+        safe = np.where(out_data > 0.0, out_data, 1.0)
+        return (np.where(out_data > 0.0, g / (2.0 * safe), 0.0),)
 
     return _make(out_data, (a,), backward_fn)
 
@@ -244,8 +243,7 @@ def sigmoid(a):
     out_data /= 1.0 + e
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(g * out_data * (1.0 - out_data))
+        return (g * out_data * (1.0 - out_data),)
 
     return _make(out_data, (a,), backward_fn)
 
@@ -255,8 +253,7 @@ def tanh(a):
     out_data = np.tanh(a.data)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(g * (1.0 - out_data * out_data))
+        return (g * (1.0 - out_data * out_data),)
 
     return _make(out_data, (a,), backward_fn)
 
@@ -308,23 +305,22 @@ def conv2d(x, kernel, bias, stride=1, padding=0):
     out_data += bias.data[:, None, None]
 
     def backward_fn(g):
+        dx = dk = None
         if kernel.requires_grad:
             if o > h_out * w_out:
                 kernel._defer(g, cols)
             else:
                 # g (O,H',W') x cols (C,k,k,H',W') -> (O,C,k,k)
-                kernel._accum(np.tensordot(g, cols, axes=([1, 2], [3, 4])))
+                dk = np.tensordot(g, cols, axes=([1, 2], [3, 4]))
         if x.requires_grad:
             dcols = np.tensordot(kernel.data, g, axes=([0], [0]))  # (C,k,k,H',W')
-            dxp = np.zeros_like(xp)
+            dx = np.zeros_like(xp)
             for di in range(k):
                 for dj in range(k):
-                    dxp[:, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride] += dcols[:, di, dj]
+                    dx[:, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride] += dcols[:, di, dj]
             if padding:
-                dxp = dxp[:, padding:hp - padding, padding:wp - padding]
-            x._accum(dxp)
-        if bias.requires_grad:
-            bias._accum(g.sum(axis=(1, 2)))
+                dx = dx[:, padding:hp - padding, padding:wp - padding]
+        return dx, dk, g.sum(axis=(1, 2))
 
     return _make(out_data, (x, kernel, bias), backward_fn)
 
@@ -342,10 +338,7 @@ def concat_channels(parts):
     splits = np.cumsum([p.data.shape[0] for p in parts])[:-1]
 
     def backward_fn(g):
-        pieces = np.split(g, splits, axis=0)
-        for p, piece in zip(parts, pieces):
-            if p.requires_grad:
-                p._accum(piece)
+        return np.split(g, splits, axis=0)
 
     return _make(out_data, tuple(parts), backward_fn)
 
@@ -363,10 +356,8 @@ def scale_channels(x, w):
     out_data = x.data * wb
 
     def backward_fn(g):
-        if x.requires_grad:
-            x._accum(g * wb)
-        if w.requires_grad:
-            w._accum(np.sum(g * x.data, axis=tail))
+        # x is the detached memory stack in training: skip its product
+        return (g * wb if x.requires_grad else None), np.sum(g * x.data, axis=tail)
 
     return _make(out_data, (x, w), backward_fn)
 
@@ -383,10 +374,7 @@ def weighted_sum(w, x):
     out_data = np.sum(wb * x.data, axis=0)
 
     def backward_fn(g):
-        if w.requires_grad:
-            w._accum(np.sum(g * x.data, axis=tuple(range(1, x.data.ndim))))
-        if x.requires_grad:
-            x._accum(wb * g)
+        return np.sum(g * x.data, axis=tuple(range(1, x.data.ndim))), wb * g
 
     return _make(out_data, (w, x), backward_fn)
 
@@ -413,11 +401,11 @@ def _cosine(a, b, reduce, op):
         gl = np.where(live, g, 0.0)
         coef = (gl / denom).reshape(tail)
         gout = gl * out_data
-        if a.requires_grad:
-            da = coef * b.data - (gout / np.where(live, na * na, 1.0)).reshape(tail) * a.data
-            a._accum(np.sum(da, axis=0) if lead else da)
-        if b.requires_grad:
-            b._accum(coef * a.data - (gout / np.where(live, nb * nb, 1.0)).reshape(tail) * b.data)
+        da = coef * b.data - (gout / np.where(live, na * na, 1.0)).reshape(tail) * a.data
+        db = None
+        if b.requires_grad:  # b is the detached memory stack in training
+            db = coef * a.data - (gout / np.where(live, nb * nb, 1.0)).reshape(tail) * b.data
+        return (np.sum(da, axis=0) if lead else da), db
 
     return _make(out_data, (a, b), backward_fn)
 
@@ -452,8 +440,7 @@ def global_avg_pool(x):
     out_data = x.data.mean(axis=(1, 2))
 
     def backward_fn(g):
-        if x.requires_grad:
-            x._accum(np.broadcast_to(g[:, None, None], x.data.shape) / (h * w))
+        return (np.broadcast_to(g[:, None, None], x.data.shape) / (h * w),)
 
     return _make(out_data, (x,), backward_fn)
 
@@ -468,12 +455,7 @@ def linear(weight, x, bias):
     out_data = weight.data @ x.data + bias.data
 
     def backward_fn(g):
-        if weight.requires_grad:
-            weight._accum(np.outer(g, x.data))
-        if x.requires_grad:
-            x._accum(weight.data.T @ g)
-        if bias.requires_grad:
-            bias._accum(g)
+        return np.outer(g, x.data), weight.data.T @ g, g
 
     return _make(out_data, (weight, x, bias), backward_fn)
 
@@ -485,8 +467,7 @@ def softmax(v):
     out_data = e / np.sum(e, axis=-1, keepdims=True)
 
     def backward_fn(g):
-        if v.requires_grad:
-            v._accum(out_data * (g - np.sum(g * out_data, axis=-1, keepdims=True)))
+        return (out_data * (g - np.sum(g * out_data, axis=-1, keepdims=True)),)
 
     return _make(out_data, (v,), backward_fn)
 
@@ -497,9 +478,7 @@ def stack(parts):
     out_data = np.stack([p.data for p in parts])  # ValueError on no parts or mixed shapes
 
     def backward_fn(g):
-        for p, piece in zip(parts, g):
-            if p.requires_grad:
-                p._accum(piece)
+        return list(g)
 
     return _make(out_data, tuple(parts), backward_fn)
 
@@ -515,10 +494,9 @@ def slice1d(v, start, stop):
     out_data = v.data[start:stop]
 
     def backward_fn(g):
-        if v.requires_grad:
-            full = np.zeros_like(v.data)
-            full[start:stop] = g
-            v._accum(full)
+        full = np.zeros_like(v.data)
+        full[start:stop] = g
+        return (full,)
 
     return _make(out_data, (v,), backward_fn)
 

@@ -13,7 +13,7 @@ from functools import reduce
 import numpy as np
 
 from . import tensor as T
-from .config import JsonConfig
+from .config import JsonConfig, check_int
 from .geometry import Pose6DoF, integrate_relative, pose_compose, pose_inverse, wrap_angle
 from .memory import MemoryBuffer, MemoryPolicy
 from .net import PRESETS, TrackResult, VONet
@@ -243,12 +243,10 @@ def sliding_window_infer(model, frames, policy, window=TrainConfig.window_length
     n = len(frames)
     if n < 2:
         raise ValueError("need at least 2 frames")
-    window = min(window, n)
-    if window < 2:
-        raise ValueError("window must cover at least 2 frames")
+    window = min(check_int("window", window, 2), n)
     if stride is None:
         stride = window - 1
-    if not (1 <= stride <= window - 1):
+    if check_int("stride", stride, 1) > window - 1:
         raise ValueError("stride must be in [1, window-1] so windows chain")
     starts = list(range(0, n - window + 1, stride))
     if starts[-1] != n - window:

@@ -102,3 +102,12 @@ def manifest_blob(mpath, what, fname, want):
     if shape != want:
         raise ValueError("%s: %s has shape %s, manifest wants %s" % (path, what, shape, want))
     return path
+
+
+def manifest_array(mpath, what, fname, want):
+    """The payload of manifest_blob(mpath, what, fname, want); NaN or inf raises ValueError."""
+    path = manifest_blob(mpath, what, fname, want)
+    data = read_votb(path)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("%s: %s has non-finite values" % (path, what))
+    return data

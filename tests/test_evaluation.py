@@ -6,6 +6,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+import memvo.evaluation as evaluation
 import memvo.tensor as T
 from memvo.evaluation import (KITTI_LENGTHS, SPEED_BIN, STAMP_TOL_S, TUM_DELTA_S,
                               KittiDriftResult, Trajectory, _delta_pairs,
@@ -559,10 +560,16 @@ class TestKittiDrift:
         gt = straight_line(200)
         with pytest.raises(ValueError, match="poses"):
             kitti_drift(gt[:-1], gt)
-        with pytest.raises(ValueError, match="step"):
-            kitti_drift(gt, gt, step=0)
+        for step in (0, 1.5, np.nan, "2", True):
+            with pytest.raises(ValueError, match="^step must be an int >= 1"):
+                kitti_drift(gt, gt, step=step)
+        numpy_step = kitti_drift(gt, gt, lengths=(100.0,), step=np.int64(3))
+        assert len(numpy_step.segments) == len(kitti_drift(gt, gt, lengths=(100.0,), step=3).segments)
         with pytest.raises(ValueError, match="aggregate"):
             kitti_drift(gt, gt, lengths=(100.0,), aggregate="median")
+        # the arguments are checked before any pose is
+        with pytest.raises(ValueError, match="aggregate"):
+            kitti_drift(gt[:-1], gt, aggregate="median")
         with pytest.raises(ValueError, match="too short"):
             kitti_drift(gt[:5], gt[:5])
 
@@ -805,10 +812,11 @@ class TestSaliency:
         assert leaves[1].grad is not None and np.any(leaves[1].grad != 0)
         assert all(leaf.grad is None or np.all(leaf.grad == 0) for leaf in leaves[2:])
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         model, frames, policy = self._setup(seed=3)
         with pytest.raises(ValueError, match="target"):
             saliency_map(model, frames, policy, target=0)
+        monkeypatch.setattr(evaluation, "run_window", None)  # which is checked before the window runs
         with pytest.raises(ValueError, match="which"):
             saliency_map(model, frames, policy, which="magic")
 

@@ -42,14 +42,13 @@ def conv2d_tensordot(x, kernel, bias, stride=1, padding=0):
     out_data = np.tensordot(kernel.data, cols, axes=([1, 2, 3], [0, 1, 2])) + bias.data[:, None, None]
 
     def backward_fn(g):
-        kernel._accum(np.tensordot(g, cols, axes=([1, 2], [3, 4])))
+        dk = np.tensordot(g, cols, axes=([1, 2], [3, 4]))
         dcols = np.tensordot(kernel.data, g, axes=([0], [0]))
         dxp = np.zeros_like(xp)
         for di in range(k):
             for dj in range(k):
                 dxp[:, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride] += dcols[:, di, dj]
-        x._accum(dxp[:, padding:hp - padding, padding:wp - padding])
-        bias._accum(g.sum(axis=(1, 2)))
+        return dxp[:, padding:hp - padding, padding:wp - padding], dk, g.sum(axis=(1, 2))
 
     return T._make(out_data, (x, kernel, bias), backward_fn)
 
@@ -239,6 +238,36 @@ def recurrent_graph(conv, kernel, x0, weights, steps=10):
     return T.tsum(T.mul(h, weights))
 
 
+TAPED_OPS = {"add", "mul", "div", "tsum", "sqrt", "sigmoid", "tanh", "conv2d", "concat_channels",
+             "scale_channels", "weighted_sum", "_cosine", "global_avg_pool", "linear", "softmax",
+             "stack", "slice1d"}
+# parent positions whose gradient an op skips when that parent is constant
+GUARDED = {"conv2d": (0, 1), "_cosine": (1,), "scale_channels": (0,)}
+
+
+def every_op_graph(seed):
+    """A scalar loss through every taped op, each op of two or more operands
+    taking a constant. Returns (loss, leaves). The first conv reads a
+    constant input with a small kernel (O = 2 <= H'*W' = 4, multiplied at
+    once); the second queues its kernel gradient (O = 8 > 4); the third has a
+    constant kernel that would be queued if it were not constant."""
+    rng = np.random.default_rng(seed)
+    k_small, kernel, bias, weight = (T.Tensor(rng.normal(size=shape), requires_grad=True)
+                                     for shape in ((2, 2, 3, 3), (8, 2, 3, 3), (8,), (6, 9)))
+    mem = rng.normal(size=(4, 9, 2, 2))
+    c0 = T.conv2d(rng.normal(size=(2, 4, 4)), k_small, np.zeros(2), stride=2, padding=1)
+    c1 = T.conv2d(c0, kernel, np.zeros(8), padding=1)
+    c2 = T.conv2d(T.tanh(c1), rng.normal(size=(8, 8, 1, 1)), bias)
+    cat = T.concat_channels([T.sigmoid(c2), rng.normal(size=(1, 2, 2))])
+    scaled = T.scale_channels(mem, T.softmax(T.channel_cosine(cat, mem)))
+    pooled = T.global_avg_pool(T.weighted_sum(rng.normal(size=4), scaled))
+    lin = T.linear(weight, pooled, rng.normal(size=6))
+    terms = T.mul(T.stack([T.tsum(T.slice1d(lin, 1, 4)), T.tsum(T.cosine_similarity(cat, mem)),
+                           T.Tensor(2.0)]), rng.normal(size=3))
+    loss = T.div(T.sqrt(T.add(T.tsum(T.mul(terms, terms)), 1.0)), 3.0)
+    return loss, (k_small, kernel, bias, weight)
+
+
 class TestDeferredKernelGradient:
     # kernel (8,8,3,3) on (8,2,2) maps: O = 8 > H'*W' = 4, so conv2d defers
     def arrays(self, seed):
@@ -328,6 +357,11 @@ class TestDeferredKernelGradient:
         assert k.grad is not None and x.grad is not None
         assert k2.grad is None and h.grad is None and loss.grad is None
         assert weights.grad is None  # a constant never gets one
+        # every op, each with a constant operand: only the leaves hold a .grad
+        loss, leaves = every_op_graph(45)
+        loss.backward()
+        for node in T._topo_order(loss):
+            assert (node.grad is not None) == any(node is leaf for leaf in leaves)
 
 
 class TestStructuralOps:
@@ -634,6 +668,24 @@ class TestBackwardMachinery:
         b = T.mul(x, 4.0)
         T.mul(a, b).backward()  # 12 x^2, d/dx = 24 x = 48
         assert np.allclose(x.grad, 48.0)
+
+    def test_each_backward_returns_one_gradient_per_parent(self):
+        loss, (_, kernel, _, _) = every_op_graph(46)
+        order = T._topo_order(loss)
+        taped = [node for node in order if node._backward_fn is not None]
+        ops = [node._backward_fn.__qualname__.split(".")[0] for node in taped]
+        assert set(ops) == TAPED_OPS
+        for node, op in zip(taped, ops):
+            grads = node._backward_fn(np.ones(node.shape))
+            assert len(grads) == len(node._parents)
+            for i, (parent, g) in enumerate(zip(node._parents, grads)):
+                if i in GUARDED.get(op, ()) and not parent.requires_grad:
+                    assert g is None
+                assert g is None or np.shape(g) == parent.shape
+            # no call writes a .grad; only the big leaf kernel's queue grows
+            assert all(n.grad is None for n in order)
+        assert len(kernel._deferred) == 1
+        assert all(n._deferred is None for n in order if n is not kernel)
 
     def test_finite_diff_check_flags_wrong_gradient(self):
         # a deliberately broken function: forward x^2 but we check against x^3's grad

@@ -594,6 +594,12 @@ class TestSlidingWindowInfer:
             self._infer(9, window=4, stride=0)
         with pytest.raises(ValueError):
             self._infer(9, window=4, stride=4)
+        for stride in (1.5, np.nan, "2", True):
+            with pytest.raises(ValueError, match="^stride must be an int >= 1"):
+                self._infer(9, window=4, stride=stride)
+        for window in (1, 5.5, np.nan, "4", True):
+            with pytest.raises(ValueError, match="^window must be an int >= 2"):
+                self._infer(9, window=window)
 
     def test_stride_one_still_covers_all_frames(self):
         traj = self._infer(6, window=3, stride=1)

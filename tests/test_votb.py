@@ -1,9 +1,24 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from memvo.votb import MAGIC, read_votb, write_votb
+from memvo.votb import MAGIC, MANIFEST, manifest_array, read_votb, write_votb
+
+
+class TestManifestArray:
+    def test_returns_the_payload_and_refuses_non_finite_values(self, tmp_path):
+        mpath = str(tmp_path / MANIFEST)
+        arr = np.arange(6.0).reshape(2, 3)
+        write_votb(tmp_path / "a.votb", arr)
+        assert manifest_array(mpath, "blob a", "a.votb", (2, 3)).tobytes() == arr.tobytes()
+        for bad in (np.nan, np.inf, -np.inf):
+            arr[1, 2] = bad
+            write_votb(tmp_path / "a.votb", arr)
+            blob = str(tmp_path / "a.votb")
+            with pytest.raises(ValueError, match="^%s: blob a has non-finite values$" % re.escape(blob)):
+                manifest_array(mpath, "blob a", "a.votb", (2, 3))
 
 
 class TestRoundTrip:
