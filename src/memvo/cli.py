@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .config import check_int
 from .evaluation import (AGGREGATES, FRAME_HZ, SALIENCY_POSES, TRAJECTORY_FORMATS,
                          error_vs_length_rows, error_vs_speed_rows, export_csv, kitti_drift,
                          load_sequence, load_trajectory, saliency_map, save_sequence,
@@ -120,7 +121,7 @@ def _cmd_saliency(args):
     model = load_checkpoint(args.ckpt)
     frames, _ = load_sequence(args.data)
     policy, window, _ = _policy_and_window(args)
-    frames = frames[:min(len(frames), window)]
+    frames = frames[:min(len(frames), check_int("window", window, 2))]
     maps = saliency_map(model, list(frames), policy, target=args.frame,
                         which=args.which)
     os.makedirs(args.out, exist_ok=True)

@@ -1,4 +1,4 @@
-"""The JSON reader/writer shared by configs, checkpoints and sequences, and the int check."""
+"""The JSON reader/writer of configs, checkpoints and sequences, and the int and field checks."""
 
 import json
 import math
@@ -33,18 +33,20 @@ def write_json(path, obj):
         fh.write(text + "\n")
 
 
-def _fits(value, kind):
-    # a JSON bool is a Python int but no valid int; an int is a valid float
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
 def check_int(name, value, low):
     """value if it is an integer >= low (a bool is none), else ValueError naming name."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError("%s must be an int >= %d, got %r" % (name, low, value))
     return value
+
+
+def check_fields(config):
+    """ValueError naming the first field not of its annotated type (an int or float is no bool)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = {int: numbers.Integral, float: numbers.Real}.get(f.type, f.type)
+        if not isinstance(value, kind) or isinstance(value, bool) and f.type is not bool:
+            raise ValueError("%s must be %s, got %r" % (f.name, f.type.__name__, value))
 
 
 class JsonConfig:
@@ -55,20 +57,12 @@ class JsonConfig:
 
     @classmethod
     def from_json(cls, path):
-        """Load one JSON object; every bad input raises ValueError("<path>: ...").
-
-        Rejected: malformed JSON, unknown fields, values of the wrong JSON
-        type and values the constructor refuses.
-        """
+        """Load one JSON object; malformed JSON, an unknown field or a value the
+        constructor refuses (check_fields: a wrong type) raises ValueError("<path>: ...")."""
         raw = read_json(path)
-        kinds = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(raw) - set(kinds))
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError("%s: unknown fields %s" % (path, unknown))
-        for name, value in raw.items():
-            if not _fits(value, kinds[name]):
-                raise ValueError("%s: %s must be %s, got %r"
-                                 % (path, name, kinds[name].__name__, value))
         try:
             return cls(**raw)
         except (TypeError, ValueError) as exc:

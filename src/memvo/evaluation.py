@@ -220,9 +220,11 @@ def load_sequence(dirpath):
     files raise a ValueError naming dirpath or the file at fault.
     """
     mpath, manifest = read_manifest(dirpath, SEQUENCE_FORMAT, SEQUENCE_VERSION)
-    sizes = [manifest.get(k) for k in ("frame_count", "channels", "height", "width")]
-    if not all(type(v) is int and v >= 1 for v in sizes):
-        raise ValueError("%s: frame_count, channels, height and width must be ints >= 1" % mpath)
+    try:
+        sizes = [check_int(k, manifest.get(k), 1)
+                 for k in ("frame_count", "channels", "height", "width")]
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (mpath, exc)) from None
     names = manifest.get("frames")
     if not isinstance(names, list) or len(names) != sizes[0]:
         raise ValueError("%s: frames must list frame_count = %d names" % (mpath, sizes[0]))
@@ -438,14 +440,13 @@ def saliency_map(model, frames, policy, target=None, which="refined"):
     """
     if which not in SALIENCY_POSES:
         raise ValueError("which must be one of %s, got %r" % (SALIENCY_POSES, which))
+    n_steps = len(frames) - 1
+    target = n_steps if target is None else check_int("target", target, 1)
+    if target > n_steps:
+        raise ValueError("target must be a frame index in [1, %d]" % n_steps)
     leaves = [T.Tensor(np.asarray(f, dtype=np.float64), requires_grad=True)
               for f in frames]
     result = run_window(model, leaves, policy, detach_memory=False)
-    n_steps = len(result.abs_tensors)
-    if target is None:
-        target = n_steps
-    if not (1 <= target <= n_steps):
-        raise ValueError("target must be a frame index in [1, %d]" % n_steps)
     vec = (result.abs_tensors if which == "refined" else result.track.rels)[target - 1]
     T.div(T.tsum(vec), float(vec.data.size)).backward()
     maps = []

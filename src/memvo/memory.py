@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import check_fields
 from .geometry import check_se3, matrix_to_euler, pose_inverse
 
 
@@ -24,6 +25,7 @@ class MemoryPolicy:
     require_both: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         if not (self.theta_rot >= 0 and self.theta_trans >= 0):  # NaN fails too
             raise ValueError("thresholds must be nonnegative")
         if self.max_slots < 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .config import write_json
+from .config import check_fields, check_int, write_json
 from .geometry import Pose6DoF
 from .votb import MANIFEST, manifest_array, manifest_blob, read_manifest, write_votb
 
@@ -29,6 +29,10 @@ class EncoderLayer:
     out_channels: int
     kernel: int
     stride: int
+
+    def __post_init__(self):  # check_int checks the type too
+        for name in ("out_channels", "kernel", "stride"):
+            check_int(name, getattr(self, name), 1)
 
     @property
     def padding(self):
@@ -45,6 +49,9 @@ class EncoderConfig:
     in_channels: int = field(default=2 * FRAME_CHANNELS, init=False)
 
     def __post_init__(self):
+        check_fields(self)
+        check_int("height", self.height, 1)
+        check_int("width", self.width, 1)
         if len(self.layers) != 9:
             raise ValueError("encoder takes exactly 9 layers, got %d" % len(self.layers))
         down = self.total_stride
@@ -91,15 +98,12 @@ class EncoderConfig:
         rows = d.get("layers") if isinstance(d, dict) else None
         if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == 3 for r in rows):
             raise ValueError("config needs 'layers' rows of [out_channels, kernel, stride]")
-        sizes = [d.get("height"), d.get("width")]
-        if not all(type(v) is int and v >= 1 for v in sizes + [v for r in rows for v in r]):
-            raise ValueError("config sizes must be ints >= 1")
         channels = d.get("in_channels", cls.in_channels)
-        if type(channels) is not int or channels != cls.in_channels:
+        if check_int("in_channels", channels, 1) != cls.in_channels:
             raise ValueError("in_channels must be %d (two %d-channel frames), got %r"
                              % (cls.in_channels, FRAME_CHANNELS, channels))
         layers = tuple(EncoderLayer(*row) for row in rows)
-        return cls(height=sizes[0], width=sizes[1], layers=layers)
+        return cls(height=d.get("height"), width=d.get("width"), layers=layers)
 
 
 def _layers(channels, kernels, strides):
@@ -148,7 +152,7 @@ class VONet:
             config = PRESETS[preset]
         self.preset = preset
         self.config = config
-        self.seed = int(seed)
+        self.seed = int(check_int("seed", seed, 0))  # a numpy int would not serialise
         self.hidden = config.out_channels
         self.extents = config.out_extents
         self.params = OrderedDict()
@@ -316,10 +320,11 @@ def load_checkpoint(dirpath):
     info, entries = manifest.get("model"), manifest.get("params")
     if not isinstance(info, dict) or not isinstance(entries, dict):
         raise ValueError("%s: manifest needs a 'model' and a 'params' object" % mpath)
-    preset, seed = info.get("preset", "custom"), info.get("seed", 0)
-    if not isinstance(preset, str) or type(seed) is not int or seed < 0:
-        raise ValueError("%s: model preset must be a string and seed an int >= 0" % mpath)
+    preset = info.get("preset", "custom")
     try:
+        if not isinstance(preset, str):
+            raise ValueError("preset must be a string, got %r" % (preset,))
+        seed = check_int("seed", info.get("seed", 0), 0)
         config = EncoderConfig.from_dict(info.get("config"))
     except ValueError as exc:
         raise ValueError("%s: bad model config: %s" % (mpath, exc)) from None

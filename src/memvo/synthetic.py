@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import JsonConfig
+from .config import JsonConfig, check_fields, check_int
 from .geometry import euler_to_matrix, make_se3
 from .net import FRAME_CHANNELS
 
@@ -35,6 +35,7 @@ class SyntheticSpec(JsonConfig):
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.frames < 2:
             raise ValueError("need at least 2 frames")
         if self.height < 1 or self.width < 1:
@@ -116,5 +117,7 @@ def generate_sequence(spec):
 
 def generate_dataset(n_sequences, base_spec, seed=0):
     """n sequences sharing base_spec shape, each with its own derived seed."""
+    check_int("n_sequences", n_sequences, 1)
+    check_int("seed", seed, 0)
     return [generate_sequence(replace(base_spec, seed=seed * 100003 + i))
             for i in range(n_sequences)]

@@ -13,7 +13,7 @@ from functools import reduce
 import numpy as np
 
 from . import tensor as T
-from .config import JsonConfig, check_int
+from .config import JsonConfig, check_fields, check_int
 from .geometry import Pose6DoF, integrate_relative, pose_compose, pose_inverse, wrap_angle
 from .memory import MemoryBuffer, MemoryPolicy
 from .net import PRESETS, TrackResult, VONet
@@ -43,6 +43,7 @@ class TrainConfig(JsonConfig):
     memory_require_both: bool = MemoryPolicy.require_both
 
     def __post_init__(self):
+        check_fields(self)
         if self.window_length < 2:
             raise ValueError("window_length must be at least 2")
         if self.seed < 0:

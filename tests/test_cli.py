@@ -322,6 +322,17 @@ class TestSaliency:
         assert rc == 1
         assert "target" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["-1", "1"])
+    def test_bad_window_errors_before_any_map(self, tmp_path, capsys, window):
+        data = make_container(tmp_path)
+        ckpt = make_checkpoint(tmp_path)
+        out = str(tmp_path / "sal")
+        rc = main(["saliency", "--ckpt", ckpt, "--data", data, "--out", out,
+                   "--window", window])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: window must be an int >= 2, got %s\n" % window
+        assert not os.path.exists(out)
+
 
 class TestPlotData:
     def test_writes_both_tables(self, tmp_path, capsys):

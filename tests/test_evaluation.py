@@ -410,8 +410,8 @@ class TestSequenceContainer:
     @pytest.mark.parametrize("changes, why", [
         ({"frames": 5}, "frames must list"),
         ({"frames": ["frame_0000.votb"]}, "frames must list"),
-        ({"height": "4"}, "ints >= 1"),
-        ({"frame_count": 0, "frames": []}, "ints >= 1"),
+        ({"height": "4"}, "height must be an int >= 1"),
+        ({"frame_count": 0, "frames": []}, "frame_count must be an int >= 1"),
         ({"version": 2}, "version 2"),
         ({"format": "memvo-checkpoint"}, "not a memvo-sequence manifest"),
     ])
@@ -814,11 +814,15 @@ class TestSaliency:
 
     def test_validation(self, monkeypatch):
         model, frames, policy = self._setup(seed=3)
-        with pytest.raises(ValueError, match="target"):
-            saliency_map(model, frames, policy, target=0)
-        monkeypatch.setattr(evaluation, "run_window", None)  # which is checked before the window runs
+        # which and target are checked before the window runs
+        monkeypatch.setattr(evaluation, "run_window", None)
         with pytest.raises(ValueError, match="which"):
             saliency_map(model, frames, policy, which="magic")
+        for target in (0, -1, 1.5, True, "2", float("nan")):
+            with pytest.raises(ValueError, match="^target must be an int >= 1"):
+                saliency_map(model, frames, policy, target=target)
+        with pytest.raises(ValueError, match=re.escape("target must be a frame index in [1, 4]")):
+            saliency_map(model, frames, policy, target=5)
 
 
 class TestExportCsv:

@@ -125,10 +125,16 @@ class TestEncoderConfig:
 
 
 class TestInit:
+    @pytest.mark.parametrize("seed", [1.5, True, "3", -1, None])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an int >= 0"):
+            VONet(preset="tiny", seed=seed)
+
     def test_seed_determinism(self):
         a = VONet(preset="tiny", seed=5)
         b = VONet(preset="tiny", seed=5)
         c = VONet(preset="tiny", seed=6)
+        assert type(VONet(preset="tiny", seed=np.int64(5)).seed) is int  # JSON-serialisable
         for name in a.params:
             assert np.array_equal(a.params[name].data, b.params[name].data)
         assert any(not np.array_equal(a.params[n].data, c.params[n].data) for n in a.params)
@@ -433,6 +439,28 @@ class TestCheckpoint:
         with open(mpath, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(ValueError, match=re.escape(mpath) + ": bad model config"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, why", [
+        ("seed", "3", "seed must be an int >= 0"),
+        ("seed", -1, "seed must be an int >= 0"),
+        ("preset", 3, "preset must be a string"),
+        ("height", 0, "height must be an int >= 1"),
+        ("width", True, "width must be int"),
+        ("row", [0, 3, 1], "out_channels must be an int >= 1"),
+        ("row", [2, 3, 1.0], "stride must be an int >= 1"),
+        ("in_channels", 6.0, "in_channels must be an int >= 1"),
+    ])
+    def test_bad_model_value_names_the_manifest(self, tmp_path, key, value, why):
+        path, mpath, manifest = self._saved_manifest(tmp_path)
+        model = manifest["model"]
+        if key == "row":
+            model["config"]["layers"][0] = value
+        else:
+            (model if key in ("seed", "preset") else model["config"])[key] = value
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match="^" + re.escape(mpath + ": bad model config: " + why)):
             load_checkpoint(path)
 
     def test_wrong_in_channels_names_the_manifest(self, tmp_path):

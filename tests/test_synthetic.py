@@ -182,6 +182,14 @@ class TestDataset:
         assert len(set(seeds)) == 4
         assert not np.array_equal(data[0].frames, data[1].frames)
 
+    @pytest.mark.parametrize("n, seed, name", [
+        (-1, 0, "n_sequences"), (0, 0, "n_sequences"), (2.5, 0, "n_sequences"),
+        (True, 0, "n_sequences"), (1, -1, "seed"), (1, 0.5, "seed"), (1, "1", "seed"),
+    ])
+    def test_bad_count_or_seed_named(self, n, seed, name):
+        with pytest.raises(ValueError, match="^%s must be an int" % name):
+            generate_dataset(n, SyntheticSpec(frames=2, height=8, width=8), seed=seed)
+
     def test_deterministic(self):
         base = SyntheticSpec(frames=3, height=16, width=16)
         a = generate_dataset(2, base, seed=5)
