@@ -90,8 +90,5 @@ class MemoryBuffer:
             self.slots.pop(0)
         return True
 
-    def snapshot(self):
-        return list(self.slots)
-
     def frames(self):
         return [s.frame for s in self.slots]

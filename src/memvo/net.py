@@ -20,7 +20,7 @@ from .geometry import Pose6DoF
 from .votb import MANIFEST, manifest_array, manifest_blob, read_manifest, write_votb
 
 CHECKPOINT_FORMAT = "memvo-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1, one blob per ConvLSTM gate, is still read
 FRAME_CHANNELS = 3  # RGB
 
 
@@ -52,6 +52,8 @@ class EncoderConfig:
         check_fields(self)
         check_int("height", self.height, 1)
         check_int("width", self.width, 1)
+        if not all(isinstance(layer, EncoderLayer) for layer in self.layers):
+            raise ValueError("layers must be EncoderLayer entries, got %r" % (self.layers,))
         if len(self.layers) != 9:
             raise ValueError("encoder takes exactly 9 layers, got %d" % len(self.layers))
         down = self.total_stride
@@ -132,6 +134,12 @@ PRESETS = {
 }
 
 
+def _check_preset(preset):
+    if not isinstance(preset, str):
+        raise ValueError("preset must be a string, got %r" % (preset,))
+    return preset
+
+
 def glorot(rng, shape, fan_in, fan_out):
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
@@ -146,6 +154,7 @@ class VONet:
     """
 
     def __init__(self, preset="desk", seed=0, config=None):
+        _check_preset(preset)  # a checkpoint records it even when config is given
         if config is None:
             if preset not in PRESETS:
                 raise ValueError("unknown preset %r (have %s)" % (preset, sorted(PRESETS)))
@@ -276,7 +285,8 @@ def _v1_views(model):
     """(v1 checkpoint name, writable view) of every parameter, in model order.
 
     A ConvLSTM kernel (4h, 2h, 3, 3) stacks gates i, f, o, g on axis 0 and x, h
-    on axis 1; v1 stores each gate block of it and of the (4h,) bias as a blob.
+    on axis 1; v1 stored each gate block of it and of the (4h,) bias as a blob.
+    The init draws the gate blocks in this order too.
     """
     h = model.hidden
     for name, p in model.params.items():
@@ -294,12 +304,12 @@ def _v1_views(model):
 
 
 def save_checkpoint(model, dirpath):
-    """Write one VOTB blob per v1 parameter (per ConvLSTM gate) plus a JSON manifest."""
+    """Write one VOTB blob per entry of model.params, named as there, plus a JSON manifest."""
     os.makedirs(dirpath, exist_ok=True)
     entries = {}
-    for name, data in _v1_views(model):
+    for name, p in model.params.items():
         fname = name + ".votb"
-        write_votb(os.path.join(dirpath, fname), data)
+        write_votb(os.path.join(dirpath, fname), p.data)
         entries[name] = fname
     manifest = {
         "format": CHECKPOINT_FORMAT,
@@ -315,15 +325,13 @@ def save_checkpoint(model, dirpath):
 
 
 def load_checkpoint(dirpath):
-    """Rebuild a VONet from save_checkpoint output, bit exact; bad files raise ValueError."""
-    mpath, manifest = read_manifest(dirpath, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
+    """Rebuild a VONet from a version 1 or 2 checkpoint, bit exact; bad files raise ValueError."""
+    mpath, manifest = read_manifest(dirpath, CHECKPOINT_FORMAT, (1, CHECKPOINT_VERSION))
     info, entries = manifest.get("model"), manifest.get("params")
     if not isinstance(info, dict) or not isinstance(entries, dict):
         raise ValueError("%s: manifest needs a 'model' and a 'params' object" % mpath)
-    preset = info.get("preset", "custom")
     try:
-        if not isinstance(preset, str):
-            raise ValueError("preset must be a string, got %r" % (preset,))
+        preset = _check_preset(info.get("preset", "custom"))
         seed = check_int("seed", info.get("seed", 0), 0)
         config = EncoderConfig.from_dict(info.get("config"))
     except ValueError as exc:
@@ -334,7 +342,8 @@ def load_checkpoint(dirpath):
         name = "encoder.l%d.kernel" % i
         manifest_blob(mpath, "parameter " + name, entries.get(name), want)
     model = VONet(preset=preset, seed=seed, config=config)
-    views = dict(_v1_views(model))
+    views = (dict(_v1_views(model)) if manifest["version"] == 1
+             else {name: p.data for name, p in model.params.items()})
     missing = set(views) - set(entries)
     extra = set(entries) - set(views)
     if missing or extra:
@@ -342,5 +351,5 @@ def load_checkpoint(dirpath):
                          % (mpath, sorted(missing), sorted(extra)))
     for name in entries:
         data = manifest_array(mpath, "parameter " + name, entries[name], views[name].shape)
-        views[name][...] = data  # in place: the gate blocks are views of the fused kernels
+        views[name][...] = data  # in place: v1 gate blocks are views, and a fresh array costs RSS
     return model

@@ -55,19 +55,18 @@ def refine_sequence(model, feats, slots):
     feats are the encoded pair features X_1..X_N from the tracking pass;
     slots, the window's selected memory, are stacked once (an empty list
     raises ValueError). Step t is guided by the refined output of step t-1
-    (zeros at the start). Returns (absolute pose tensors, refined output
-    maps), one per step; step t gives frame t's pose in frame 0 coordinates.
+    (zeros at the start). Returns the absolute pose tensors, one per step;
+    step t gives frame t's pose in frame 0 coordinates.
     """
     memory = T.stack([s.state for s in slots])
     h, c = model.zero_state()
     guidance = T.Tensor(np.zeros((model.hidden,) + model.extents))
-    abs_poses, outs = [], []
+    abs_poses = []
     for feat in feats:
         mem = guided_memory(guidance, memory)
         obs = guided_observation(guidance, feat)
         fused = model.fuse(mem, obs)
         h, c = model.refine_step(fused, h, c)
         abs_poses.append(model.pose_head("refine", h))
-        outs.append(h)
         guidance = h
-    return abs_poses, outs
+    return abs_poses

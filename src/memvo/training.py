@@ -167,7 +167,7 @@ def run_window(model, frames, policy, detach_memory=True, feats=None):
     poses = integrate_relative(track.rel_poses())
     for t, out in enumerate(track.outs, start=1):
         buffer.observe(out, poses[t], frame=t, detach=detach_memory)
-    abs_tensors = refine_sequence(model, track.feats, buffer.snapshot())[0]
+    abs_tensors = refine_sequence(model, track.feats, buffer.slots)
     return WindowResult(track, buffer, abs_tensors)
 
 

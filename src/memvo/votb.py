@@ -74,15 +74,15 @@ def read_votb(path):
     return flat.reshape(extents).copy()
 
 
-def read_manifest(dirpath, fmt, version):
-    """(path, object) of dirpath's manifest, which must declare fmt at version."""
+def read_manifest(dirpath, fmt, versions):
+    """(path, object) of dirpath's manifest, which must declare fmt at one of versions."""
     mpath = os.path.join(dirpath, MANIFEST)
     if not os.path.isfile(mpath):
         raise ValueError("%s: no %s manifest" % (dirpath, fmt))
     manifest = read_json(mpath)
     if manifest.get("format") != fmt:
         raise ValueError("%s: not a %s manifest" % (mpath, fmt))
-    if manifest.get("version") != version:
+    if manifest.get("version") not in versions:
         raise ValueError("%s: unsupported %s version %r" % (mpath, fmt, manifest.get("version")))
     return mpath, manifest
 

@@ -39,6 +39,7 @@ BASES = {
     (EncoderConfig, "height", 0),
     (EncoderConfig, "width", "32"),
     (EncoderConfig, "layers", list(PRESETS["tiny"].layers)),
+    (EncoderConfig, "layers", (1,) * 9),
 ])
 def test_bad_field_type_or_size_named_when_built_and_replaced(cls, name, bad):
     base = BASES[cls]

@@ -3,8 +3,7 @@ import pytest
 
 import memvo.tensor as T
 from memvo.geometry import euler_to_matrix, make_se3, matrix_to_euler
-from memvo.memory import (MemoryBuffer, MemoryPolicy, MemorySlot,
-                          motion_since, should_store)
+from memvo.memory import MemoryBuffer, MemoryPolicy, motion_since, should_store
 
 
 def pose_xyz_yaw(x, y, z, yaw):
@@ -121,7 +120,7 @@ class TestBuffer:
         y = T.tanh(x)
         buf = MemoryBuffer(MemoryPolicy())
         buf.observe(y, np.eye(4), frame=0)
-        slot = buf.snapshot()[0]
+        slot = buf.slots[0]
         assert slot.state.requires_grad is False
         assert np.array_equal(slot.state.data, y.data)
 
@@ -130,17 +129,10 @@ class TestBuffer:
         y = T.tanh(x)
         buf = MemoryBuffer(MemoryPolicy())
         buf.observe(y, np.eye(4), frame=0, detach=False)
-        slot = buf.snapshot()[0]
+        slot = buf.slots[0]
         assert slot.state is y
         T.tsum(slot.state).backward()
         assert x.grad is not None
-
-    def test_snapshot_is_shallow_copy(self):
-        buf = MemoryBuffer(MemoryPolicy())
-        buf.observe(state(), np.eye(4), frame=0)
-        snap = buf.snapshot()
-        snap.append(MemorySlot(frame=9, state=state(), anchor=np.eye(4)))
-        assert len(buf) == 1
 
     def test_invalid_pose_rejected(self):
         buf = MemoryBuffer(MemoryPolicy())

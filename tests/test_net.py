@@ -159,6 +159,11 @@ class TestInit:
         with pytest.raises(ValueError):
             VONet(preset="jumbo")
 
+    def test_preset_must_be_a_string_also_with_a_config(self):
+        # the checkpoint manifest records the preset, and its loader refuses a non-string
+        with pytest.raises(ValueError, match="^preset must be a string, got 3"):
+            VONet(preset=3, config=PRESETS["tiny"])
+
 
 class TestEncoder:
     def test_zero_frames_zero_biases_give_zero_features(self):
@@ -381,26 +386,56 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="manifest"):
             load_checkpoint(str(tmp_path))
 
-    def test_v1_directory_loads_bit_exactly(self, tmp_path):
+    def test_one_blob_per_parameter_at_version_2(self, tmp_path):
+        model = VONet(preset="tiny", seed=0)
+        path, _ = self._roundtrip(tmp_path, model)
+        assert len(model.params) == 30
+        assert sorted(os.listdir(path)) == sorted([n + ".votb" for n in model.params]
+                                                  + ["manifest.json"])
+        with open(os.path.join(path, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert manifest["version"] == 2
+        assert manifest["params"] == {n: n + ".votb" for n in model.params}
+
+    def _v1_directory(self, tmp_path):
         rng = np.random.default_rng(15)
         params = v1_params("tiny", 4)
         for data in params.values():
             data += rng.normal(size=data.shape)
         v1_dir = os.path.join(tmp_path, "v1")
         write_v1_checkpoint(params, "tiny", 4, v1_dir)
+        return v1_dir, params
+
+    def test_v1_directory_loads_bit_exactly(self, tmp_path):
+        v1_dir, params = self._v1_directory(tmp_path)
         back = load_checkpoint(v1_dir)
-        assert sorted(back.params) == sorted(VONet(preset="tiny").params)
+        assert list(back.params) == list(VONet(preset="tiny").params)
         for name, data in params.items():
             assert v1_view(back, name).tobytes() == data.tobytes(), name
-        # saving the fused model writes the same 50 blobs and manifest, byte for byte
-        again = os.path.join(tmp_path, "again")
-        save_checkpoint(back, again)
-        names = sorted(os.listdir(v1_dir))
-        assert names == sorted(os.listdir(again)) and len(names) == 51
-        for fname in names:
-            with open(os.path.join(v1_dir, fname), "rb") as a, \
-                    open(os.path.join(again, fname), "rb") as b:
-                assert a.read() == b.read(), fname
+        # saving it again writes version 2, which loads back to the same bytes
+        again, back2 = self._roundtrip(tmp_path, back)
+        with open(os.path.join(again, "manifest.json")) as fh:
+            assert json.load(fh)["version"] == 2
+        assert len(os.listdir(again)) == 31
+        for name, p in back.params.items():
+            assert back2.params[name].data.tobytes() == p.data.tobytes(), name
+
+    @pytest.mark.parametrize("layout", ["v1 blobs", "v2 blobs"])
+    def test_blobs_of_the_other_version_rejected(self, tmp_path, layout):
+        # a v2 manifest over per-gate blobs, and a v1 manifest over fused ones
+        if layout == "v1 blobs":
+            path, _ = self._v1_directory(tmp_path)
+        else:
+            path, _ = self._roundtrip(tmp_path, VONet(preset="tiny", seed=0))
+        mpath = os.path.join(path, "manifest.json")
+        with open(mpath) as fh:
+            manifest = json.load(fh)
+        manifest["version"] = 3 - manifest["version"]
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match="^" + re.escape(mpath)
+                           + ": checkpoint parameter set mismatch"):
+            load_checkpoint(path)
 
     def _saved_manifest(self, tmp_path):
         path, _ = self._roundtrip(tmp_path, VONet(preset="tiny", seed=0))

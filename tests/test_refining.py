@@ -281,10 +281,9 @@ class TestRefineSequence:
     def test_shapes_and_lengths(self):
         m, track = self._setup()
         slots = [MemorySlot(0, track.feats[0].detach(), np.eye(4))]
-        abs_poses, outs = refine_sequence(m, track.feats, slots)
-        assert len(abs_poses) == len(outs) == len(track.feats)
+        abs_poses = refine_sequence(m, track.feats, slots)
+        assert len(abs_poses) == len(track.feats)
         assert all(p.data.shape == (6,) for p in abs_poses)
-        assert all(o.data.shape == (4, 2, 2) for o in outs)
 
     def test_empty_memory_rejected(self):
         m, track = self._setup(seed=1)
@@ -307,8 +306,8 @@ class TestRefineSequence:
     def test_deterministic(self):
         m, track = self._setup(seed=2)
         slots = [MemorySlot(0, track.feats[0].detach(), np.eye(4))]
-        a, _ = refine_sequence(m, track.feats, slots)
-        b, _ = refine_sequence(m, track.feats, slots)
+        a = refine_sequence(m, track.feats, slots)
+        b = refine_sequence(m, track.feats, slots)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.data, pb.data)
 
@@ -317,15 +316,15 @@ class TestRefineSequence:
         # refined-output guidance even when memory and frame 2 are unchanged
         m, track = self._setup(seed=3)
         slots = [MemorySlot(0, track.feats[0].detach(), np.eye(4))]
-        _, outs = refine_sequence(m, track.feats, slots)
+        poses = refine_sequence(m, track.feats, slots)
         bumped = [T.Tensor(track.feats[0].data + 0.1)] + track.feats[1:]
-        _, outs2 = refine_sequence(m, bumped, slots)
-        assert not np.allclose(outs2[1].data, outs[1].data)
+        poses2 = refine_sequence(m, bumped, slots)
+        assert not np.allclose(poses2[1].data, poses[1].data)
 
     def test_gradients_reach_model_params(self):
         m, track = self._setup(seed=4)
         slots = [MemorySlot(0, track.feats[0].detach(), np.eye(4))]
-        abs_poses, _ = refine_sequence(m, track.feats, slots)
+        abs_poses = refine_sequence(m, track.feats, slots)
         loss = T.tsum(T.mul(abs_poses[-1], abs_poses[-1]))
         loss.backward()
         h = m.hidden

@@ -393,8 +393,8 @@ class TestWindowPipeline:
         policy = MemoryPolicy(theta_rot=0.0, theta_trans=0.0, max_slots=5)
         detached = run_window(model, seq.frames, policy, detach_memory=True)
         live = run_window(model, seq.frames, policy, detach_memory=False)
-        assert all(not s.state.requires_grad for s in detached.buffer.snapshot())
-        assert any(s.state.requires_grad for s in live.buffer.snapshot())
+        assert all(not s.state.requires_grad for s in detached.buffer.slots)
+        assert any(s.state.requires_grad for s in live.buffer.slots)
 
     @pytest.mark.parametrize("stop_memory_gradient", [False, True])
     def test_gradients_match_per_step_stack_oracle(self, monkeypatch, stop_memory_gradient):
@@ -427,16 +427,15 @@ def refine_sequence_per_step_stack(model, feats, slots):
     gradients a live memory (stop_memory_gradient=False) passes back."""
     h, c = model.zero_state()
     guidance = T.Tensor(np.zeros((model.hidden,) + model.extents))
-    abs_poses, outs = [], []
+    abs_poses = []
     for feat in feats:
         alpha = T.softmax(T.cosine_similarity(guidance, T.stack([s.state for s in slots])))
         mem = T.weighted_sum(alpha, recalibrate(guidance, T.stack([s.state for s in slots])))
         fused = model.fuse(mem, guided_observation(guidance, feat))
         h, c = model.refine_step(fused, h, c)
         abs_poses.append(model.pose_head("refine", h))
-        outs.append(h)
         guidance = h
-    return abs_poses, outs
+    return abs_poses
 
 
 def batch_mean_one_graph(dataset, config):
