@@ -14,10 +14,12 @@ exception: its gradient is queued, not returned, and comes once per backward,
 not once per use. Each use queues its (g, im2col columns) pair on the kernel,
 and the walk multiplies the queue as one GEMM when it reaches the kernel. The
 walk drops each interior node's .grad once that node's backward has run, so
-afterwards only leaves hold one.
+afterwards only leaves hold one. conv2d's input gradient is one GEMM and one
+np.bincount scatter-add (col2im), bit-identical to a k*k loop of strided adds.
 """
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -267,6 +269,17 @@ def _im2col(xp, k, stride, h_out, w_out):
     return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides, writeable=False)
 
 
+@lru_cache(maxsize=64)
+def _col2im_index(c, hp, wp, k, stride):
+    # read-only flat position in the padded (C, hp, wp) input of every
+    # (C, k, k, H', W') im2col entry: where conv2d's backward scatters dcols
+    h_out, w_out = (hp - k) // stride + 1, (wp - k) // stride + 1
+    positions = np.arange(c * hp * wp).reshape(c, hp, wp)
+    index = _im2col(positions, k, stride, h_out, w_out).reshape(-1)  # a copy
+    index.setflags(write=False)
+    return index
+
+
 def conv2d(x, kernel, bias, stride=1, padding=0):
     """2-D cross correlation: x (C,H,W), kernel (O,C,k,k), bias (O,).
 
@@ -277,6 +290,9 @@ def conv2d(x, kernel, bias, stride=1, padding=0):
     When O > H'*W' the kernel gradient outsizes those columns, so backward
     queues (g, cols) on the kernel for Tensor.backward to multiply in one
     GEMM with the kernel's other uses; otherwise it multiplies at once.
+    The input gradient is one GEMM, kernel^T @ g, then one np.bincount over
+    a cached per-geometry index (col2im). bincount adds each input entry's
+    terms from 0.0 in (di, dj) order: bit-identical to a k*k loop of adds.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 3 or kernel.data.ndim != 4:
@@ -313,11 +329,9 @@ def conv2d(x, kernel, bias, stride=1, padding=0):
                 # g (O,H',W') x cols (C,k,k,H',W') -> (O,C,k,k)
                 dk = np.tensordot(g, cols, axes=([1, 2], [3, 4]))
         if x.requires_grad:
-            dcols = np.tensordot(kernel.data, g, axes=([0], [0]))  # (C,k,k,H',W')
-            dx = np.zeros_like(xp)
-            for di in range(k):
-                for dj in range(k):
-                    dx[:, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride] += dcols[:, di, dj]
+            dcols = kernel.data.reshape(o, -1).T @ g.reshape(o, -1)  # (C*k*k, H'*W')
+            index = _col2im_index(c, hp, wp, k, stride)
+            dx = np.bincount(index, weights=dcols.reshape(-1), minlength=xp.size).reshape(xp.shape)
             if padding:
                 dx = dx[:, padding:hp - padding, padding:wp - padding]
         return dx, dk, g.sum(axis=(1, 2))

@@ -414,6 +414,7 @@ class TestSequenceContainer:
         ({"frame_count": 0, "frames": []}, "frame_count must be an int >= 1"),
         ({"version": 2}, "version 2"),
         ({"format": "memvo-checkpoint"}, "not a memvo-sequence manifest"),
+        ({"version": True}, "version True"),  # True == 1, the current version
     ])
     def test_bad_manifest_names_the_file(self, tmp_path, changes, why):
         d = str(tmp_path / "seq")

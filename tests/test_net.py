@@ -377,10 +377,14 @@ class TestCheckpoint:
         path, _ = self._roundtrip(tmp_path, model)
         mpath = os.path.join(path, "manifest.json")
         manifest = json.load(open(mpath))
-        manifest["version"] = 99
-        json.dump(manifest, open(mpath, "w"))
-        with pytest.raises(ValueError, match="version"):
-            load_checkpoint(path)
+        # 2.0 == 2 and True == 1, so only a type check refuses those two
+        for version in (99, 2.0, True):
+            manifest["version"] = version
+            with open(mpath, "w") as fh:
+                json.dump(manifest, fh)
+            with pytest.raises(ValueError, match="^%s: unsupported memvo-checkpoint version %s$"
+                               % (re.escape(mpath), re.escape(repr(version)))):
+                load_checkpoint(path)
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="manifest"):

@@ -171,11 +171,13 @@ class TestConv:
             assert np.max(np.abs(got - want)) < 1e-12
 
     # (C, O, k, H, W, stride, padding): the desk encoder's layer shapes, the
-    # fused ConvLSTM gate conv, and one unpadded case
+    # fused ConvLSTM gate conv, unpadded cases, strides larger than k (the
+    # scatter leaves gaps), H != W at stride 3, and one input channel
     TENSORDOT_CASES = [
         (6, 8, 7, 64, 64, 2, 3), (8, 8, 5, 32, 32, 2, 2), (8, 16, 3, 16, 16, 2, 1),
         (16, 16, 3, 8, 8, 1, 1), (16, 32, 3, 8, 8, 2, 1), (128, 256, 3, 4, 4, 1, 1),
         (3, 4, 3, 9, 7, 1, 0), (2, 3, 3, 7, 8, 2, 0),
+        (3, 4, 1, 9, 9, 2, 0), (2, 3, 2, 10, 9, 3, 1), (1, 2, 3, 11, 7, 3, 2),
     ]
 
     def test_matches_tensordot_conv_values_and_gradients(self):
@@ -194,6 +196,20 @@ class TestConv:
             for got, want in zip(*results):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) < 1e-12, (c, o, k, stride, pad)
+            # the input gradient adds each entry's terms in the loop's (di, dj) order
+            assert np.array_equal(results[0][1], results[1][1]), (c, o, k, stride, pad)
+
+    def test_col2im_index_is_each_entrys_padded_position(self):
+        # (C, hp, wp, k, stride), two of them of equal index size
+        for c, hp, wp, k, stride in [(2, 6, 8, 3, 1), (2, 8, 6, 3, 1), (3, 9, 9, 1, 2), (1, 11, 7, 3, 3)]:
+            index = T._col2im_index(c, hp, wp, k, stride)
+            h_out, w_out = (hp - k) // stride + 1, (wp - k) // stride + 1
+            ci, di, dj, i, j = np.indices((c, k, k, h_out, w_out))
+            assert np.array_equal(index, ((ci * hp + di + stride * i) * wp + dj + stride * j).reshape(-1))
+            assert index is T._col2im_index(c, hp, wp, k, stride)
+            assert not index.flags.writeable
+        wide, tall = T._col2im_index(2, 6, 8, 3, 1), T._col2im_index(2, 8, 6, 3, 1)
+        assert wide.shape == tall.shape and not np.array_equal(wide, tall)
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(3)
