@@ -271,13 +271,12 @@ def _im2col(xp, k, stride, h_out, w_out):
 
 @lru_cache(maxsize=64)
 def _col2im_index(c, hp, wp, k, stride):
-    # read-only flat position in the padded (C, hp, wp) input of every
-    # (C, k, k, H', W') im2col entry: where conv2d's backward scatters dcols
+    # flat position in the padded (C, hp, wp) input of every (C, k, k, H', W')
+    # im2col entry: where conv2d's backward scatters dcols. Only that backward
+    # reads it; it stays writeable because np.bincount copies a read-only index
     h_out, w_out = (hp - k) // stride + 1, (wp - k) // stride + 1
     positions = np.arange(c * hp * wp).reshape(c, hp, wp)
-    index = _im2col(positions, k, stride, h_out, w_out).reshape(-1)  # a copy
-    index.setflags(write=False)
-    return index
+    return _im2col(positions, k, stride, h_out, w_out).reshape(-1)  # a copy
 
 
 def conv2d(x, kernel, bias, stride=1, padding=0):

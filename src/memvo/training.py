@@ -141,7 +141,9 @@ class Adam:
 
 @dataclass
 class WindowResult:
-    """Everything the pipeline produced for one window."""
+    """Everything the pipeline produced for one window; abs_tensors has one
+    pose per refined step (sliding_window_infer refines only the frames it
+    keeps from a window, and all of them in the last window)."""
 
     track: TrackResult
     buffer: MemoryBuffer
@@ -151,14 +153,22 @@ class WindowResult:
         return [Pose6DoF.from_vector(v.data) for v in self.abs_tensors]
 
 
-def run_window(model, frames, policy, detach_memory=True, feats=None):
+def run_window(model, frames, policy, detach_memory=True, feats=None, refine_steps=None):
     """Track, select memory, refine: the full pass over one window.
 
     Memory anchors come from integrating the predicted relatives, so the
     selection sees exactly what inference would see. detach_memory mirrors
     MemoryBuffer.observe: by default stored states are constants. feats are
-    the window's encoded pair features, if already computed.
+    the window's encoded pair features, if already computed. refine_steps,
+    an int in [1, len(frames) - 1], refines only the first that many steps,
+    bit-identical to a full run's since step t is guided by step t-1 alone;
+    tracking and memory selection still cover the whole window.
+    sliding_window_infer refines only the frames it keeps from a window,
+    and all of them in the last window.
     """
+    pairs = len(frames) - 1
+    if refine_steps is not None and check_int("refine_steps", refine_steps, 1) > pairs:
+        raise ValueError("refine_steps must be at most the window's %d pairs" % pairs)
     track = model.track_sequence(frames, feats)
     for t, rel in enumerate(track.rels, start=1):
         if not np.all(np.isfinite(rel.data)):
@@ -167,7 +177,7 @@ def run_window(model, frames, policy, detach_memory=True, feats=None):
     poses = integrate_relative(track.rel_poses())
     for t, out in enumerate(track.outs, start=1):
         buffer.observe(out, poses[t], frame=t, detach=detach_memory)
-    abs_tensors = refine_sequence(model, track.feats, buffer.slots)
+    abs_tensors = refine_sequence(model, track.feats[:refine_steps], buffer.slots)
     return WindowResult(track, buffer, abs_tensors)
 
 
@@ -234,12 +244,14 @@ def train(dataset, config, model=None):
 def sliding_window_infer(model, frames, policy, window=TrainConfig.window_length, stride=None):
     """Whole-trajectory inference by chaining refined windows.
 
-    Each window is refined independently with a fresh memory; its refined
+    Each window is tracked and selects its memory over all its frames, with
+    a fresh memory; it refines only the frames kept from it, up to the next
+    window's start (the last window refines all of them). Those refined
     absolute poses (relative to the window's first frame) are re-anchored
-    onto the trajectory pose of that first frame, up to the next window's
-    start. Returns one 4x4 pose per frame, frame 0 = identity.
-    No tape is built, and each frame pair is encoded once: overlapping
-    windows share its features, which are dropped once no window needs them.
+    onto the trajectory pose of that first frame. Returns one 4x4 pose per
+    frame, frame 0 = identity. No tape is built, and each frame pair is
+    encoded once: overlapping windows share its features, which are dropped
+    once no window needs them.
     """
     n = len(frames)
     if n < 2:
@@ -261,7 +273,8 @@ def sliding_window_infer(model, frames, policy, window=TrainConfig.window_length
                 if t not in feats:
                     feats[t] = model.encode_pair(frames[t - 1], frames[t])
             result = run_window(model, [frames[t] for t in range(s, s + window)], policy,
-                                feats=[feats[t] for t in range(s + 1, s + window)])
-            for t, pose in enumerate(result.refined_poses()[:end - s], start=1):
+                                feats=[feats[t] for t in range(s + 1, s + window)],
+                                refine_steps=end - s)
+            for t, pose in enumerate(result.refined_poses(), start=1):
                 traj[s + t] = pose_compose(traj[s], pose.to_matrix())
     return traj

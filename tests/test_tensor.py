@@ -207,7 +207,12 @@ class TestConv:
             ci, di, dj, i, j = np.indices((c, k, k, h_out, w_out))
             assert np.array_equal(index, ((ci * hp + di + stride * i) * wp + dj + stride * j).reshape(-1))
             assert index is T._col2im_index(c, hp, wp, k, stride)
-            assert not index.flags.writeable
+            # the cached index is writeable; a conv2d forward and backward leaves it as built
+            x = T.Tensor(np.ones((c, hp, wp)), requires_grad=True)
+            kern = T.Tensor(np.ones((2, c, k, k)), requires_grad=True)
+            T.tsum(T.conv2d(x, kern, T.Tensor(np.zeros(2)), stride=stride)).backward()
+            assert index is T._col2im_index(c, hp, wp, k, stride)
+            assert np.array_equal(index, T._col2im_index.__wrapped__(c, hp, wp, k, stride))
         wide, tall = T._col2im_index(2, 6, 8, 3, 1), T._col2im_index(2, 8, 6, 3, 1)
         assert wide.shape == tall.shape and not np.array_equal(wide, tall)
 

@@ -396,6 +396,31 @@ class TestWindowPipeline:
         assert all(not s.state.requires_grad for s in detached.buffer.slots)
         assert any(s.state.requires_grad for s in live.buffer.slots)
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_run_window_refine_steps_keeps_the_first_k_poses(self, k):
+        # a 3-slot FIFO over 5 stored frames: selection must still see the whole window
+        model = VONet(preset="tiny", seed=0)
+        seq = generate_sequence(SyntheticSpec(frames=6, height=32, width=32, seed=4))
+        policy = MemoryPolicy(theta_rot=0.0, theta_trans=0.0, max_slots=3)
+        full = run_window(model, seq.frames, policy)
+        part = run_window(model, seq.frames, policy, refine_steps=k)
+        assert len(part.abs_tensors) == k
+        for got, want in zip(part.abs_tensors, full.abs_tensors[:k]):
+            assert np.array_equal(got.data, want.data)
+        for name in ("feats", "outs", "rels"):
+            for got, want in zip(getattr(part.track, name), getattr(full.track, name),
+                                 strict=True):
+                assert np.array_equal(got.data, want.data), name
+        assert part.buffer.frames() == full.buffer.frames() == [3, 4, 5]
+
+    def test_run_window_refine_steps_validation(self):
+        model = VONet(preset="tiny", seed=0)
+        seq = generate_sequence(SyntheticSpec(frames=4, height=32, width=32, seed=4))
+        policy = MemoryPolicy(theta_rot=0.0, theta_trans=0.0, max_slots=3)
+        for k in (0, 4, 1.5, True, np.nan):  # 4 is the window, one more than its pairs
+            with pytest.raises(ValueError, match="^refine_steps must be"):
+                run_window(model, seq.frames, policy, refine_steps=k)
+
     @pytest.mark.parametrize("stop_memory_gradient", [False, True])
     def test_gradients_match_per_step_stack_oracle(self, monkeypatch, stop_memory_gradient):
         seq = generate_sequence(SyntheticSpec(frames=6, height=32, width=32, seed=6))
@@ -648,6 +673,21 @@ class TestSlidingWindowInfer:
         sliding_window_infer(VONet(preset="tiny", seed=3), frames, self.policy,
                              window=window, stride=stride)
         assert sorted(pairs) == sorted(id(f) for f in frames[1:])
+
+    @pytest.mark.parametrize("n, window, stride, kept", [(9, 4, 1, 8), (9, 4, 2, 8),
+                                                         (12, 4, 3, 11)])
+    def test_refines_only_the_kept_steps(self, monkeypatch, n, window, stride, kept):
+        # kept is the sum of end - s over the windows: one refined step per frame
+        real, steps = VONet.refine_step, []
+
+        def counted(self, x, h, c):
+            steps.append(1)
+            return real(self, x, h, c)
+
+        monkeypatch.setattr(VONet, "refine_step", counted)
+        sliding_window_infer(VONet(preset="tiny", seed=3), self.frames(n), self.policy,
+                             window=window, stride=stride)
+        assert len(steps) == kept
 
     def test_builds_no_taped_node(self, monkeypatch):
         real, taped = T._make, []
