@@ -38,6 +38,6 @@ seq = generate_sequence(SyntheticSpec(frames=8, height=32, width=32,
                                       kind="mixed", max_shift=1.2, seed=4))
 model = VONet(preset="tiny", seed=0)
 res = run_window(model, list(seq.frames), MemoryPolicy(0.0, 0.0, max_slots=8))
-rels = res.track.rel_poses()
+steps = [np.linalg.norm(rel.data[:3]) for rel in res.track.rels]  # (tx, ty, tz) first
 print("untrained tracking, theta=0: stored %s, per-step translation %s" %
-      (res.buffer.frames(), np.round([np.linalg.norm(p.p) for p in rels], 4).tolist()))
+      (res.buffer.frames(), np.round(steps, 4).tolist()))

@@ -8,7 +8,7 @@ the refined endpoint lands closer than the integrated tracking endpoint.
 
 import numpy as np
 
-from memvo.geometry import integrate_relative, translation
+from memvo.geometry import Pose6DoF, integrate_relative, translation
 from memvo.synthetic import SyntheticSpec, generate_dataset, generate_sequence
 from memvo.training import (TrainConfig, run_window, train,
                             window_ground_truth)
@@ -31,7 +31,8 @@ held = generate_sequence(SyntheticSpec(frames=11, height=64, width=64,
 res = run_window(model, list(held.frames), config.policy())
 _, gt_abs = window_ground_truth(held.poses, 0, 11)
 gt_end = gt_abs[-1].p
-track_end = translation(integrate_relative(res.track.rel_poses())[-1])
+track_end = translation(integrate_relative([Pose6DoF.from_vector(r.data)
+                                              for r in res.track.rels])[-1])
 refined_end = res.refined_poses()[-1].p
 print("held-out endpoint error  tracking %.4f  refined %.4f" %
       (np.linalg.norm(track_end - gt_end), np.linalg.norm(refined_end - gt_end)))

@@ -229,12 +229,13 @@ def pose_compose(a, b):
 
     Long products drift off the manifold in float; re-orthonormalizing every
     composition keeps integrated trajectories valid for downstream checks.
+    (N,4,4) stacks compose pose by pose, each with the bits of a lone call.
     """
     a = check_se3(a)
     b = check_se3(b)
     out = a @ b
-    out[:3, :3] = orthonormalize(out[:3, :3])
-    out[3] = (0.0, 0.0, 0.0, 1.0)
+    out[..., :3, :3] = orthonormalize(out[..., :3, :3])
+    out[..., 3, :] = (0.0, 0.0, 0.0, 1.0)
     return out
 
 
@@ -302,7 +303,9 @@ def integrate_relative(rels, origin=None):
     """Chain relative poses onto an origin.
 
     rels are Pose6DoF (or 4x4) of frame t expressed in frame t-1; the result
-    has len(rels)+1 absolute poses, the first being the origin itself.
+    has len(rels)+1 absolute poses, the first being the origin itself. With
+    (N,4,4) stacks as rels and origin, N chains advance together, each with
+    the bits of its own chain.
     """
     cur = np.eye(4) if origin is None else check_se3(origin).copy()
     out = [cur.copy()]

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import tensor as T
 from .config import check_fields, check_int, write_json
-from .geometry import Pose6DoF
 from .votb import MANIFEST, manifest_array, manifest_blob, read_manifest, write_votb
 
 CHECKPOINT_FORMAT = "memvo-checkpoint"
@@ -194,9 +193,10 @@ class VONet:
         for p in self.params.values():
             p.zero_grad()
 
-    def zero_state(self):
-        c, (h, w) = self.hidden, self.extents
-        return T.Tensor(np.zeros((c, h, w))), T.Tensor(np.zeros((c, h, w)))
+    def zero_state(self, batch=None):
+        """(h, c) of zeros, (C,h,w) each, or (C,B,h,w) for a batch of B."""
+        shape = (self.hidden,) + ((batch,) if batch else ()) + self.extents
+        return T.Tensor(np.zeros(shape)), T.Tensor(np.zeros(shape))
 
     def _check_frame(self, frame):
         want = (FRAME_CHANNELS, self.config.height, self.config.width)
@@ -227,7 +227,7 @@ class VONet:
         return h_new, c_new
 
     def track_step(self, x, h, c):
-        """One ConvLSTM update, (h, c); the output is the new hidden state h."""
+        """One ConvLSTM update, (h, c), of (C,h,w) maps or (C,B,h,w) batches; the output is h."""
         return self._lstm_step("track", x, h, c)
 
     def refine_step(self, x, h, c):
@@ -247,28 +247,33 @@ class VONet:
         return T.conv2d(x, self.params["fuse.conv2.kernel"],
                         self.params["fuse.conv2.bias"], padding=1)
 
-    def track_sequence(self, frames, feats=None):
-        """Run the tracking pass over T >= 2 frames; feats, if given, are their T-1 pair features.
+    def track_sequence(self, windows):
+        """Run the tracking pass over B windows of pair features at once.
 
-        Returns a TrackResult with, per step t = 1..T-1: the encoded pair
-        features, the ConvLSTM output map, and the relative pose 6-vector
-        (still a graph Tensor; .rel_poses() converts to Pose6DoF).
+        windows holds B equal-length, non-empty lists of (C,h,w) pair
+        features, X_1..X_N of each window. Every window starts from a zero
+        state; step t runs one ConvLSTM update over the (C,B,h,w) stack of
+        the windows' X_t, and conv2d makes one GEMM per window, so each
+        window gets the bits of a lone B = 1 call. The pose head reads each
+        window's output map on its own. Returns one TrackResult per window:
+        its features, the ConvLSTM output map and the relative pose 6-vector
+        (a graph Tensor) of every step.
         """
-        frames = [T._as_tensor(f) for f in frames]
-        if len(frames) < 2:
-            raise ValueError("track_sequence needs at least 2 frames")
-        if feats is None:
-            feats = [self.encode_pair(a, b) for a, b in zip(frames, frames[1:])]
-        elif len(feats) != len(frames) - 1:
-            raise ValueError("track_sequence needs %d pair features, got %d"
-                             % (len(frames) - 1, len(feats)))
-        h, c = self.zero_state()
-        outs, rels = [], []
-        for x in feats:
-            h, c = self.track_step(x, h, c)
-            outs.append(h)
-            rels.append(self.pose_head("track", h))
-        return TrackResult(feats=feats, outs=outs, rels=rels)
+        windows = [list(w) for w in windows]
+        steps = len(windows[0]) if windows else 0
+        if not steps or any(len(w) != steps for w in windows):
+            raise ValueError("track_sequence needs equal-length, non-empty windows, got lengths %s"
+                             % [len(w) for w in windows])
+        h, c = self.zero_state(len(windows))
+        outs = [[] for _ in windows]
+        rels = [[] for _ in windows]
+        for xs in zip(*windows):
+            h, c = self.track_step(T.stack_batch(xs), h, c)
+            for i in range(len(windows)):
+                out = T.take_batch(h, i)
+                outs[i].append(out)
+                rels[i].append(self.pose_head("track", out))
+        return [TrackResult(feats=f, outs=o, rels=r) for f, o, r in zip(windows, outs, rels)]
 
 
 @dataclass
@@ -276,9 +281,6 @@ class TrackResult:
     feats: list
     outs: list
     rels: list
-
-    def rel_poses(self):
-        return [Pose6DoF.from_vector(r.data) for r in self.rels]
 
 
 def _v1_views(model):

@@ -16,6 +16,14 @@ and the walk multiplies the queue as one GEMM when it reaches the kernel. The
 walk drops each interior node's .grad once that node's backward has run, so
 afterwards only leaves hold one. conv2d's input gradient is one GEMM and one
 np.bincount scatter-add (col2im), bit-identical to a k*k loop of strided adds.
+
+conv2d also takes a channel-first batch (C,B,H,W), which stack_batch builds
+from B (C,H,W) maps and take_batch undoes; the elementwise ops and slice1d
+need nothing more. A batch runs one GEMM per entry inside one np.matmul
+call, not one GEMM over all entries' columns side by side: OpenBLAS picks
+its kernel and blocking by the column count, so at some shapes (the tiny
+ConvLSTM's 16x72 by 72x4B, a 64x576 by 576x16B fuse conv) the wider product
+gives other bits than B lone calls, while the per-entry form keeps them.
 """
 
 from contextlib import contextmanager
@@ -261,42 +269,46 @@ def tanh(a):
 
 
 def _im2col(xp, k, stride, h_out, w_out):
-    # strided read-only view (C, k, k, h_out, w_out) of the padded input
-    c = xp.shape[0]
-    s0, s1, s2 = xp.strides
-    shape = (c, k, k, h_out, w_out)
-    strides = (s0, s1, s2, stride * s1, stride * s2)
+    # strided read-only view (B, C, k, k, h_out, w_out) of the padded (C, B, hp, wp) input
+    c, b = xp.shape[:2]
+    s0, s1, s2, s3 = xp.strides
+    shape = (b, c, k, k, h_out, w_out)
+    strides = (s1, s0, s2, s3, stride * s2, stride * s3)
     return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides, writeable=False)
 
 
 @lru_cache(maxsize=64)
-def _col2im_index(c, hp, wp, k, stride):
-    # flat position in the padded (C, hp, wp) input of every (C, k, k, H', W')
+def _col2im_index(c, b, hp, wp, k, stride):
+    # flat position in the padded (C, B, hp, wp) input of every (B, C, k, k, H', W')
     # im2col entry: where conv2d's backward scatters dcols. Only that backward
     # reads it; it stays writeable because np.bincount copies a read-only index
     h_out, w_out = (hp - k) // stride + 1, (wp - k) // stride + 1
-    positions = np.arange(c * hp * wp).reshape(c, hp, wp)
+    positions = np.arange(c * b * hp * wp).reshape(c, b, hp, wp)
     return _im2col(positions, k, stride, h_out, w_out).reshape(-1)  # a copy
 
 
 def conv2d(x, kernel, bias, stride=1, padding=0):
-    """2-D cross correlation: x (C,H,W), kernel (O,C,k,k), bias (O,).
+    """2-D cross correlation: x (C,H,W) or a batch (C,B,H,W), kernel (O,C,k,k), bias (O,).
 
     Zero padding on both spatial sides, square kernel, single stride for both
-    axes. Output is (O, H', W') with H' = (H + 2*padding - k)//stride + 1.
-    Forward is one matmul over the im2col matrix, a fixed deterministic
-    reduction order; backward re-reads the strided im2col view instead of keeping it.
-    When O > H'*W' the kernel gradient outsizes those columns, so backward
-    queues (g, cols) on the kernel for Tensor.backward to multiply in one
-    GEMM with the kernel's other uses; otherwise it multiplies at once.
-    The input gradient is one GEMM, kernel^T @ g, then one np.bincount over
-    a cached per-geometry index (col2im). bincount adds each input entry's
-    terms from 0.0 in (di, dj) order: bit-identical to a k*k loop of adds.
+    axes. Output is (O, H', W'), or (O, B, H', W') for a batch, with
+    H' = (H + 2*padding - k)//stride + 1. Forward is one np.matmul over the
+    (B, C*k*k, H'*W') im2col stack: one GEMM per batch entry, each with the
+    shapes and bits of a lone (C,H,W) call. Backward re-reads the strided
+    im2col view instead of keeping it. When O > H'*W' the kernel gradient
+    outsizes those columns, so backward queues each entry's (g, cols) on the
+    kernel for Tensor.backward to multiply in one GEMM with the kernel's
+    other uses; otherwise it multiplies at once, summed over the batch. The
+    input gradient is one GEMM per entry, kernel^T @ g, then one np.bincount
+    over a cached per-geometry index (col2im). bincount adds each input
+    entry's terms from 0.0 in (di, dj) order: bit-identical to a k*k loop of adds.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
-    if x.data.ndim != 3 or kernel.data.ndim != 4:
-        raise ValueError("conv2d expects x (C,H,W) and kernel (O,C,k,k)")
-    c, h, w = x.data.shape
+    if x.data.ndim not in (3, 4) or kernel.data.ndim != 4:
+        raise ValueError("conv2d expects x (C,H,W) or (C,B,H,W) and kernel (O,C,k,k)")
+    batched = x.data.ndim == 4
+    x4 = x.data if batched else x.data[:, None]
+    c, b, h, w = x4.shape
     o, ck, kh, kw = kernel.data.shape
     if ck != c:
         raise ValueError("conv2d channel mismatch: input %d vs kernel %d" % (c, ck))
@@ -313,39 +325,46 @@ def conv2d(x, kernel, bias, stride=1, padding=0):
     if bias.data.shape != (o,):
         raise ValueError("conv2d bias must have shape (%d,)" % o)
 
-    xp = np.zeros((c, hp, wp))
-    xp[:, padding:padding + h, padding:padding + w] = x.data
+    xp = np.zeros((c, b, hp, wp))
+    xp[:, :, padding:padding + h, padding:padding + w] = x4
     cols = _im2col(xp, k, stride, h_out, w_out)
-    out_data = (kernel.data.reshape(o, -1) @ cols.reshape(c * k * k, -1)).reshape(o, h_out, w_out)
-    out_data += bias.data[:, None, None]
+    out_data = np.matmul(kernel.data.reshape(o, -1), cols.reshape(b, c * k * k, -1))  # (B,O,H'*W')
+    # back to channel-first; for a lone (C,H,W) input this reshape is a view
+    lead = (b,) if batched else ()
+    out_data = out_data.transpose(1, 0, 2).reshape((o,) + lead + (h_out, w_out))
+    out_data += bias.data.reshape((o,) + (1,) * (out_data.ndim - 1))
 
     def backward_fn(g):
+        g4 = g if batched else g[:, None]
         dx = dk = None
         if kernel.requires_grad:
             if o > h_out * w_out:
-                kernel._defer(g, cols)
+                for i in range(b):
+                    kernel._defer(g4[:, i], cols[i])
             else:
-                # g (O,H',W') x cols (C,k,k,H',W') -> (O,C,k,k)
-                dk = np.tensordot(g, cols, axes=([1, 2], [3, 4]))
+                # g (O,B,H',W') x cols (B,C,k,k,H',W') -> (O,C,k,k)
+                dk = np.tensordot(g4, cols, axes=([1, 2, 3], [0, 4, 5]))
         if x.requires_grad:
-            dcols = kernel.data.reshape(o, -1).T @ g.reshape(o, -1)  # (C*k*k, H'*W')
-            index = _col2im_index(c, hp, wp, k, stride)
+            gb = np.ascontiguousarray(g4.transpose(1, 0, 2, 3)).reshape(b, o, -1)
+            dcols = np.matmul(kernel.data.reshape(o, -1).T, gb)  # (B, C*k*k, H'*W')
+            index = _col2im_index(c, b, hp, wp, k, stride)
             dx = np.bincount(index, weights=dcols.reshape(-1), minlength=xp.size).reshape(xp.shape)
-            if padding:
-                dx = dx[:, padding:hp - padding, padding:wp - padding]
-        return dx, dk, g.sum(axis=(1, 2))
+            dx = dx[:, :, padding:hp - padding, padding:wp - padding]
+            if not batched:
+                dx = dx[:, 0]
+        return dx, dk, g.sum(axis=tuple(range(1, g.ndim)))
 
     return _make(out_data, (x, kernel, bias), backward_fn)
 
 
 def concat_channels(parts):
-    """Concatenate (C_i, H, W) tensors along the channel axis."""
+    """Concatenate (C_i, H, W) tensors, or (C_i, B, H, W) batches, along the channel axis."""
     parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ValueError("concat_channels needs at least one tensor")
-    hw = parts[0].data.shape[1:]
+    rest = parts[0].data.shape[1:]
     for p in parts:
-        if p.data.ndim != 3 or p.data.shape[1:] != hw:
+        if p.data.ndim not in (3, 4) or p.data.shape[1:] != rest:
             raise ValueError("concat_channels spatial mismatch")
     out_data = np.concatenate([p.data for p in parts], axis=0)
     splits = np.cumsum([p.data.shape[0] for p in parts])[:-1]
@@ -354,6 +373,34 @@ def concat_channels(parts):
         return np.split(g, splits, axis=0)
 
     return _make(out_data, tuple(parts), backward_fn)
+
+
+def stack_batch(parts):
+    """B same-shape (C,H,W) tensors -> one (C,B,H,W) batch, entry i = parts[i]."""
+    parts = [_as_tensor(p) for p in parts]
+    if not parts or parts[0].data.ndim != 3:
+        raise ValueError("stack_batch needs at least one (C,H,W) tensor")
+    out_data = np.stack([p.data for p in parts], axis=1)  # ValueError on mixed shapes
+
+    def backward_fn(g):
+        return [g[:, i] for i in range(len(parts))]
+
+    return _make(out_data, tuple(parts), backward_fn)
+
+
+def take_batch(x, i):
+    """Entry i of a (C,B,H,W) batch, as a (C,H,W) tensor."""
+    x = _as_tensor(x)
+    if x.data.ndim != 4 or not 0 <= i < x.data.shape[1]:
+        raise ValueError("take_batch: no entry %r in a batch of shape %s" % (i, x.data.shape))
+    out_data = np.ascontiguousarray(x.data[:, i])  # laid out as a lone (C,H,W) map
+
+    def backward_fn(g):
+        full = np.zeros_like(x.data)
+        full[:, i] = g
+        return (full,)
+
+    return _make(out_data, (x,), backward_fn)
 
 
 def scale_channels(x, w):

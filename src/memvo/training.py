@@ -2,7 +2,9 @@
 
 A training example is a window of consecutive frames. The pipeline tracks
 the window, integrates the predicted relatives, feeds selected states into
-the memory buffer, then refines the whole window against that memory. The
+the memory buffer, then refines the window's steps against that memory:
+all of them in training, only the frames it keeps in sliding-window
+inference, which also tracks window - 1 windows per batch. The
 loss couples both stages: a local term on the relative poses and a global
 term on the refined absolute poses, with later frames downweighted by 1/i.
 """
@@ -153,28 +155,51 @@ class WindowResult:
         return [Pose6DoF.from_vector(v.data) for v in self.abs_tensors]
 
 
-def run_window(model, frames, policy, detach_memory=True, feats=None, refine_steps=None):
+def track_windows(model, windows):
+    """Track B equal-length windows of pair features as one batch.
+
+    Returns one (TrackResult, poses) pair per window: poses are the
+    window's integrated relatives, len(feats) + 1 absolute poses from the
+    identity. All B windows' relatives are composed as one chain of (B,4,4)
+    stacks; each window's poses and track are bit-identical to a lone
+    window's.
+    """
+    tracks = model.track_sequence(windows)
+    steps = []
+    for t, rels in enumerate(zip(*(track.rels for track in tracks)), start=1):
+        if not all(np.all(np.isfinite(rel.data)) for rel in rels):
+            raise TrainingDiverged("non-finite relative pose at window step %d" % t)
+        steps.append(np.stack([Pose6DoF.from_vector(rel.data).to_matrix() for rel in rels]))
+    chain = integrate_relative(steps, origin=np.tile(np.eye(4), (len(tracks), 1, 1)))
+    return [(track, [pose[b] for pose in chain]) for b, track in enumerate(tracks)]
+
+
+def run_window(model, frames, policy, detach_memory=True, track=None, refine_steps=None):
     """Track, select memory, refine: the full pass over one window.
 
     Memory anchors come from integrating the predicted relatives, so the
     selection sees exactly what inference would see. detach_memory mirrors
-    MemoryBuffer.observe: by default stored states are constants. feats are
-    the window's encoded pair features, if already computed. refine_steps,
-    an int in [1, len(frames) - 1], refines only the first that many steps,
+    MemoryBuffer.observe: by default stored states are constants. track,
+    one of track_windows' (TrackResult, poses) pairs for these frames,
+    skips the window's own encoding and tracking (B = 1). refine_steps, an
+    int in [1, len(frames) - 1], refines only the first that many steps,
     bit-identical to a full run's since step t is guided by step t-1 alone;
     tracking and memory selection still cover the whole window.
-    sliding_window_infer refines only the frames it keeps from a window,
-    and all of them in the last window.
+    sliding_window_infer tracks several windows per batch, then refines
+    only the frames it keeps from each window, and all of them in the last
+    window.
     """
     pairs = len(frames) - 1
     if refine_steps is not None and check_int("refine_steps", refine_steps, 1) > pairs:
         raise ValueError("refine_steps must be at most the window's %d pairs" % pairs)
-    track = model.track_sequence(frames, feats)
-    for t, rel in enumerate(track.rels, start=1):
-        if not np.all(np.isfinite(rel.data)):
-            raise TrainingDiverged("non-finite relative pose at window step %d" % t)
+    if track is None:
+        feats = [model.encode_pair(a, b) for a, b in zip(frames, frames[1:])]
+        track = track_windows(model, [feats])[0]
+    track, poses = track
+    if len(track.feats) != pairs:
+        raise ValueError("%d frames need a track of %d pair features, got %d"
+                         % (len(frames), pairs, len(track.feats)))
     buffer = MemoryBuffer(policy)
-    poses = integrate_relative(track.rel_poses())
     for t, out in enumerate(track.outs, start=1):
         buffer.observe(out, poses[t], frame=t, detach=detach_memory)
     abs_tensors = refine_sequence(model, track.feats[:refine_steps], buffer.slots)
@@ -244,14 +269,17 @@ def train(dataset, config, model=None):
 def sliding_window_infer(model, frames, policy, window=TrainConfig.window_length, stride=None):
     """Whole-trajectory inference by chaining refined windows.
 
-    Each window is tracked and selects its memory over all its frames, with
-    a fresh memory; it refines only the frames kept from it, up to the next
-    window's start (the last window refines all of them). Those refined
-    absolute poses (relative to the window's first frame) are re-anchored
-    onto the trajectory pose of that first frame. Returns one 4x4 pose per
-    frame, frame 0 = identity. No tape is built, and each frame pair is
-    encoded once: overlapping windows share its features, which are dropped
-    once no window needs them.
+    Windows are tracked window - 1 at a time, as one batch through
+    track_windows; each then selects its memory over all its frames, with
+    a fresh memory, and refines only the frames kept from it, up to the
+    next window's start (the last window refines all of them). Those
+    refined absolute poses (relative to the window's first frame) are
+    re-anchored onto the trajectory pose of that first frame. Returns one
+    4x4 pose per frame, frame 0 = identity, bit-identical to running each
+    window alone. No tape is built, and each frame pair is encoded once:
+    the batch's windows share its features, which are dropped once no
+    batch needs them, so at most (window - 2) * stride + window - 1 are
+    alive at once, whatever the sequence length.
     """
     n = len(frames)
     if n < 2:
@@ -264,17 +292,22 @@ def sliding_window_infer(model, frames, policy, window=TrainConfig.window_length
     starts = list(range(0, n - window + 1, stride))
     if starts[-1] != n - window:
         starts.append(n - window)
+    ends = starts[1:] + [n - 1]
     traj = [np.eye(4) for _ in range(n)]
     feats = {}  # t -> features of the pair (t-1, t)
     with T.no_grad():
-        for s, end in zip(starts, starts[1:] + [n - 1]):
-            feats = {t: f for t, f in feats.items() if t > s}
-            for t in range(s + 1, s + window):
+        for g in range(0, len(starts), window - 1):
+            group = starts[g:g + window - 1]
+            feats = {t: f for t, f in feats.items() if t > group[0]}
+            for t in range(group[0] + 1, group[-1] + window):
                 if t not in feats:
                     feats[t] = model.encode_pair(frames[t - 1], frames[t])
-            result = run_window(model, [frames[t] for t in range(s, s + window)], policy,
-                                feats=[feats[t] for t in range(s + 1, s + window)],
-                                refine_steps=end - s)
-            for t, pose in enumerate(result.refined_poses(), start=1):
-                traj[s + t] = pose_compose(traj[s], pose.to_matrix())
+            tracked = track_windows(model, [[feats[t] for t in range(s + 1, s + window)]
+                                            for s in group])
+            for s, end in zip(group, ends[g:]):
+                # popped, so no window's features outlive its refinement
+                refined = run_window(model, [frames[t] for t in range(s, s + window)], policy,
+                                     track=tracked.pop(0), refine_steps=end - s).refined_poses()
+                for t, pose in enumerate(refined, start=1):
+                    traj[s + t] = pose_compose(traj[s], pose.to_matrix())
     return traj

@@ -16,7 +16,7 @@ import pytest
 import memvo.tensor as T
 from memvo.evaluation import (Trajectory, format_kitti, kitti_drift,
                               parse_kitti, parse_tum, tum_rmse_drift)
-from memvo.geometry import (euler_to_matrix, integrate_relative, make_se3,
+from memvo.geometry import (Pose6DoF, euler_to_matrix, integrate_relative, make_se3,
                             matrix_to_euler, matrix_to_quat, pose_compose,
                             pose_inverse, quat_to_matrix, translation,
                             umeyama_align)
@@ -326,7 +326,8 @@ def test_criterion_6_toy_training(capsys):
     res = run_window(model, list(held_out.frames), config.policy())
     _, gt_abs = window_ground_truth(held_out.poses, 0, 11)
     gt_end = gt_abs[-1].p
-    track_end = translation(integrate_relative(res.track.rel_poses())[-1])
+    track_end = translation(integrate_relative([Pose6DoF.from_vector(r.data)
+                                                for r in res.track.rels])[-1])
     refined_end = res.refined_poses()[-1].p
     e_track = float(np.linalg.norm(track_end - gt_end))
     e_refined = float(np.linalg.norm(refined_end - gt_end))

@@ -185,6 +185,22 @@ class TestSE3:
             ident = G.pose_compose(G.pose_inverse(a), a)
             assert np.max(np.abs(ident - np.eye(4))) < 1e-12
 
+    def test_compose_stacks_pose_by_pose(self):
+        # each composed pose has the bits of a lone call, also broadcast
+        rng = np.random.default_rng(20)
+        a = np.stack([G.make_se3(random_rotation(rng), rng.normal(size=3)) for _ in range(200)])
+        b = np.stack([G.make_se3(random_rotation(rng), rng.normal(size=3)) for _ in range(200)])
+        got = G.pose_compose(a, b)
+        assert got.shape == (200, 4, 4)
+        for i in range(200):
+            assert np.array_equal(got[i], G.pose_compose(a[i], b[i])), i
+        assert np.array_equal(G.pose_compose(a[0], b)[7], G.pose_compose(a[0], b[7]))
+        bad = b.copy()
+        bad[5, :3, :3] *= 1.1
+        with pytest.raises(G.StackError, match="^pose 5: matrix is not orthonormal") as info:
+            G.pose_compose(a, bad)
+        assert info.value.index == 5
+
     def test_compose_reorthonormalizes(self):
         rng = np.random.default_rng(6)
         pose = np.eye(4)
@@ -365,6 +381,24 @@ class TestIntegrate:
         rebuilt = G.integrate_relative(rels, origin=poses[0])
         for a, b in zip(poses, rebuilt):
             assert np.max(np.abs(a - b)) < 1e-9
+
+    def test_stacked_chains_match_lone_chains(self):
+        # (N,4,4) steps advance N chains; each is bit-identical to its own
+        rng = np.random.default_rng(21)
+        rels = [[G.Pose6DoF(rng.normal(size=3), rng.uniform(-0.3, 0.3, 3)) for _ in range(10)]
+                for _ in range(6)]
+        steps = [np.stack([chain[t].to_matrix() for chain in rels]) for t in range(10)]
+        origins = np.stack([G.make_se3(random_rotation(rng), rng.normal(size=3)) for _ in range(6)])
+        stacked = G.integrate_relative(steps, origin=origins)
+        assert len(stacked) == 11 and stacked[0].shape == (6, 4, 4)
+        for i, chain in enumerate(rels):
+            lone = G.integrate_relative(chain, origin=origins[i])
+            for t, pose in enumerate(lone):
+                assert np.array_equal(stacked[t][i], pose), (i, t)
+        steps[4] = steps[4].copy()
+        steps[4][2, 3] = (0.0, 0.0, 0.5, 1.0)
+        with pytest.raises(G.StackError, match="^pose 2: pose last row must be"):
+            G.integrate_relative(steps, origin=origins)
 
     def test_origin_respected(self):
         origin = G.make_se3(G.euler_to_matrix((0, 0, 1.0)), (5, 6, 7))

@@ -36,6 +36,12 @@ def lstm_step_per_gate(gates, x, h, c):
     return T.mul(o, T.tanh(c_new)), c_new
 
 
+def track_frames(model, frames):
+    """Encode a window's frame pairs and track it alone (B = 1)."""
+    feats = [model.encode_pair(a, b) for a, b in zip(frames, frames[1:])]
+    return model.track_sequence([feats])[0]
+
+
 def v1_params(preset, seed):
     """The 50 per-gate parameters the unfused model drew, in its draw order."""
     cfg = PRESETS[preset]
@@ -299,22 +305,24 @@ class TestTrackSequence:
         m = VONet(preset="tiny", seed=7)
         rng = np.random.default_rng(5)
         frames = [rng.normal(size=(3, 32, 32)) for _ in range(5)]
-        res = m.track_sequence(frames)
+        res = track_frames(m, frames)
         assert len(res.feats) == len(res.outs) == len(res.rels) == 4
         assert res.outs[0].data.shape == (4, 2, 2)
         assert all(r.data.shape == (6,) for r in res.rels)
-        assert len(res.rel_poses()) == 4
 
     def test_too_few_frames(self):
+        # no window, an empty window, or windows of unequal length
         m = VONet(preset="tiny", seed=0)
-        with pytest.raises(ValueError):
-            m.track_sequence([np.zeros((3, 32, 32))])
+        x = T.Tensor(np.zeros((4, 2, 2)))
+        for windows in ([], [[]], [[x, x], [x]]):
+            with pytest.raises(ValueError, match="equal-length, non-empty windows"):
+                m.track_sequence(windows)
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         frames = [rng.normal(size=(3, 32, 32)) for _ in range(3)]
-        a = VONet(preset="tiny", seed=8).track_sequence(frames)
-        b = VONet(preset="tiny", seed=8).track_sequence(frames)
+        a = track_frames(VONet(preset="tiny", seed=8), frames)
+        b = track_frames(VONet(preset="tiny", seed=8), frames)
         for ra, rb in zip(a.rels, b.rels):
             assert np.array_equal(ra.data, rb.data)
 
@@ -323,8 +331,25 @@ class TestTrackSequence:
         m = VONet(preset="tiny", seed=9)
         rng = np.random.default_rng(7)
         f = rng.normal(size=(3, 32, 32))
-        res = m.track_sequence([f, f, f])
+        res = track_frames(m, [f, f, f])
         assert not np.allclose(res.rels[0].data, res.rels[1].data)
+
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    def test_batch_matches_lone_windows(self, preset):
+        # B windows tracked at once give each window the bits of a lone call;
+        # the windows share features, as overlapping sliding windows do
+        m = VONet(preset=preset, seed=13)
+        rng = np.random.default_rng(15)
+        feats = [T.Tensor(rng.normal(size=(m.hidden,) + m.extents)) for _ in range(8)]
+        windows = [feats[s:s + 4] for s in (0, 1, 2, 4)]
+        batch = m.track_sequence(windows)
+        assert len(batch) == len(windows)
+        for window, got in zip(windows, batch):
+            want = m.track_sequence([window])[0]
+            assert got.feats == window
+            for name in ("outs", "rels"):
+                for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
+                    assert np.array_equal(a.data, b.data), name
 
 
 class TestCheckpoint:
@@ -349,8 +374,8 @@ class TestCheckpoint:
         _, back = self._roundtrip(tmp_path, model)
         rng = np.random.default_rng(9)
         frames = [rng.normal(size=(3, 32, 32)) for _ in range(3)]
-        ra = model.track_sequence(frames)
-        rb = back.track_sequence(frames)
+        ra = track_frames(model, frames)
+        rb = track_frames(back, frames)
         for x, y in zip(ra.rels, rb.rels):
             assert np.array_equal(x.data, y.data)
 

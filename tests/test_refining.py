@@ -275,7 +275,7 @@ class TestRefineSequence:
         m = VONet(preset="tiny", seed=seed)
         rng = np.random.default_rng(seed + 100)
         fr = [rng.normal(size=(3, 32, 32)) for _ in range(frames)]
-        track = m.track_sequence(fr)
+        track = m.track_sequence([[m.encode_pair(a, b) for a, b in zip(fr, fr[1:])]])[0]
         return m, track
 
     def test_shapes_and_lengths(self):

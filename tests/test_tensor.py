@@ -29,7 +29,11 @@ def conv2d_reference(x, kernel, bias, stride=1, padding=0):
 
 def conv2d_tensordot(x, kernel, bias, stride=1, padding=0):
     """The conv2d op the matmul form replaced: np.pad, then one tensordot over
-    the strided im2col view; the oracle for values and gradients."""
+    the strided im2col view; the oracle for values and gradients. A
+    (C,B,H,W) batch runs as B lone calls."""
+    if x.data.ndim == 4:
+        return T.stack_batch([conv2d_tensordot(T.take_batch(x, i), kernel, bias, stride, padding)
+                              for i in range(x.data.shape[1])])
     c, h, w = x.data.shape
     o, _, k, _ = kernel.data.shape
     hp, wp = h + 2 * padding, w + 2 * padding
@@ -200,21 +204,67 @@ class TestConv:
             assert np.array_equal(results[0][1], results[1][1]), (c, o, k, stride, pad)
 
     def test_col2im_index_is_each_entrys_padded_position(self):
-        # (C, hp, wp, k, stride), two of them of equal index size
-        for c, hp, wp, k, stride in [(2, 6, 8, 3, 1), (2, 8, 6, 3, 1), (3, 9, 9, 1, 2), (1, 11, 7, 3, 3)]:
-            index = T._col2im_index(c, hp, wp, k, stride)
+        # (C, B, hp, wp, k, stride), two of them of equal index size
+        for c, b, hp, wp, k, stride in [(2, 1, 6, 8, 3, 1), (2, 1, 8, 6, 3, 1), (3, 1, 9, 9, 1, 2),
+                                        (1, 1, 11, 7, 3, 3), (2, 3, 6, 8, 3, 1), (3, 2, 9, 7, 3, 2)]:
+            index = T._col2im_index(c, b, hp, wp, k, stride)
             h_out, w_out = (hp - k) // stride + 1, (wp - k) // stride + 1
-            ci, di, dj, i, j = np.indices((c, k, k, h_out, w_out))
-            assert np.array_equal(index, ((ci * hp + di + stride * i) * wp + dj + stride * j).reshape(-1))
-            assert index is T._col2im_index(c, hp, wp, k, stride)
+            bi, ci, di, dj, i, j = np.indices((b, c, k, k, h_out, w_out))
+            want = (((ci * b + bi) * hp + di + stride * i) * wp + dj + stride * j).reshape(-1)
+            assert np.array_equal(index, want)
+            assert index is T._col2im_index(c, b, hp, wp, k, stride)
             # the cached index is writeable; a conv2d forward and backward leaves it as built
-            x = T.Tensor(np.ones((c, hp, wp)), requires_grad=True)
+            x = T.Tensor(np.ones((c, b, hp, wp) if b > 1 else (c, hp, wp)), requires_grad=True)
             kern = T.Tensor(np.ones((2, c, k, k)), requires_grad=True)
             T.tsum(T.conv2d(x, kern, T.Tensor(np.zeros(2)), stride=stride)).backward()
-            assert index is T._col2im_index(c, hp, wp, k, stride)
-            assert np.array_equal(index, T._col2im_index.__wrapped__(c, hp, wp, k, stride))
-        wide, tall = T._col2im_index(2, 6, 8, 3, 1), T._col2im_index(2, 8, 6, 3, 1)
+            assert index is T._col2im_index(c, b, hp, wp, k, stride)
+            assert np.array_equal(index, T._col2im_index.__wrapped__(c, b, hp, wp, k, stride))
+        wide, tall = T._col2im_index(2, 1, 6, 8, 3, 1), T._col2im_index(2, 1, 8, 6, 3, 1)
         assert wide.shape == tall.shape and not np.array_equal(wide, tall)
+
+    # (C, O, H, W, B): the tiny ConvLSTM's (16x72)(72x4) gate GEMM and the
+    # desk fuse conv's (64x576)(576x16) one, where a single GEMM over all B
+    # entries' columns gives other bits than a lone call, and the desk
+    # ConvLSTM's (256x1152)(1152x16)
+    BATCH_CASES = [(8, 16, 2, 2, 10), (64, 64, 4, 4, 10), (128, 256, 4, 4, 3)]
+
+    def test_batch_entries_match_lone_calls(self):
+        rng = np.random.default_rng(16)
+        for c, o, h, w, b in self.BATCH_CASES:
+            x = T.Tensor(rng.normal(size=(c, b, h, w)), requires_grad=True)
+            kern = T.Tensor(rng.normal(size=(o, c, 3, 3)), requires_grad=True)
+            bias = T.Tensor(rng.normal(size=o), requires_grad=True)
+            weights = rng.normal(size=(o, b, h, w))
+            out = T.conv2d(x, kern, bias, padding=1)
+            assert out.shape == (o, b, h, w)
+            T.tsum(T.mul(out, weights)).backward()
+            for i in range(b):
+                xi = T.Tensor(x.data[:, i], requires_grad=True)
+                lone = T.conv2d(xi, kern, bias, padding=1)
+                assert np.array_equal(out.data[:, i], lone.data), (c, o, i)
+                # the input gradient is per entry too
+                T.tsum(T.mul(lone, weights[:, i])).backward()
+                assert np.array_equal(x.grad[:, i], xi.grad), (c, o, i)
+
+    @pytest.mark.parametrize("o", [2, 8])  # O <= H'*W' = 4 multiplies at once, O = 8 defers
+    def test_batch_gradients_match_fd(self, o):
+        rng = np.random.default_rng(17)
+        x = T.Tensor(rng.normal(size=(3, 2, 2, 2)), requires_grad=True)
+        k = T.Tensor(rng.normal(size=(o, 3, 3, 3)), requires_grad=True)
+        b = T.Tensor(rng.normal(size=o), requires_grad=True)
+        weights = T.Tensor(rng.normal(size=(o, 2, 2, 2)))
+
+        def f(_):
+            return T.tsum(T.mul(T.tanh(T.conv2d(x, k, b, padding=1)), weights))
+
+        for t in (x, k, b):
+            assert T.finite_diff_check(f, t) < 1e-6
+        # and the same gradients as B lone calls of the loop oracle
+        k.zero_grad()
+        f(None).backward()
+        oracle = T.Tensor(k.data.copy(), requires_grad=True)
+        T.tsum(T.mul(T.tanh(conv2d_tensordot(x, oracle, b, padding=1)), weights)).backward()
+        assert np.max(np.abs(k.grad - oracle.grad)) < 1e-12
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(3)
@@ -261,7 +311,7 @@ def recurrent_graph(conv, kernel, x0, weights, steps=10):
 
 TAPED_OPS = {"add", "mul", "div", "tsum", "sqrt", "sigmoid", "tanh", "conv2d", "concat_channels",
              "scale_channels", "weighted_sum", "_cosine", "global_avg_pool", "linear", "softmax",
-             "stack", "slice1d"}
+             "stack", "slice1d", "stack_batch", "take_batch"}
 # parent positions whose gradient an op skips when that parent is constant
 GUARDED = {"conv2d": (0, 1), "_cosine": (1,), "scale_channels": (0,)}
 
@@ -278,6 +328,7 @@ def every_op_graph(seed):
     mem = rng.normal(size=(4, 9, 2, 2))
     c0 = T.conv2d(rng.normal(size=(2, 4, 4)), k_small, np.zeros(2), stride=2, padding=1)
     c1 = T.conv2d(c0, kernel, np.zeros(8), padding=1)
+    c1 = T.take_batch(T.stack_batch([rng.normal(size=(8, 2, 2)), c1]), 1)
     c2 = T.conv2d(T.tanh(c1), rng.normal(size=(8, 8, 1, 1)), bias)
     cat = T.concat_channels([T.sigmoid(c2), rng.normal(size=(1, 2, 2))])
     scaled = T.scale_channels(mem, T.softmax(T.channel_cosine(cat, mem)))
@@ -406,6 +457,47 @@ class TestStructuralOps:
     def test_concat_mismatch_rejected(self):
         with pytest.raises(ValueError):
             T.concat_channels([T.Tensor(np.zeros((1, 2, 2))), T.Tensor(np.zeros((1, 3, 2)))])
+        with pytest.raises(ValueError):  # a batch beside a lone map
+            T.concat_channels([T.Tensor(np.zeros((1, 2, 2, 2))), T.Tensor(np.zeros((1, 2, 2)))])
+
+    def test_concat_batches(self):
+        rng = np.random.default_rng(18)
+        parts = [rng.normal(size=(c, 3, 2, 2)) for c in (1, 2)]
+        cat = T.concat_channels([T.Tensor(p) for p in parts])
+        assert np.array_equal(cat.data, np.concatenate(parts))
+
+    def test_stack_and_take_batch(self):
+        rng = np.random.default_rng(19)
+        maps = [T.Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True) for _ in range(3)]
+        batch = T.stack_batch(maps)
+        assert batch.shape == (2, 3, 3, 2)
+        for i, m in enumerate(maps):
+            assert np.array_equal(batch.data[:, i], m.data)
+            assert np.array_equal(T.take_batch(batch, i).data, m.data)
+        w = T.Tensor(rng.normal(size=(2, 3, 3, 2)))
+        v = T.Tensor(rng.normal(size=(2, 3, 2)))
+        for i in range(3):
+            others = maps[:i] + [None] + maps[i + 1:]
+
+            def stacked(t, i=i, others=others):
+                return T.stack_batch(others[:i] + [t] + others[i + 1:])
+
+            assert T.finite_diff_check(lambda t: T.tsum(T.mul(stacked(t), w)), maps[i]) < 1e-8
+            # through both ops: only entry i reaches the loss
+            assert T.finite_diff_check(lambda t: T.tsum(T.mul(T.take_batch(stacked(t), i), v)),
+                                       maps[i]) < 1e-8
+        x = T.Tensor(batch.data.copy(), requires_grad=True)
+        assert T.finite_diff_check(lambda t: T.tsum(T.mul(T.take_batch(t, 2), v)), x) < 1e-8
+        assert not np.any(x.grad[:, :2])
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="take_batch"):
+                T.take_batch(batch, bad)
+        with pytest.raises(ValueError):
+            T.take_batch(maps[0], 0)  # no batch axis
+        with pytest.raises(ValueError):
+            T.stack_batch([])
+        with pytest.raises(ValueError):
+            T.stack_batch([maps[0], T.Tensor(np.zeros((2, 2, 2)))])
 
     def test_scale_channels(self):
         rng = np.random.default_rng(5)

@@ -13,13 +13,13 @@ import memvo.tensor as T
 import memvo.training as training
 from memvo.geometry import Pose6DoF, integrate_relative, pose_compose
 from memvo.memory import MemoryPolicy
-from memvo.net import VONet
+from memvo.net import PRESETS, VONet
 from memvo.refining import guided_observation, recalibrate
 from memvo.synthetic import SyntheticSpec, generate_dataset, generate_sequence
 from memvo.training import (ADAM_WEIGHT_DECAY, Adam, TrainConfig, TrainingDiverged,
                             _pose_term, loss_global, loss_local, loss_total, lr_at,
-                            run_window, sliding_window_infer, train, window_ground_truth,
-                            window_loss)
+                            run_window, sliding_window_infer, track_windows, train,
+                            window_ground_truth, window_loss)
 from test_tensor import conv2d_tensordot
 
 
@@ -642,18 +642,21 @@ class TestSlidingWindowInfer:
                                  MemoryPolicy(), window=4)
 
     @staticmethod
-    def frames(n):
-        spec = SyntheticSpec(frames=n, height=32, width=32, max_shift=1.0, seed=11)
+    def frames(n, side=32):
+        spec = SyntheticSpec(frames=n, height=side, width=side, max_shift=1.0, seed=11)
         return list(generate_sequence(spec).frames)
 
-    @pytest.mark.parametrize("n, window, stride", [
-        (9, 4, 1),   # every pair shared by up to 3 windows
-        (10, 4, 3),  # stride window - 1: windows share one frame, no pair
-        (9, 4, 2),   # starts 0, 2, 4 and the clamped last start 5
+    @pytest.mark.parametrize("preset, n, window, stride", [
+        pytest.param("tiny", 9, 4, 1, id="9-4-1"),    # every pair shared by up to 3 windows
+        pytest.param("tiny", 10, 4, 3, id="10-4-3"),  # stride window - 1: a shared frame, no pair
+        pytest.param("tiny", 9, 4, 2, id="9-4-2"),    # starts 0, 2, 4 and the clamped last 5
+        # two batches of 4 windows and a last one of 1, on the desk preset,
+        # whose GEMMs are above OpenBLAS's small-matrix path
+        pytest.param("desk", 14, 5, 1, id="desk-14-5-1"),
     ])
-    def test_bit_identical_to_taped_oracle(self, n, window, stride):
-        model = VONet(preset="tiny", seed=3)
-        frames = self.frames(n)
+    def test_bit_identical_to_taped_oracle(self, preset, n, window, stride):
+        model = VONet(preset=preset, seed=3)
+        frames = self.frames(n, side=PRESETS[preset].height)
         got = sliding_window_infer(model, frames, self.policy, window=window, stride=stride)
         want = sliding_window_infer_taped(model, frames, self.policy, window=window, stride=stride)
         assert len(got) == len(want) == n
@@ -689,6 +692,24 @@ class TestSlidingWindowInfer:
                              window=window, stride=stride)
         assert len(steps) == kept
 
+    @pytest.mark.parametrize("n, window, stride, batches", [(9, 4, 1, 2), (9, 4, 2, 2),
+                                                            (12, 4, 3, 2), (20, 4, 1, 6)])
+    def test_tracks_a_batch_of_windows_per_step(self, monkeypatch, n, window, stride, batches):
+        # window - 1 windows per batch, one ConvLSTM step per pair of a window:
+        # (9, 4, 1) runs 6 windows as 2 batches of 3, where one step per window
+        # and pair would run 18
+        real, steps = VONet.track_step, []
+
+        def counted(self, x, h, c):
+            steps.append(x.shape)
+            return real(self, x, h, c)
+
+        monkeypatch.setattr(VONet, "track_step", counted)
+        sliding_window_infer(VONet(preset="tiny", seed=3), self.frames(n), self.policy,
+                             window=window, stride=stride)
+        assert len(steps) == batches * (window - 1)
+        assert steps[0] == (4, window - 1, 2, 2)  # a full first batch, channel-first
+
     def test_builds_no_taped_node(self, monkeypatch):
         real, taped = T._make, []
 
@@ -706,22 +727,28 @@ class TestSlidingWindowInfer:
         assert taped  # the spy does see a taped pass
 
     def test_keeps_at_most_a_window_of_features(self, monkeypatch):
-        # live pair features when each new one is encoded: the shared ones plus
-        # the previous window's, never the whole sequence
-        real, made, live = VONet.encode_pair, [], []
-
-        def tracked(self, prev_frame, frame):
-            live.append(sum(r() is not None for r in made))
-            out = real(self, prev_frame, frame)
-            made.append(weakref.ref(out))
-            return out
-
-        monkeypatch.setattr(VONet, "encode_pair", tracked)
+        # live pair features when each new one is encoded, with the new one:
+        # at most a batch's span of (window - 2) * stride + window - 1 pairs,
+        # and the same at 20 and 40 frames, so never the whole sequence
+        real = VONet.encode_pair
         window = 4
-        sliding_window_infer(VONet(preset="tiny", seed=3), self.frames(20), self.policy,
-                             window=window, stride=1)
-        assert len(made) == 19
-        assert max(live) <= window - 1
+        for stride in (1, 2):
+            peaks = []
+            for n in (20, 40):
+                made, live = [], []
+
+                def tracked(self, prev_frame, frame):
+                    live.append(sum(r() is not None for r in made))
+                    out = real(self, prev_frame, frame)
+                    made.append(weakref.ref(out))
+                    return out
+
+                monkeypatch.setattr(VONet, "encode_pair", tracked)
+                sliding_window_infer(VONet(preset="tiny", seed=3), self.frames(n), self.policy,
+                                     window=window, stride=stride)
+                assert len(made) == n - 1
+                peaks.append(max(live) + 1)
+            assert peaks[0] == peaks[1] == (window - 2) * stride + window - 1, stride
 
     def test_taped_run_window_after_inference_has_gradients(self):
         model = VONet(preset="tiny", seed=3)
@@ -740,8 +767,9 @@ class TestSlidingWindowInfer:
         model = VONet(preset="tiny", seed=3)
         frames = self.frames(4)
         feats = [model.encode_pair(a, b) for a, b in zip(frames, frames[1:])]
+        track = track_windows(model, [feats[:2]])[0]
         with pytest.raises(ValueError, match="3 pair features, got 2"):
-            model.track_sequence(frames, feats[:2])
+            run_window(model, frames, self.policy, track=track)
 
 
 # Train for 2 iterations, then infer at stride 1, and print the digests. On a
