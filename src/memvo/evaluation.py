@@ -219,7 +219,7 @@ def load_sequence(dirpath):
     Bad sizes, frame lists, frame blobs (also non-finite ones) or pose
     files raise a ValueError naming dirpath or the file at fault.
     """
-    mpath, manifest = read_manifest(dirpath, SEQUENCE_FORMAT, (SEQUENCE_VERSION,))
+    mpath, manifest = read_manifest(dirpath, SEQUENCE_FORMAT, SEQUENCE_VERSION)
     try:
         sizes = [check_int(k, manifest.get(k), 1)
                  for k in ("frame_count", "channels", "height", "width")]

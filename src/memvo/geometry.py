@@ -310,8 +310,7 @@ def integrate_relative(rels, origin=None):
     cur = np.eye(4) if origin is None else check_se3(origin).copy()
     out = [cur.copy()]
     for rel in rels:
-        step = rel.to_matrix() if isinstance(rel, Pose6DoF) else check_se3(rel)
-        cur = pose_compose(cur, step)
+        cur = pose_compose(cur, rel.to_matrix() if isinstance(rel, Pose6DoF) else rel)
         out.append(cur)
     return out
 

@@ -19,7 +19,7 @@ from .config import check_fields, check_int, write_json
 from .votb import MANIFEST, manifest_array, manifest_blob, read_manifest, write_votb
 
 CHECKPOINT_FORMAT = "memvo-checkpoint"
-CHECKPOINT_VERSION = 2  # version 1, one blob per ConvLSTM gate, is still read
+CHECKPOINT_VERSION = 2  # the only format read: one blob per VONet.params entry
 FRAME_CHANNELS = 3  # RGB
 
 
@@ -176,11 +176,13 @@ class VONet:
             self._add("encoder.l%d.bias" % i, np.zeros(o))
         h = self.hidden
         for stage in ("track", "refine"):
-            self._add(stage + ".kernel", np.empty((4 * h, 2 * h, 3, 3)))
+            kernel = np.empty((4 * h, 2 * h, 3, 3))
+            for k in range(4):  # gates i, f, o, g; for each the x block, then the h block
+                for j in range(2):
+                    kernel[k * h:(k + 1) * h, j * h:(j + 1) * h] = glorot(
+                        rng, (h, h, 3, 3), h * 9, h * 9)
+            self._add(stage + ".kernel", kernel)
             self._add(stage + ".bias", np.zeros(4 * h))
-        for name, block in _v1_views(self):  # the per-gate draws, in their v1 order
-            if name.endswith((".wx", ".wh")):
-                block[...] = glorot(rng, block.shape, h * 9, h * 9)
         self._add("fuse.conv1.kernel", glorot(rng, (h, 2 * h, 3, 3), 2 * h * 9, h * 9))
         self._add("fuse.conv1.bias", np.zeros(h))
         self._add("fuse.conv2.kernel", glorot(rng, (h, h, 3, 3), h * 9, h * 9))
@@ -283,28 +285,6 @@ class TrackResult:
     rels: list
 
 
-def _v1_views(model):
-    """(v1 checkpoint name, writable view) of every parameter, in model order.
-
-    A ConvLSTM kernel (4h, 2h, 3, 3) stacks gates i, f, o, g on axis 0 and x, h
-    on axis 1; v1 stored each gate block of it and of the (4h,) bias as a blob.
-    The init draws the gate blocks in this order too.
-    """
-    h = model.hidden
-    for name, p in model.params.items():
-        stage, _, kind = name.partition(".")
-        if stage not in ("track", "refine"):
-            yield name, p.data
-            continue
-        for k, gate in enumerate("ifog"):
-            block = p.data[k * h:(k + 1) * h]
-            if kind == "bias":
-                yield "%s.%s.bias" % (stage, gate), block
-            else:
-                yield "%s.%s.wx" % (stage, gate), block[:, :h]
-                yield "%s.%s.wh" % (stage, gate), block[:, h:]
-
-
 def save_checkpoint(model, dirpath):
     """Write one VOTB blob per entry of model.params, named as there, plus a JSON manifest."""
     os.makedirs(dirpath, exist_ok=True)
@@ -327,14 +307,14 @@ def save_checkpoint(model, dirpath):
 
 
 def load_checkpoint(dirpath):
-    """Rebuild a VONet from a version 1 or 2 checkpoint, bit exact; bad files raise ValueError."""
-    mpath, manifest = read_manifest(dirpath, CHECKPOINT_FORMAT, (1, CHECKPOINT_VERSION))
+    """Rebuild a VONet from a checkpoint, bit exact; bad files raise ValueError."""
+    mpath, manifest = read_manifest(dirpath, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     info, entries = manifest.get("model"), manifest.get("params")
     if not isinstance(info, dict) or not isinstance(entries, dict):
         raise ValueError("%s: manifest needs a 'model' and a 'params' object" % mpath)
     try:
-        preset = _check_preset(info.get("preset", "custom"))
-        seed = check_int("seed", info.get("seed", 0), 0)
+        preset = _check_preset(info.get("preset"))
+        seed = check_int("seed", info.get("seed"), 0)
         config = EncoderConfig.from_dict(info.get("config"))
     except ValueError as exc:
         raise ValueError("%s: bad model config: %s" % (mpath, exc)) from None
@@ -344,14 +324,13 @@ def load_checkpoint(dirpath):
         name = "encoder.l%d.kernel" % i
         manifest_blob(mpath, "parameter " + name, entries.get(name), want)
     model = VONet(preset=preset, seed=seed, config=config)
-    views = (dict(_v1_views(model)) if manifest["version"] == 1
-             else {name: p.data for name, p in model.params.items()})
-    missing = set(views) - set(entries)
-    extra = set(entries) - set(views)
+    missing = set(model.params) - set(entries)
+    extra = set(entries) - set(model.params)
     if missing or extra:
         raise ValueError("%s: checkpoint parameter set mismatch (missing %s, extra %s)"
                          % (mpath, sorted(missing), sorted(extra)))
     for name in entries:
-        data = manifest_array(mpath, "parameter " + name, entries[name], views[name].shape)
-        views[name][...] = data  # in place: v1 gate blocks are views, and a fresh array costs RSS
+        param = model.params[name].data
+        # in place: swapping in the read array would free the fresh one, and that moves peak RSS
+        param[...] = manifest_array(mpath, "parameter " + name, entries[name], param.shape)
     return model

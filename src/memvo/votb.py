@@ -74,18 +74,18 @@ def read_votb(path):
     return flat.reshape(extents).copy()
 
 
-def read_manifest(dirpath, fmt, versions):
-    """(path, object) of dirpath's manifest, which must declare fmt at one of versions (an int)."""
+def read_manifest(dirpath, fmt, version):
+    """(path, object) of dirpath's manifest, which must declare fmt at version (an int)."""
     mpath = os.path.join(dirpath, MANIFEST)
     if not os.path.isfile(mpath):
         raise ValueError("%s: no %s manifest" % (dirpath, fmt))
     manifest = read_json(mpath)
     if manifest.get("format") != fmt:
         raise ValueError("%s: not a %s manifest" % (mpath, fmt))
-    version = manifest.get("version")
+    found = manifest.get("version")
     # 2.0 == 2 and True == 1 in Python, so the type is checked before the value
-    if isinstance(version, bool) or not isinstance(version, int) or version not in versions:
-        raise ValueError("%s: unsupported %s version %r" % (mpath, fmt, version))
+    if isinstance(found, bool) or not isinstance(found, int) or found != version:
+        raise ValueError("%s: unsupported %s version %r" % (mpath, fmt, found))
     return mpath, manifest
 
 

@@ -1,8 +1,8 @@
 """Property tests of the VOTB reader and the container loaders.
 
-Any bytes given to read_votb, and any mutation of a checkpoint (version 1
-or 2) or sequence manifest, either load or raise a ValueError whose message
-starts with the path of the file at fault.
+Any bytes given to read_votb, and any mutation of a checkpoint or sequence
+manifest, either load or raise a ValueError whose message starts with the
+path of the file at fault.
 """
 
 import copy
@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from memvo.evaluation import load_sequence, save_sequence  # noqa: E402
 from memvo.net import VONet, load_checkpoint, save_checkpoint  # noqa: E402
 from memvo.votb import MAGIC, read_votb, write_votb  # noqa: E402
-from test_net import v1_params, write_v1_checkpoint  # noqa: E402
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -55,12 +54,6 @@ def _saved(save, name):
 @pytest.fixture(scope="module")
 def saved_checkpoint():
     yield from _saved(lambda path: save_checkpoint(VONet(preset="tiny", seed=0), path), "ckpt")
-
-
-@pytest.fixture(scope="module")
-def saved_v1_checkpoint():
-    yield from _saved(lambda path: write_v1_checkpoint(v1_params("tiny", 0), "tiny", 0, path),
-                      "ckpt")
 
 
 @pytest.fixture(scope="module")
@@ -155,13 +148,6 @@ def _fuzz_load(saved, load, text):
 def test_load_checkpoint_mutated_manifest(saved_checkpoint, data):
     _fuzz_load(saved_checkpoint, load_checkpoint,
                data.draw(mutated_manifests(saved_checkpoint[1])))
-
-
-@SETTINGS
-@given(data=st.data())
-def test_load_v1_checkpoint_mutated_manifest(saved_v1_checkpoint, data):
-    _fuzz_load(saved_v1_checkpoint, load_checkpoint,
-               data.draw(mutated_manifests(saved_v1_checkpoint[1])))
 
 
 @SETTINGS

@@ -42,7 +42,7 @@ def track_frames(model, frames):
     return model.track_sequence([feats])[0]
 
 
-def v1_params(preset, seed):
+def per_gate_params(preset, seed):
     """The 50 per-gate parameters the unfused model drew, in its draw order."""
     cfg = PRESETS[preset]
     rng = np.random.default_rng(seed)
@@ -69,21 +69,8 @@ def v1_params(preset, seed):
     return out
 
 
-def write_v1_checkpoint(params, preset, seed, dirpath):
-    """A checkpoint written as the unfused model wrote it: one blob per gate."""
-    os.makedirs(dirpath)
-    for name, data in params.items():
-        write_votb(os.path.join(dirpath, name + ".votb"), data)
-    manifest = {"format": "memvo-checkpoint", "version": 1,
-                "model": {"preset": preset, "seed": seed, "config": PRESETS[preset].to_dict()},
-                "params": {name: name + ".votb" for name in params}}
-    with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def v1_view(model, name):
-    """The part of the fused model's parameters that v1 parameter `name` is."""
+def per_gate_view(model, name):
+    """The part of the fused model's parameters that per-gate parameter `name` is."""
     if name in model.params:
         return model.params[name].data
     stage, gate, kind = name.split(".")
@@ -156,10 +143,10 @@ class TestInit:
     @pytest.mark.parametrize("preset", ["tiny", "desk"])
     def test_same_seed_weights_as_per_gate_init(self, preset):
         m = VONet(preset=preset, seed=13)
-        ref = v1_params(preset, 13)
+        ref = per_gate_params(preset, 13)
         assert len(ref) == 50 and len(m.params) == 30
         for name, data in ref.items():
-            assert v1_view(m, name).tobytes() == data.tobytes(), name
+            assert per_gate_view(m, name).tobytes() == data.tobytes(), name
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
@@ -403,7 +390,7 @@ class TestCheckpoint:
         mpath = os.path.join(path, "manifest.json")
         manifest = json.load(open(mpath))
         # 2.0 == 2 and True == 1, so only a type check refuses those two
-        for version in (99, 2.0, True):
+        for version in (1, 99, 2.0, True):
             manifest["version"] = version
             with open(mpath, "w") as fh:
                 json.dump(manifest, fh)
@@ -426,40 +413,10 @@ class TestCheckpoint:
         assert manifest["version"] == 2
         assert manifest["params"] == {n: n + ".votb" for n in model.params}
 
-    def _v1_directory(self, tmp_path):
-        rng = np.random.default_rng(15)
-        params = v1_params("tiny", 4)
-        for data in params.values():
-            data += rng.normal(size=data.shape)
-        v1_dir = os.path.join(tmp_path, "v1")
-        write_v1_checkpoint(params, "tiny", 4, v1_dir)
-        return v1_dir, params
-
-    def test_v1_directory_loads_bit_exactly(self, tmp_path):
-        v1_dir, params = self._v1_directory(tmp_path)
-        back = load_checkpoint(v1_dir)
-        assert list(back.params) == list(VONet(preset="tiny").params)
-        for name, data in params.items():
-            assert v1_view(back, name).tobytes() == data.tobytes(), name
-        # saving it again writes version 2, which loads back to the same bytes
-        again, back2 = self._roundtrip(tmp_path, back)
-        with open(os.path.join(again, "manifest.json")) as fh:
-            assert json.load(fh)["version"] == 2
-        assert len(os.listdir(again)) == 31
-        for name, p in back.params.items():
-            assert back2.params[name].data.tobytes() == p.data.tobytes(), name
-
-    @pytest.mark.parametrize("layout", ["v1 blobs", "v2 blobs"])
-    def test_blobs_of_the_other_version_rejected(self, tmp_path, layout):
-        # a v2 manifest over per-gate blobs, and a v1 manifest over fused ones
-        if layout == "v1 blobs":
-            path, _ = self._v1_directory(tmp_path)
-        else:
-            path, _ = self._roundtrip(tmp_path, VONet(preset="tiny", seed=0))
-        mpath = os.path.join(path, "manifest.json")
-        with open(mpath) as fh:
-            manifest = json.load(fh)
-        manifest["version"] = 3 - manifest["version"]
+    def test_foreign_parameter_names_rejected(self, tmp_path):
+        # the names of the per-gate blobs (track.i.wx, ...) are not this model's parameters
+        path, mpath, manifest = self._saved_manifest(tmp_path)
+        manifest["params"] = {name: name + ".votb" for name in per_gate_params("tiny", 0)}
         with open(mpath, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(ValueError, match="^" + re.escape(mpath)
@@ -525,6 +482,16 @@ class TestCheckpoint:
         with open(mpath, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(ValueError, match="^" + re.escape(mpath + ": bad model config: " + why)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["preset", "seed"])
+    def test_missing_model_key_names_the_manifest(self, tmp_path, key):
+        # save_checkpoint always writes both, so a manifest without one is refused
+        path, mpath, manifest = self._saved_manifest(tmp_path)
+        del manifest["model"][key]
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match="^" + re.escape(mpath + ": bad model config: " + key)):
             load_checkpoint(path)
 
     def test_wrong_in_channels_names_the_manifest(self, tmp_path):

@@ -328,7 +328,7 @@ class TestRefineSequence:
         loss = T.tsum(T.mul(abs_poses[-1], abs_poses[-1]))
         loss.backward()
         h = m.hidden
-        # refine.kernel[:h, :h] is the input gate's x block (v1 "refine.i.wx")
+        # refine.kernel[:h, :h] is the input gate's x block
         for name, block in (("refine.kernel", np.s_[:h, :h]), ("fuse.conv1.kernel", np.s_[:]),
                             ("head.refine.weight", np.s_[:]), ("encoder.l1.kernel", np.s_[:])):
             g = m.params[name].grad
