@@ -107,7 +107,11 @@ def matrix_to_euler(r):
     At the gimbal singularity (|phi_y| = pi/2) the x and z angles are not
     separable; the representative with phi_x = 0 is returned.
     """
-    r = _check_rotation(r)
+    return _rotation_to_euler(_check_rotation(r))
+
+
+def _rotation_to_euler(r):
+    # matrix_to_euler without the check, for a 3x3 rotation the caller trusts
     sy = -r[2, 0]
     sy = min(1.0, max(-1.0, float(sy)))
     if abs(sy) < 1.0 - 1e-9:
@@ -231,8 +235,11 @@ def pose_compose(a, b):
     composition keeps integrated trajectories valid for downstream checks.
     (N,4,4) stacks compose pose by pose, each with the bits of a lone call.
     """
-    a = check_se3(a)
-    b = check_se3(b)
+    return _compose(check_se3(a), check_se3(b))
+
+
+def _compose(a, b):
+    # pose_compose without the checks, for poses or stacks the caller trusts
     out = a @ b
     out[..., :3, :3] = orthonormalize(out[..., :3, :3])
     out[..., 3, :] = (0.0, 0.0, 0.0, 1.0)
@@ -245,7 +252,11 @@ def pose_inverse(pose):
     The translation is summed elementwise, so a pose gives the same bits
     alone as inside any stack.
     """
-    pose = check_se3(pose)
+    return _inverse(check_se3(pose))
+
+
+def _inverse(pose):
+    # pose_inverse without the check, for a pose or stack the caller trusts
     r, t = pose[..., :3, :3], pose[..., :3, 3]
     out = np.zeros(pose.shape)
     out[..., :3, :3] = r.swapaxes(-1, -2)
@@ -296,7 +307,37 @@ class Pose6DoF:
     @classmethod
     def from_matrix(cls, pose):
         pose = check_se3(pose)
-        return cls(pose[:3, 3], matrix_to_euler(pose[:3, :3]))
+        if pose.ndim != 2:
+            raise ValueError("pose must be 4x4, got %s" % (pose.shape,))
+        return cls(pose[:3, 3], _rotation_to_euler(pose[:3, :3]))
+
+
+def poses_from_vectors(vectors):
+    """(N,6) pose vectors -> (N,4,4) poses; rejects non-finite rows.
+
+    Each pose has the bits of Pose6DoF.from_vector(v).to_matrix(): the
+    angles are wrapped and the rotation is Rz @ Ry @ Rx, as in
+    euler_to_matrix, with the products taken as (N,3,3) stacks. Any finite
+    vector gives a valid pose, so the result needs no further check.
+    """
+    v = np.asarray(vectors, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != 6:
+        raise ValueError("pose vectors must have shape (N, 6), got %s" % (v.shape,))
+    _raise_first([(~np.isfinite(v).all(axis=1), "vector has non-finite entries")], "pose vector")
+    phi = wrap_angle(v[:, 3:])
+    c, s = np.cos(phi), np.sin(phi)
+    rx, ry, rz = (np.zeros((len(v), 3, 3)) for _ in range(3))
+    rx[:, 0, 0] = 1.0
+    rx[:, 1, 1], rx[:, 1, 2], rx[:, 2, 1], rx[:, 2, 2] = c[:, 0], -s[:, 0], s[:, 0], c[:, 0]
+    ry[:, 1, 1] = 1.0
+    ry[:, 0, 0], ry[:, 0, 2], ry[:, 2, 0], ry[:, 2, 2] = c[:, 1], s[:, 1], -s[:, 1], c[:, 1]
+    rz[:, 2, 2] = 1.0
+    rz[:, 0, 0], rz[:, 0, 1], rz[:, 1, 0], rz[:, 1, 1] = c[:, 2], -s[:, 2], s[:, 2], c[:, 2]
+    out = np.zeros((len(v), 4, 4))
+    out[:, :3, :3] = rz @ ry @ rx
+    out[:, :3, 3] = v[:, :3]
+    out[:, 3, 3] = 1.0
+    return out
 
 
 def integrate_relative(rels, origin=None):

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import check_fields
-from .geometry import check_se3, matrix_to_euler, pose_inverse
+from .geometry import _rotation_to_euler, check_se3, pose_inverse
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,19 @@ class MemoryPolicy:
 
 @dataclass
 class MemorySlot:
+    """A stored state, with the inverse of the pose it was stored at."""
+
     frame: int
     state: T.Tensor
-    anchor: np.ndarray
+    anchor_inv: np.ndarray
+
+
+def _motion(anchor_inv, pose):
+    # motion_since on checked poses, the anchor given by its inverse
+    rel = anchor_inv @ pose
+    rot = float(np.linalg.norm(_rotation_to_euler(rel[:3, :3])))
+    trans = float(np.linalg.norm(rel[:3, 3]))
+    return rot, trans
 
 
 def motion_since(anchor, pose):
@@ -45,20 +55,21 @@ def motion_since(anchor, pose):
     Rotation magnitude is the euclidean norm of the relative Euler vector,
     translation the norm of the relative translation.
     """
-    rel = pose_inverse(anchor) @ check_se3(pose)
-    rot = float(np.linalg.norm(matrix_to_euler(rel[:3, :3])))
-    trans = float(np.linalg.norm(rel[:3, 3]))
-    return rot, trans
+    return _motion(pose_inverse(anchor), check_se3(pose))
 
 
-def should_store(anchor, pose, policy):
-    """Threshold test for a candidate frame against the last stored anchor."""
-    rot, trans = motion_since(anchor, pose)
+def _moved(motion, policy):
+    rot, trans = motion
     hit_rot = rot >= policy.theta_rot
     hit_trans = trans >= policy.theta_trans
     if policy.require_both:
         return hit_rot and hit_trans
     return hit_rot or hit_trans
+
+
+def should_store(anchor, pose, policy):
+    """Threshold test for a candidate frame against the last stored anchor."""
+    return _moved(motion_since(anchor, pose), policy)
 
 
 class MemoryBuffer:
@@ -81,11 +92,12 @@ class MemoryBuffer:
         constant copy so refinement gradients do not flow back through the
         tracked history; detach=False keeps the live graph tensor.
         """
-        pose = check_se3(pose)
-        if self.slots and not should_store(self.slots[-1].anchor, pose, self.policy):
+        anchor_inv = pose_inverse(pose)  # the pose's one check
+        pose = np.asarray(pose, dtype=np.float64)
+        if self.slots and not _moved(_motion(self.slots[-1].anchor_inv, pose), self.policy):
             return False
         stored = state.detach() if detach else state
-        self.slots.append(MemorySlot(frame=int(frame), state=stored, anchor=pose.copy()))
+        self.slots.append(MemorySlot(frame=int(frame), state=stored, anchor_inv=anchor_inv))
         if len(self.slots) > self.policy.max_slots:
             self.slots.pop(0)
         return True

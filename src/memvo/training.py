@@ -16,7 +16,8 @@ import numpy as np
 
 from . import tensor as T
 from .config import JsonConfig, check_fields, check_int
-from .geometry import Pose6DoF, integrate_relative, pose_compose, pose_inverse, wrap_angle
+from .geometry import (Pose6DoF, _compose, _inverse, _rotation_to_euler, check_se3,
+                       integrate_relative, pose_compose, poses_from_vectors, wrap_angle)
 from .memory import MemoryBuffer, MemoryPolicy
 from .net import PRESETS, TrackResult, VONet
 from .refining import refine_sequence
@@ -167,9 +168,10 @@ def track_windows(model, windows):
     tracks = model.track_sequence(windows)
     steps = []
     for t, rels in enumerate(zip(*(track.rels for track in tracks)), start=1):
-        if not all(np.all(np.isfinite(rel.data)) for rel in rels):
+        vectors = np.stack([rel.data for rel in rels])
+        if not np.all(np.isfinite(vectors)):
             raise TrainingDiverged("non-finite relative pose at window step %d" % t)
-        steps.append(np.stack([Pose6DoF.from_vector(rel.data).to_matrix() for rel in rels]))
+        steps.append(poses_from_vectors(vectors))
     chain = integrate_relative(steps, origin=np.tile(np.eye(4), (len(tracks), 1, 1)))
     return [(track, [pose[b] for pose in chain]) for b, track in enumerate(tracks)]
 
@@ -207,14 +209,17 @@ def run_window(model, frames, policy, detach_memory=True, track=None, refine_ste
 
 
 def window_ground_truth(poses, start, length):
-    """Relative and window-anchored absolute gt for frames [start, start+length)."""
-    gt_rels, gt_abs = [], []
-    origin_inv = pose_inverse(poses[start])
-    for t in range(start + 1, start + length):
-        rel = pose_compose(pose_inverse(poses[t - 1]), poses[t])
-        gt_rels.append(Pose6DoF.from_matrix(rel))
-        gt_abs.append(Pose6DoF.from_matrix(pose_compose(origin_inv, poses[t])))
-    return gt_rels, gt_abs
+    """Relative and window-anchored absolute gt for frames [start, start+length).
+
+    The window's poses are checked once, as one stack (an error names the
+    pose's index in the window); each gt pose has the bits of composing its
+    pair alone.
+    """
+    gt = check_se3(poses[start:start + length])
+    rels = _compose(_inverse(gt[:-1]), gt[1:])
+    anchored = _compose(_inverse(gt[0]), gt[1:])
+    return tuple([Pose6DoF(m[:3, 3], _rotation_to_euler(m[:3, :3])) for m in stack]
+                 for stack in (rels, anchored))
 
 
 def window_loss(model, seq, start, config, policy):
@@ -307,7 +312,7 @@ def sliding_window_infer(model, frames, policy, window=TrainConfig.window_length
             for s, end in zip(group, ends[g:]):
                 # popped, so no window's features outlive its refinement
                 refined = run_window(model, [frames[t] for t in range(s, s + window)], policy,
-                                     track=tracked.pop(0), refine_steps=end - s).refined_poses()
-                for t, pose in enumerate(refined, start=1):
-                    traj[s + t] = pose_compose(traj[s], pose.to_matrix())
+                                     track=tracked.pop(0), refine_steps=end - s).abs_tensors
+                traj[s + 1:end + 1] = pose_compose(
+                    traj[s], poses_from_vectors([pose.data for pose in refined]))
     return traj

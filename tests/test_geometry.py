@@ -194,7 +194,9 @@ class TestSE3:
         assert got.shape == (200, 4, 4)
         for i in range(200):
             assert np.array_equal(got[i], G.pose_compose(a[i], b[i])), i
-        assert np.array_equal(G.pose_compose(a[0], b)[7], G.pose_compose(a[0], b[7]))
+        onto = G.pose_compose(a[0], b)
+        for i in range(200):
+            assert np.array_equal(onto[i], G.pose_compose(a[0], b[i])), i
         bad = b.copy()
         bad[5, :3, :3] *= 1.1
         with pytest.raises(G.StackError, match="^pose 5: matrix is not orthonormal") as info:
@@ -359,6 +361,62 @@ class TestPose6DoF:
             q = G.Pose6DoF.from_matrix(p.to_matrix())
             assert np.max(np.abs(q.p - p.p)) < 1e-9
             assert np.max(np.abs(q.phi - p.phi)) < 1e-9
+
+    def test_from_matrix_checks_once_with_the_same_messages(self, monkeypatch):
+        real, calls = G._rotation_faults, []
+
+        def counted(r):
+            calls.append(r.shape)
+            return real(r)
+
+        monkeypatch.setattr(G, "_rotation_faults", counted)
+        pose = G.make_se3(G.euler_to_matrix((0.3, -0.2, 1.0)), (1.0, 2.0, 3.0))
+        calls.clear()
+        q = G.Pose6DoF.from_matrix(pose)
+        assert calls == [(3, 3)]
+        assert np.array_equal(q.phi, G.matrix_to_euler(pose[:3, :3]))
+        skewed, reflected, nan = pose.copy(), pose.copy(), pose.copy()
+        skewed[:3, :3] *= 1.001
+        reflected[:3, 0] *= -1.0
+        nan[1, 2] = np.nan
+        for bad, why in ((skewed, "^matrix is not orthonormal"),
+                         (reflected, r"^matrix has negative determinant \(reflection\)$"),
+                         (nan, "^pose has non-finite entries$"),
+                         (np.eye(3), r"^pose must be 4x4, got \(3, 3\)$"),
+                         (np.stack([pose] * 3), r"^pose must be 4x4, got \(3, 4, 4\)$")):
+            with pytest.raises(ValueError, match=why):
+                G.Pose6DoF.from_matrix(bad)
+
+
+class TestPosesFromVectors:
+    def test_bit_identical_to_pose6dof(self):
+        # angles far outside (-pi, pi], on its edges and at pitch +-pi/2
+        rng = np.random.default_rng(30)
+        v = np.concatenate([rng.normal(size=(1200, 3)) * 10.0,
+                            rng.uniform(-20.0, 20.0, size=(1200, 3))], axis=1)
+        v[::6, 4] = np.pi / 2
+        v[1::6, 4] = -np.pi / 2
+        v[2::6, 3] = np.pi
+        v[3::6, 5] = -np.pi
+        v[4::6, 3:] = rng.uniform(-np.pi, np.pi, size=(200, 3))
+        got = G.poses_from_vectors(v)
+        assert got.shape == (1200, 4, 4)
+        for i, row in enumerate(v):
+            assert np.array_equal(got[i], G.Pose6DoF.from_vector(row).to_matrix()), i
+        for n in (1, 3):  # short stacks too
+            for i, pose in enumerate(G.poses_from_vectors(v[:n])):
+                assert np.array_equal(pose, got[i])
+        assert G.check_se3(got) is got
+
+    def test_rejects_bad_shapes_and_non_finite_rows(self):
+        for shape in ((6,), (3, 5), (2, 3, 6)):
+            with pytest.raises(ValueError, match="^pose vectors must have shape"):
+                G.poses_from_vectors(np.zeros(shape))
+        v = np.zeros((4, 6))
+        v[2, 0] = np.inf
+        v[3, 4] = np.nan
+        with pytest.raises(G.StackError, match="^pose vector 2: vector has non-finite entries$"):
+            G.poses_from_vectors(v)
 
 
 class TestIntegrate:

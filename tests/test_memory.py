@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import memvo.geometry as G
 import memvo.tensor as T
-from memvo.geometry import euler_to_matrix, make_se3, matrix_to_euler
+from memvo.geometry import euler_to_matrix, make_se3, matrix_to_euler, pose_inverse
 from memvo.memory import MemoryBuffer, MemoryPolicy, motion_since, should_store
 
 
@@ -138,6 +139,44 @@ class TestBuffer:
         buf = MemoryBuffer(MemoryPolicy())
         with pytest.raises(ValueError):
             buf.observe(state(), np.eye(3), frame=0)
+
+    @pytest.mark.parametrize("stored", [0, 1])
+    def test_bad_poses_rejected_with_their_messages(self, stored):
+        # rejected whether or not a slot is there to compare against, and
+        # the buffer is left as it was
+        buf = MemoryBuffer(MemoryPolicy(theta_rot=0.0, theta_trans=0.0))
+        for i in range(stored):
+            buf.observe(state(), np.eye(4), frame=i)
+        pose = pose_xyz_yaw(1.0, 2.0, 3.0, 0.4)
+        nan, skewed, reflected = pose.copy(), pose.copy(), pose.copy()
+        nan[0, 3] = np.nan
+        skewed[:3, :3] *= 1.001
+        reflected[:3, 2] *= -1.0
+        for bad, why in ((nan, "^pose has non-finite entries$"),
+                         (skewed, r"^matrix is not orthonormal \(max deviation "),
+                         (reflected, r"^matrix has negative determinant \(reflection\)$"),
+                         (np.eye(3), r"^pose must be 4x4, got \(3, 3\)$")):
+            with pytest.raises(ValueError, match=why):
+                buf.observe(state(), bad, frame=9)
+        assert buf.frames() == list(range(stored))
+
+    def test_each_offered_pose_checked_once(self, monkeypatch):
+        real, calls = G._rotation_faults, []
+
+        def counted(r):
+            calls.append(r.shape)
+            return real(r)
+
+        monkeypatch.setattr(G, "_rotation_faults", counted)
+        buf = MemoryBuffer(MemoryPolicy(theta_rot=100.0, theta_trans=0.6))
+        poses = [pose_xyz_yaw(0.4 * i, 0.1 * i, 0, 0.01 * i) for i in range(6)]
+        calls.clear()
+        for i, pose in enumerate(poses):
+            buf.observe(state(), pose, frame=i)
+        assert calls == [(3, 3)] * len(poses)
+        assert buf.frames() == [0, 2, 4]
+        for slot in buf.slots:
+            assert np.array_equal(slot.anchor_inv, pose_inverse(poses[slot.frame]))
 
 
 class TestReplayOracle:

@@ -57,7 +57,7 @@ def guided_memory_per_slot(guidance, slots):
 
 
 def make_slots(rng, n, shape=(4, 3, 3)):
-    return [MemorySlot(frame=i, state=T.Tensor(rng.normal(size=shape)), anchor=np.eye(4))
+    return [MemorySlot(frame=i, state=T.Tensor(rng.normal(size=shape)), anchor_inv=np.eye(4))
             for i in range(n)]
 
 

@@ -9,10 +9,13 @@ import weakref
 import numpy as np
 import pytest
 
+import memvo.geometry as geometry
+import memvo.memory as memory
 import memvo.tensor as T
 import memvo.training as training
-from memvo.geometry import Pose6DoF, integrate_relative, pose_compose
-from memvo.memory import MemoryPolicy
+from memvo.geometry import (Pose6DoF, StackError, euler_to_matrix, integrate_relative, make_se3,
+                            pose_compose, pose_inverse)
+from memvo.memory import MemoryBuffer, MemoryPolicy
 from memvo.net import PRESETS, VONet
 from memvo.refining import guided_observation, recalibrate
 from memvo.synthetic import SyntheticSpec, generate_dataset, generate_sequence
@@ -376,6 +379,41 @@ class TestWindowPipeline:
         chain = integrate_relative(gt_rels)
         for got, want in zip(chain[1:], gt_abs):
             assert np.max(np.abs(got - want.to_matrix())) < 1e-9
+
+    def test_window_ground_truth_bit_identical_to_per_pose_calls(self):
+        # the per-pose form window_ground_truth had before it took stacks
+        rng = np.random.default_rng(9)
+        poses = [np.eye(4)]
+        for _ in range(12):
+            step = make_se3(euler_to_matrix(rng.uniform(-0.4, 0.4, 3)), rng.normal(size=3))
+            poses.append(pose_compose(poses[-1], step))
+        for seq_poses in (poses, np.stack(poses)):
+            for start, length in ((0, 13), (3, 5), (11, 2)):
+                gt_rels, gt_abs = window_ground_truth(seq_poses, start, length)
+                origin_inv = pose_inverse(poses[start])
+                for i, t in enumerate(range(start + 1, start + length)):
+                    rel = Pose6DoF.from_matrix(pose_compose(pose_inverse(poses[t - 1]), poses[t]))
+                    glob = Pose6DoF.from_matrix(pose_compose(origin_inv, poses[t]))
+                    for got, want in ((gt_rels[i], rel), (gt_abs[i], glob)):
+                        assert np.array_equal(got.p, want.p) and np.array_equal(got.phi, want.phi)
+                assert len(gt_rels) == len(gt_abs) == length - 1
+
+    def test_window_ground_truth_checks_the_window_once(self, monkeypatch):
+        real, calls = geometry._rotation_faults, []
+
+        def counted(r):
+            calls.append(r.shape)
+            return real(r)
+
+        seq = generate_sequence(SyntheticSpec(frames=8, height=32, width=32, seed=3))
+        monkeypatch.setattr(geometry, "_rotation_faults", counted)
+        window_ground_truth(seq.poses, start=2, length=5)
+        assert calls == [(5, 3, 3)]
+        bad = list(seq.poses)
+        bad[4] = bad[4].copy()
+        bad[4][:3, :3] *= 1.01
+        with pytest.raises(StackError, match="^pose 2: matrix is not orthonormal"):
+            window_ground_truth(bad, start=2, length=5)
 
     def test_run_window_shapes_and_memory(self):
         model = VONet(preset="tiny", seed=0)
@@ -749,6 +787,55 @@ class TestSlidingWindowInfer:
                 assert len(made) == n - 1
                 peaks.append(max(live) + 1)
             assert peaks[0] == peaks[1] == (window - 2) * stride + window - 1, stride
+
+    def test_checks_each_pose_once(self, monkeypatch):
+        # one rotation check per frame offered to a memory (observe's
+        # pose_inverse), two per composed stack (pose_compose's inputs) and
+        # one per integrated chain (its origin): no pose the pipeline built
+        # itself is checked again
+        model, frames, counts = VONet(preset="tiny", seed=3), self.frames(9), {}
+
+        def counting(name, fn):
+            counts[name] = 0
+
+            def counted(*args, **kw):
+                counts[name] += 1
+                return fn(*args, **kw)
+            return counted
+
+        monkeypatch.setattr(geometry, "_rotation_faults",
+                            counting("rotations", geometry._rotation_faults))
+        monkeypatch.setattr(MemoryBuffer, "observe", counting("offered", MemoryBuffer.observe))
+        compose = counting("composed", geometry.pose_compose)
+        monkeypatch.setattr(geometry, "pose_compose", compose)
+        monkeypatch.setattr(training, "pose_compose", compose)
+        monkeypatch.setattr(memory, "pose_inverse", counting("inverted", memory.pose_inverse))
+        monkeypatch.setattr(training, "integrate_relative",
+                            counting("chains", training.integrate_relative))
+        sliding_window_infer(model, frames, self.policy, window=4, stride=1)
+        # 6 windows of 3 steps as 2 batches: 2 chains of 3 stacks, 6 re-anchorings
+        assert counts["offered"] == counts["inverted"] == 18
+        assert (counts["chains"], counts["composed"]) == (2, 12)
+        assert counts["rotations"] <= (counts["offered"] + 2 * counts["composed"]
+                                       + counts["chains"])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_relative_pose_raises(self, monkeypatch):
+        # a finite relative translation whose chain overflows: the last
+        # integrated pose is non-finite, and the memory's check rejects it
+        real = VONet.pose_head
+
+        def huge(self, which, out_map):
+            if which == "track":
+                return T.Tensor(np.array([1e308, 0.0, 0.0, 0.0, 0.0, 0.0]))
+            return real(self, which, out_map)
+
+        monkeypatch.setattr(VONet, "pose_head", huge)
+        model = VONet(preset="tiny", seed=3)
+        with pytest.raises(ValueError, match="^pose has non-finite entries$"):
+            run_window(model, self.frames(3), self.policy)
+        with pytest.raises(ValueError, match="non-finite"):
+            sliding_window_infer(model, self.frames(9), self.policy, window=4, stride=1)
 
     def test_taped_run_window_after_inference_has_gradients(self):
         model = VONet(preset="tiny", seed=3)
