@@ -315,26 +315,16 @@ class Pose6DoF:
 def poses_from_vectors(vectors):
     """(N,6) pose vectors -> (N,4,4) poses; rejects non-finite rows.
 
-    Each pose has the bits of Pose6DoF.from_vector(v).to_matrix(): the
-    angles are wrapped and the rotation is Rz @ Ry @ Rx, as in
-    euler_to_matrix, with the products taken as (N,3,3) stacks. Any finite
-    vector gives a valid pose, so the result needs no further check.
+    Each pose is Pose6DoF.from_vector(v).to_matrix() without make_se3's
+    check of the rotation just built: any finite vector gives a valid pose.
     """
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] != 6:
         raise ValueError("pose vectors must have shape (N, 6), got %s" % (v.shape,))
     _raise_first([(~np.isfinite(v).all(axis=1), "vector has non-finite entries")], "pose vector")
-    phi = wrap_angle(v[:, 3:])
-    c, s = np.cos(phi), np.sin(phi)
-    rx, ry, rz = (np.zeros((len(v), 3, 3)) for _ in range(3))
-    rx[:, 0, 0] = 1.0
-    rx[:, 1, 1], rx[:, 1, 2], rx[:, 2, 1], rx[:, 2, 2] = c[:, 0], -s[:, 0], s[:, 0], c[:, 0]
-    ry[:, 1, 1] = 1.0
-    ry[:, 0, 0], ry[:, 0, 2], ry[:, 2, 0], ry[:, 2, 2] = c[:, 1], s[:, 1], -s[:, 1], c[:, 1]
-    rz[:, 2, 2] = 1.0
-    rz[:, 0, 0], rz[:, 0, 1], rz[:, 1, 0], rz[:, 1, 1] = c[:, 2], -s[:, 2], s[:, 2], c[:, 2]
     out = np.zeros((len(v), 4, 4))
-    out[:, :3, :3] = rz @ ry @ rx
+    for pose, phi in zip(out, wrap_angle(v[:, 3:])):
+        pose[:3, :3] = euler_to_matrix(phi)
     out[:, :3, 3] = v[:, :3]
     out[:, 3, 3] = 1.0
     return out

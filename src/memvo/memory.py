@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import check_fields
-from .geometry import _rotation_to_euler, check_se3, pose_inverse
+from .geometry import _rotation_to_euler, pose_inverse
 
 
 @dataclass(frozen=True)
@@ -41,35 +41,28 @@ class MemorySlot:
     anchor_inv: np.ndarray
 
 
-def _motion(anchor_inv, pose):
-    # motion_since on checked poses, the anchor given by its inverse
+def motion_since(anchor_inv, pose):
+    """(rotation magnitude, translation magnitude) of pose relative to an anchor.
+
+    The anchor is given by its inverse; neither pose is checked, so the
+    caller passes poses it has checked. Rotation magnitude is the euclidean
+    norm of the relative Euler vector, translation the norm of the relative
+    translation.
+    """
     rel = anchor_inv @ pose
     rot = float(np.linalg.norm(_rotation_to_euler(rel[:3, :3])))
     trans = float(np.linalg.norm(rel[:3, 3]))
     return rot, trans
 
 
-def motion_since(anchor, pose):
-    """(rotation magnitude, translation magnitude) of pose relative to anchor.
-
-    Rotation magnitude is the euclidean norm of the relative Euler vector,
-    translation the norm of the relative translation.
-    """
-    return _motion(pose_inverse(anchor), check_se3(pose))
-
-
-def _moved(motion, policy):
-    rot, trans = motion
+def should_store(anchor_inv, pose, policy):
+    """Threshold test for a checked candidate pose against the last stored anchor."""
+    rot, trans = motion_since(anchor_inv, pose)
     hit_rot = rot >= policy.theta_rot
     hit_trans = trans >= policy.theta_trans
     if policy.require_both:
         return hit_rot and hit_trans
     return hit_rot or hit_trans
-
-
-def should_store(anchor, pose, policy):
-    """Threshold test for a candidate frame against the last stored anchor."""
-    return _moved(motion_since(anchor, pose), policy)
 
 
 class MemoryBuffer:
@@ -93,8 +86,7 @@ class MemoryBuffer:
         tracked history; detach=False keeps the live graph tensor.
         """
         anchor_inv = pose_inverse(pose)  # the pose's one check
-        pose = np.asarray(pose, dtype=np.float64)
-        if self.slots and not _moved(_motion(self.slots[-1].anchor_inv, pose), self.policy):
+        if self.slots and not should_store(self.slots[-1].anchor_inv, pose, self.policy):
             return False
         stored = state.detach() if detach else state
         self.slots.append(MemorySlot(frame=int(frame), state=stored, anchor_inv=anchor_inv))

@@ -211,10 +211,13 @@ def run_window(model, frames, policy, detach_memory=True, track=None, refine_ste
 def window_ground_truth(poses, start, length):
     """Relative and window-anchored absolute gt for frames [start, start+length).
 
-    The window's poses are checked once, as one stack (an error names the
-    pose's index in the window); each gt pose has the bits of composing its
-    pair alone.
+    The window must lie inside poses, or a ValueError names it. Its poses
+    are checked once, as one stack (an error names the pose's index in the
+    window); each gt pose has the bits of composing its pair alone.
     """
+    if not 0 <= start < start + length <= len(poses):
+        raise ValueError("window [%d, %d) does not lie inside the %d poses"
+                         % (start, start + length, len(poses)))
     gt = check_se3(poses[start:start + length])
     rels = _compose(_inverse(gt[:-1]), gt[1:])
     anchored = _compose(_inverse(gt[0]), gt[1:])

@@ -55,8 +55,11 @@ class TestMotionSince:
     def test_relative_not_absolute(self):
         # both poses share the same offset, so the relative motion is zero
         a = pose_xyz_yaw(5.0, -2.0, 1.0, 0.4)
-        rot, trans = motion_since(a, a.copy())
+        rot, trans = motion_since(pose_inverse(a), a.copy())
         assert rot < 1e-12 and trans < 1e-12
+        # the anchor enters by its inverse
+        rot, trans = motion_since(pose_inverse(a), pose_xyz_yaw(5.0, 1.0, 5.0, 0.6))
+        assert abs(rot - 0.2) < 1e-12 and abs(trans - 5.0) < 1e-12
 
 
 class TestShouldStore:

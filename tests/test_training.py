@@ -397,6 +397,11 @@ class TestWindowPipeline:
                     for got, want in ((gt_rels[i], rel), (gt_abs[i], glob)):
                         assert np.array_equal(got.p, want.p) and np.array_equal(got.phi, want.phi)
                 assert len(gt_rels) == len(gt_abs) == length - 1
+        assert window_ground_truth(poses, 4, 1) == ([], [])
+        for start, length in ((-1, 3), (11, 3), (0, 14), (0, 0), (13, 1)):
+            with pytest.raises(ValueError, match=r"^window \[%d, %d\) does not lie inside "
+                               r"the 13 poses$" % (start, start + length)):
+                window_ground_truth(poses, start, length)
 
     def test_window_ground_truth_checks_the_window_once(self, monkeypatch):
         real, calls = geometry._rotation_faults, []
