@@ -200,10 +200,12 @@ def orthonormalize(m):
 
 
 def make_se3(r, t):
-    """Assemble a 4x4 pose from rotation and translation."""
+    """Assemble a 4x4 pose from rotation and translation, both checked."""
     out = np.eye(4)
     out[:3, :3] = _check_rotation(r)
     out[:3, 3] = np.asarray(t, dtype=np.float64).reshape(3)
+    if not np.isfinite(out[:3, 3]).all():
+        raise ValueError("translation has non-finite entries")
     return out
 
 
@@ -239,8 +241,9 @@ def pose_compose(a, b):
 
 
 def _compose(a, b):
-    # pose_compose without the checks, for poses or stacks the caller trusts
-    out = a @ b
+    # pose_compose without the checks, for trusted poses or stacks; the next check reports overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a @ b
     out[..., :3, :3] = orthonormalize(out[..., :3, :3])
     out[..., 3, :] = (0.0, 0.0, 0.0, 1.0)
     return out

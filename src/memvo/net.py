@@ -10,7 +10,7 @@ frame's coordinates.
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .config import check_fields, check_int, write_json
 from .votb import MANIFEST, manifest_array, manifest_blob, read_manifest, write_votb
 
 CHECKPOINT_FORMAT = "memvo-checkpoint"
-CHECKPOINT_VERSION = 2  # the only format read: one blob per VONet.params entry
+CHECKPOINT_VERSION = 3  # the only format read: preset, seed, one blob per VONet.params entry
 FRAME_CHANNELS = 3  # RGB
 
 
@@ -45,7 +45,7 @@ class EncoderConfig:
     height: int
     width: int
     layers: tuple
-    in_channels: int = field(default=2 * FRAME_CHANNELS, init=False)
+    in_channels = 2 * FRAME_CHANNELS  # the stacked frame pair: a constant, not a field
 
     def __post_init__(self):
         check_fields(self)
@@ -85,27 +85,6 @@ class EncoderConfig:
             w = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
         return h, w
 
-    def to_dict(self):
-        return {
-            "height": self.height,
-            "width": self.width,
-            "in_channels": self.in_channels,
-            "layers": [[l.out_channels, l.kernel, l.stride] for l in self.layers],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        """Inverse of to_dict; a malformed dict raises ValueError."""
-        rows = d.get("layers") if isinstance(d, dict) else None
-        if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == 3 for r in rows):
-            raise ValueError("config needs 'layers' rows of [out_channels, kernel, stride]")
-        channels = d.get("in_channels", cls.in_channels)
-        if check_int("in_channels", channels, 1) != cls.in_channels:
-            raise ValueError("in_channels must be %d (two %d-channel frames), got %r"
-                             % (cls.in_channels, FRAME_CHANNELS, channels))
-        layers = tuple(EncoderLayer(*row) for row in rows)
-        return cls(height=d.get("height"), width=d.get("width"), layers=layers)
-
 
 def _layers(channels, kernels, strides):
     return tuple(EncoderLayer(c, k, s) for c, k, s in zip(channels, kernels, strides))
@@ -133,10 +112,13 @@ PRESETS = {
 }
 
 
-def _check_preset(preset):
-    if not isinstance(preset, str):
+def preset_config(preset):
+    """PRESETS[preset]; a non-string or a name it lacks raises ValueError."""
+    if not isinstance(preset, str):  # a JSON list would not even hash
         raise ValueError("preset must be a string, got %r" % (preset,))
-    return preset
+    if preset not in PRESETS:
+        raise ValueError("unknown preset %r (have %s)" % (preset, sorted(PRESETS)))
+    return PRESETS[preset]
 
 
 def glorot(rng, shape, fan_in, fan_out):
@@ -152,17 +134,12 @@ class VONet:
     compares those tensors directly, so the equality is enforced here.
     """
 
-    def __init__(self, preset="desk", seed=0, config=None):
-        _check_preset(preset)  # a checkpoint records it even when config is given
-        if config is None:
-            if preset not in PRESETS:
-                raise ValueError("unknown preset %r (have %s)" % (preset, sorted(PRESETS)))
-            config = PRESETS[preset]
+    def __init__(self, preset="desk", seed=0):
+        self.config = preset_config(preset)
         self.preset = preset
-        self.config = config
         self.seed = int(check_int("seed", seed, 0))  # a numpy int would not serialise
-        self.hidden = config.out_channels
-        self.extents = config.out_extents
+        self.hidden = self.config.out_channels
+        self.extents = self.config.out_extents
         self.params = OrderedDict()
         self._init_params(np.random.default_rng(self.seed))
 
@@ -286,51 +263,30 @@ class TrackResult:
 
 
 def save_checkpoint(model, dirpath):
-    """Write one VOTB blob per entry of model.params, named as there, plus a JSON manifest."""
+    """Write a manifest of model's preset and seed, and a <name>.votb per model.params entry."""
     os.makedirs(dirpath, exist_ok=True)
-    entries = {}
     for name, p in model.params.items():
-        fname = name + ".votb"
-        write_votb(os.path.join(dirpath, fname), p.data)
-        entries[name] = fname
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "model": {
-            "preset": model.preset,
-            "seed": model.seed,
-            "config": model.config.to_dict(),
-        },
-        "params": entries,
-    }
+        write_votb(os.path.join(dirpath, name + ".votb"), p.data)
+    manifest = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+                "model": {"preset": model.preset, "seed": model.seed}}
     write_json(os.path.join(dirpath, MANIFEST), manifest)
 
 
 def load_checkpoint(dirpath):
     """Rebuild a VONet from a checkpoint, bit exact; bad files raise ValueError."""
     mpath, manifest = read_manifest(dirpath, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
-    info, entries = manifest.get("model"), manifest.get("params")
-    if not isinstance(info, dict) or not isinstance(entries, dict):
-        raise ValueError("%s: manifest needs a 'model' and a 'params' object" % mpath)
+    info = manifest.get("model") if isinstance(manifest.get("model"), dict) else {}
     try:
-        preset = _check_preset(info.get("preset"))
+        config = preset_config(info.get("preset"))
         seed = check_int("seed", info.get("seed"), 0)
-        config = EncoderConfig.from_dict(info.get("config"))
     except ValueError as exc:
         raise ValueError("%s: bad model config: %s" % (mpath, exc)) from None
-
     # the encoder kernels fix every other shape: check them before the model is allocated
     for i, want in enumerate(config.kernel_shapes, start=1):
         name = "encoder.l%d.kernel" % i
-        manifest_blob(mpath, "parameter " + name, entries.get(name), want)
-    model = VONet(preset=preset, seed=seed, config=config)
-    missing = set(model.params) - set(entries)
-    extra = set(entries) - set(model.params)
-    if missing or extra:
-        raise ValueError("%s: checkpoint parameter set mismatch (missing %s, extra %s)"
-                         % (mpath, sorted(missing), sorted(extra)))
-    for name in entries:
-        param = model.params[name].data
-        # in place: swapping in the read array would free the fresh one, and that moves peak RSS
-        param[...] = manifest_array(mpath, "parameter " + name, entries[name], param.shape)
+        manifest_blob(mpath, "parameter " + name, name + ".votb", want)
+    model = VONet(preset=info["preset"], seed=seed)
+    for name, p in sorted(model.params.items()):
+        # in place and in name order: a swapped-in array, or another read order, moves peak RSS
+        p.data[...] = manifest_array(mpath, "parameter " + name, name + ".votb", p.data.shape)
     return model

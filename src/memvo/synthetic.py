@@ -44,6 +44,9 @@ class SyntheticSpec(JsonConfig):
             raise ValueError("seed must be >= 0")
         if self.kind not in KINDS:
             raise ValueError("kind must be one of %s" % (KINDS,))
+        for name in ("max_shift", "max_yaw", "noise"):  # NaN would pass noise >= 0
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.noise < 0:
             raise ValueError("noise must be nonnegative")
 

@@ -19,7 +19,7 @@ from .config import JsonConfig, check_fields, check_int
 from .geometry import (Pose6DoF, _compose, _inverse, _rotation_to_euler, check_se3,
                        integrate_relative, pose_compose, poses_from_vectors, wrap_angle)
 from .memory import MemoryBuffer, MemoryPolicy
-from .net import PRESETS, TrackResult, VONet
+from .net import TrackResult, VONet, preset_config
 from .refining import refine_sequence
 
 
@@ -42,7 +42,6 @@ class TrainConfig(JsonConfig):
     seed: int = 0
     preset: str = "desk"
     iterations: int = 500
-    stop_memory_gradient: bool = True
     memory_require_both: bool = MemoryPolicy.require_both
 
     def __post_init__(self):
@@ -57,8 +56,7 @@ class TrainConfig(JsonConfig):
             raise ValueError("base_lr must be positive and finite")
         if not 0 <= self.k < np.inf:
             raise ValueError("k must be non-negative and finite")
-        if self.preset not in PRESETS:
-            raise ValueError("unknown preset %r" % self.preset)
+        preset_config(self.preset)  # an unknown preset raises
         self.policy()  # MemoryPolicy checks the memory fields
 
     def policy(self):
@@ -228,7 +226,7 @@ def window_ground_truth(poses, start, length):
 def window_loss(model, seq, start, config, policy):
     frames = [seq.frames[t] for t in range(start, start + config.window_length)]
     gt_rels, gt_abs = window_ground_truth(seq.poses, start, config.window_length)
-    result = run_window(model, frames, policy, detach_memory=config.stop_memory_gradient)
+    result = run_window(model, frames, policy)
     local = loss_local(result.track.rels, gt_rels, config.k)
     glob = loss_global(result.abs_tensors, gt_abs, config.k)
     return local, glob, result

@@ -25,14 +25,16 @@ from memvo.votb import MAGIC, read_votb, write_votb  # noqa: E402
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
-# JSON values a mutation may put in place of any manifest node. Integers stay
-# small: a manifest may legally declare a larger network, which is then built.
+# JSON values a mutation may put in place of any manifest node. A checkpoint
+# manifest declares no sizes, only a preset and a seed, so no value can make
+# the loader build a network its blobs do not hold: a larger preset's name
+# fails on the first encoder kernel's header.
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 40),
               st.floats(allow_nan=False, allow_infinity=False),
               st.sampled_from(["", ".", "..", "../manifest.json", "/etc/hostname", "x.votb",
                                "head.track.bias.votb", "track.kernel.votb",
-                               "track.i.wx.votb", "memvo-checkpoint", "tiny", "a/b",
+                               "track.i.wx.votb", "memvo-checkpoint", "tiny", "desk", "a/b",
                                "frame_0001.votb", "poses_gt.txt", "memvo-sequence", "tum"]),
               st.text(max_size=8)),
     lambda inner: st.one_of(st.lists(inner, max_size=3),
@@ -173,20 +175,21 @@ def _peak_of_failed_load(path, blob, load=load_checkpoint):
         tracemalloc.stop()
 
 
-def test_inflated_widths_fail_before_the_model_is_built(saved_checkpoint):
-    # five encoder layers declared 512 wide would allocate hundreds of MB of
-    # parameters; the blob headers must refute them first
+def test_larger_preset_fails_on_a_blob_header_before_the_model_is_built(saved_checkpoint):
+    # tiny blobs under a desk manifest: desk's parameters are 6.2 MB, and
+    # kitti-shape's would be 1.44 GB, so the headers must refute the preset first
     src, manifest = saved_checkpoint
-    doc = copy.deepcopy(manifest)
-    for row in doc["model"]["config"]["layers"][4:]:
-        row[0] = 512
-    with tempfile.TemporaryDirectory() as root:
-        path = os.path.join(root, "ckpt")
-        shutil.copytree(src, path)
-        with open(os.path.join(path, "manifest.json"), "w") as fh:
-            json.dump(doc, fh)
-        peak = _peak_of_failed_load(path, os.path.join(path, "encoder.l5.kernel.votb"))
-    assert peak < 10 * 2 ** 20, "peak %.1f MB during the failed load" % (peak / 2 ** 20)
+    for preset in ("desk", "kitti-shape"):
+        doc = copy.deepcopy(manifest)
+        doc["model"]["preset"] = preset
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "ckpt")
+            shutil.copytree(src, path)
+            with open(os.path.join(path, "manifest.json"), "w") as fh:
+                json.dump(doc, fh)
+            peak = _peak_of_failed_load(path, os.path.join(path, "encoder.l1.kernel.votb"))
+        assert peak < 2 * 2 ** 20, "%s: peak %.1f MB during the failed load" % (
+            preset, peak / 2 ** 20)
 
 
 def test_oversized_blob_fails_before_its_payload_is_read(saved_checkpoint):

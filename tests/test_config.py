@@ -23,7 +23,7 @@ BASES = {
     (TrainConfig, "window_length", 3.5),
     (TrainConfig, "seed", 1.5),
     (TrainConfig, "memory_size", 2.5),
-    (TrainConfig, "stop_memory_gradient", "no"),
+    (TrainConfig, "memory_require_both", "no"),
     (TrainConfig, "base_lr", True),
     (TrainConfig, "preset", 3),
     (SyntheticSpec, "frames", 3.5),

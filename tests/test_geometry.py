@@ -306,6 +306,11 @@ class TestStacks:
         with pytest.raises(ValueError, match="non-finite"):
             G.make_se3(np.full((3, 3), np.nan), np.zeros(3))
 
+    @pytest.mark.parametrize("t", [[np.nan, 0, np.inf], [0, 0, -np.inf]])
+    def test_make_se3_rejects_non_finite_translation(self, t):
+        with pytest.raises(ValueError, match="^translation has non-finite entries$"):
+            G.make_se3(np.eye(3), t)
+
     def test_stack_shape_rejected(self):
         with pytest.raises(ValueError, match="4x4"):
             G.check_se3(np.zeros((2, 3, 3)))

@@ -102,17 +102,9 @@ class TestEncoderConfig:
             EncoderConfig(height=50, width=64,
                           layers=PRESETS["desk"].layers)
 
-    def test_dict_round_trip(self):
-        cfg = PRESETS["desk"]
-        back = EncoderConfig.from_dict(cfg.to_dict())
-        assert back == cfg
-
     def test_in_channels_fixed_by_the_frame_layout(self):
-        d = PRESETS["tiny"].to_dict()
-        assert d["in_channels"] == 6
-        d["in_channels"] = 4
-        with pytest.raises(ValueError, match="in_channels must be 6"):
-            EncoderConfig.from_dict(d)
+        assert PRESETS["tiny"].in_channels == 6
+        assert PRESETS["tiny"].kernel_shapes[0] == (2, 6, 3, 3)
         with pytest.raises(TypeError):
             EncoderConfig(height=32, width=32, layers=PRESETS["tiny"].layers, in_channels=6)
 
@@ -152,10 +144,11 @@ class TestInit:
         with pytest.raises(ValueError):
             VONet(preset="jumbo")
 
-    def test_preset_must_be_a_string_also_with_a_config(self):
-        # the checkpoint manifest records the preset, and its loader refuses a non-string
-        with pytest.raises(ValueError, match="^preset must be a string, got 3"):
-            VONet(preset=3, config=PRESETS["tiny"])
+    def test_preset_must_be_a_string(self):
+        # a list would not even hash for the PRESETS lookup
+        for preset in (3, ["tiny"], None):
+            with pytest.raises(ValueError, match="^preset must be a string, got "):
+                VONet(preset=preset)
 
 
 class TestEncoder:
@@ -367,14 +360,15 @@ class TestCheckpoint:
             assert np.array_equal(x.data, y.data)
 
     def test_missing_blob_entry_rejected(self, tmp_path):
+        # an encoder kernel is missed by the check before allocation, any other blob by the fill
         model = VONet(preset="tiny", seed=0)
-        path, _ = self._roundtrip(tmp_path, model)
-        mpath = os.path.join(path, "manifest.json")
-        manifest = json.load(open(mpath))
-        manifest["params"].pop("head.track.bias")
-        json.dump(manifest, open(mpath, "w"))
-        with pytest.raises(ValueError, match="missing"):
-            load_checkpoint(path)
+        for name in ("head.track.bias", "encoder.l3.kernel"):
+            path, _ = self._roundtrip(tmp_path, model)
+            os.remove(os.path.join(path, name + ".votb"))
+            with pytest.raises(ValueError, match="^%s: parameter %s names '%s.votb', not a file"
+                               % (re.escape(os.path.join(path, "manifest.json")),
+                                  re.escape(name), re.escape(name))):
+                load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         from memvo.votb import write_votb
@@ -402,25 +396,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="manifest"):
             load_checkpoint(str(tmp_path))
 
-    def test_one_blob_per_parameter_at_version_2(self, tmp_path):
-        model = VONet(preset="tiny", seed=0)
+    def test_one_blob_per_parameter_at_version_3(self, tmp_path):
+        model = VONet(preset="tiny", seed=4)
         path, _ = self._roundtrip(tmp_path, model)
         assert len(model.params) == 30
         assert sorted(os.listdir(path)) == sorted([n + ".votb" for n in model.params]
                                                   + ["manifest.json"])
         with open(os.path.join(path, "manifest.json")) as fh:
             manifest = json.load(fh)
-        assert manifest["version"] == 2
-        assert manifest["params"] == {n: n + ".votb" for n in model.params}
+        assert manifest == {"format": "memvo-checkpoint", "version": 3,
+                            "model": {"preset": "tiny", "seed": 4}}
 
-    def test_foreign_parameter_names_rejected(self, tmp_path):
-        # the names of the per-gate blobs (track.i.wx, ...) are not this model's parameters
+    def test_version_2_manifest_refused(self, tmp_path):
+        # version 2 restated the preset's layer table and listed every blob
         path, mpath, manifest = self._saved_manifest(tmp_path)
-        manifest["params"] = {name: name + ".votb" for name in per_gate_params("tiny", 0)}
+        manifest["version"] = 2
+        manifest["params"] = {name: name + ".votb" for name in VONet(preset="tiny").params}
         with open(mpath, "w") as fh:
             json.dump(manifest, fh)
-        with pytest.raises(ValueError, match="^" + re.escape(mpath)
-                           + ": checkpoint parameter set mismatch"):
+        with pytest.raises(ValueError, match="^%s: unsupported memvo-checkpoint version 2$"
+                           % re.escape(mpath)):
             load_checkpoint(path)
 
     def _saved_manifest(self, tmp_path):
@@ -438,7 +433,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(mpath) + ": malformed JSON"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key", ["params", "model"])
+    @pytest.mark.parametrize("key", ["model"])
     def test_missing_section_names_the_file(self, tmp_path, key):
         path, mpath, manifest = self._saved_manifest(tmp_path)
         del manifest[key]
@@ -454,31 +449,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(mpath)):
             load_checkpoint(path)
 
-    def test_short_layer_row_names_the_file(self, tmp_path):
-        path, mpath, manifest = self._saved_manifest(tmp_path)
-        manifest["model"]["config"]["layers"][0] = [2, 3]
-        with open(mpath, "w") as fh:
-            json.dump(manifest, fh)
-        with pytest.raises(ValueError, match=re.escape(mpath) + ": bad model config"):
-            load_checkpoint(path)
-
     @pytest.mark.parametrize("key, value, why", [
         ("seed", "3", "seed must be an int >= 0"),
         ("seed", -1, "seed must be an int >= 0"),
         ("preset", 3, "preset must be a string"),
-        ("height", 0, "height must be an int >= 1"),
-        ("width", True, "width must be int"),
-        ("row", [0, 3, 1], "out_channels must be an int >= 1"),
-        ("row", [2, 3, 1.0], "stride must be an int >= 1"),
-        ("in_channels", 6.0, "in_channels must be an int >= 1"),
+        ("preset", ["tiny"], "preset must be a string"),
+        ("preset", "jumbo", "unknown preset 'jumbo'"),
     ])
     def test_bad_model_value_names_the_manifest(self, tmp_path, key, value, why):
         path, mpath, manifest = self._saved_manifest(tmp_path)
-        model = manifest["model"]
-        if key == "row":
-            model["config"]["layers"][0] = value
-        else:
-            (model if key in ("seed", "preset") else model["config"])[key] = value
+        manifest["model"][key] = value
         with open(mpath, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(ValueError, match="^" + re.escape(mpath + ": bad model config: " + why)):
@@ -492,23 +472,6 @@ class TestCheckpoint:
         with open(mpath, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(ValueError, match="^" + re.escape(mpath + ": bad model config: " + key)):
-            load_checkpoint(path)
-
-    def test_wrong_in_channels_names_the_manifest(self, tmp_path):
-        path, mpath, manifest = self._saved_manifest(tmp_path)
-        manifest["model"]["config"]["in_channels"] = 4
-        with open(mpath, "w") as fh:
-            json.dump(manifest, fh)
-        with pytest.raises(ValueError, match=re.escape(mpath) + ": bad model config: in_channels"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("fname", ["../../etc/hostname", "/etc/hostname", "sub/x.votb"])
-    def test_blob_outside_the_directory_rejected(self, tmp_path, fname):
-        path, mpath, manifest = self._saved_manifest(tmp_path)
-        manifest["params"]["head.track.bias"] = fname
-        with open(mpath, "w") as fh:
-            json.dump(manifest, fh)
-        with pytest.raises(ValueError, match=re.escape(mpath) + ".*not a file beside"):
             load_checkpoint(path)
 
     def test_non_finite_blob_rejected(self, tmp_path):

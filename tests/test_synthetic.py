@@ -26,6 +26,13 @@ class TestSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(noise=-0.1)
 
+    @pytest.mark.parametrize("name", ["noise", "max_shift", "max_yaw"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_knob_rejected(self, name, value):
+        # noise=nan once gave the frames of noise=0, and inf gave non-finite frames
+        with pytest.raises(ValueError, match="^%s must be finite" % name):
+            SyntheticSpec(**{name: value})
+
     def test_json_round_trip(self, tmp_path):
         spec = SyntheticSpec(frames=5, height=32, width=48, kind="rotate",
                              max_yaw=0.1, seed=4)
@@ -75,8 +82,10 @@ class TestSpec:
 
     def test_non_finite_value_is_not_written(self, tmp_path):
         path = str(tmp_path / "spec.json")
-        with pytest.raises(ValueError):
-            SyntheticSpec(max_shift=float("nan")).to_json(path)
+        spec = SyntheticSpec()
+        object.__setattr__(spec, "max_shift", float("nan"))  # the constructor refuses it
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            spec.to_json(path)
         assert not os.path.exists(path)
 
     def test_int_accepted_for_float(self, tmp_path):
