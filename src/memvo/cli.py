@@ -53,7 +53,7 @@ def _load_training_data(spec):
             frames, poses = load_sequence(path)
             if poses is None:
                 raise ValueError("%s: training needs ground-truth poses" % path)
-            seqs.append(SimpleNamespace(frames=frames, poses=poses))
+            seqs.append(SimpleNamespace(frames=frames, poses=poses, name=path))
     return seqs
 
 

@@ -5,8 +5,10 @@ Formats:
     camera-to-world matrix in row-major order. Line i is frame i.
   - TUM pose text: "t x y z qx qy qz qw" per line, timestamps strictly
     increasing, '#' comments allowed.
-  - sequence container: a directory with a manifest plus one VOTB blob
-    per frame and an optional ground-truth pose file.
+  - sequence container: a directory with MANIFEST, exactly
+    {"format": "memvo-sequence", "version": 2, "poses": true|false}, the
+    (T,C,H,W) frames as one VOTB blob, FRAMES_FILE, and, when poses is
+    true, the ground-truth poses in KITTI rows, POSES_FILE.
 Floats are written with 17 significant digits (lossless for float64);
 metric CSVs use 9.
 """
@@ -24,7 +26,9 @@ from .training import run_window
 from .votb import MANIFEST, beside, manifest_array, read_manifest, write_votb
 
 SEQUENCE_FORMAT = "memvo-sequence"
-SEQUENCE_VERSION = 1
+SEQUENCE_VERSION = 2
+FRAMES_FILE = "frames.votb"  # a sequence container's (T,C,H,W) frames
+POSES_FILE = "poses_gt.txt"  # its ground-truth poses in KITTI rows, when it has them
 TRAJECTORY_FORMATS = ("kitti", "tum")
 AGGREGATES = ("mean", "rmse")  # how kitti_drift averages segment errors
 SALIENCY_POSES = ("refined", "tracking")  # the poses saliency_map can explain
@@ -58,7 +62,8 @@ def _pose_stack(poses):
 class Trajectory:
     """Timestamps (frame indices for KITTI) plus an (N,4,4) stack of poses.
 
-    A list of 4x4 poses is stacked on construction.
+    A list of 4x4 poses is stacked on construction. The stamps must be
+    finite and strictly increasing, or a StackError names the first bad one.
     """
 
     stamps: np.ndarray
@@ -69,6 +74,12 @@ class Trajectory:
         self.poses = _pose_stack(self.poses)
         if self.stamps.ndim != 1 or len(self.stamps) != len(self.poses):
             raise ValueError("stamps and poses must align")
+        bad, reason = ~np.isfinite(self.stamps), "non-finite value"
+        if not bad.any():  # finite stamps, so no difference warns
+            bad = np.diff(self.stamps, prepend=-np.inf) <= 0
+            reason = "timestamps must be strictly increasing"
+        if bad.any():
+            raise StackError("stamp", int(np.argmax(bad)), reason)
 
     def __len__(self):
         return len(self.poses)
@@ -113,10 +124,10 @@ def _tokenise(text, width, comments):
     return vals, linenos
 
 
-def _by_line(linenos, check, rows):
-    """check(rows) on a whole stack of parsed rows; a rejected row names its line."""
+def _by_line(linenos, check, *rows):
+    """check(*rows) on whole stacks of parsed rows; a rejected row names its line."""
     try:
-        return check(rows)
+        return check(*rows)
     except StackError as exc:
         raise ValueError("line %d: %s" % (linenos[exc.index], exc.reason)) from None
 
@@ -140,16 +151,11 @@ def format_tum(traj):
 
 def parse_tum(text):
     vals, linenos = _tokenise(text, 8, comments=True)
-    stamps = vals[:, 0].copy()
-    rising = np.diff(stamps) > 0
-    if not rising.all():
-        raise ValueError("line %d: timestamps must be strictly increasing"
-                         % linenos[int(np.argmin(rising)) + 1])
     poses = np.zeros((len(vals), 4, 4))
     poses[:, :3, :3] = _by_line(linenos, quat_to_matrix, vals[:, 4:8])
     poses[:, :3, 3] = vals[:, 1:4]
     poses[:, 3, 3] = 1.0
-    return Trajectory(stamps, _by_line(linenos, check_se3, poses))
+    return _by_line(linenos, Trajectory, vals[:, 0].copy(), _by_line(linenos, check_se3, poses))
 
 
 def _check_format(path, fmt):
@@ -177,65 +183,47 @@ def save_trajectory(path, traj, fmt):
 def save_sequence(dirpath, frames, poses=None):
     """Write frames (T,C,H,W) and optional gt poses as a sequence container.
 
-    The frame shape (rank 4, no empty extent), the pose count and every
-    pose are checked before any file is written.
+    The frames (rank 4, no empty extent, every value finite), the pose
+    count and every pose are checked before any file is written.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 4 or 0 in frames.shape:
         raise ValueError("frames must be (T,C,H,W) with every extent >= 1, got shape %s"
                          % (frames.shape,))
-    pose_file = None
+    if not np.all(np.isfinite(frames)):
+        raise ValueError("frames have non-finite values")
     if poses is not None:
         if len(poses) != frames.shape[0]:
             raise ValueError("pose count %d != frame count %d" % (len(poses), frames.shape[0]))
-        pose_file = "poses_gt.txt"
         traj = Trajectory(np.arange(len(poses)), poses)
         check_se3(traj.poses)
     os.makedirs(dirpath, exist_ok=True)
-    names = []
-    for t in range(frames.shape[0]):
-        name = "frame_%04d.votb" % t
-        write_votb(os.path.join(dirpath, name), frames[t])
-        names.append(name)
-    if pose_file:
-        save_trajectory(os.path.join(dirpath, pose_file), traj, "kitti")
-    manifest = {
-        "format": SEQUENCE_FORMAT,
-        "version": SEQUENCE_VERSION,
-        "frame_count": int(frames.shape[0]),
-        "channels": int(frames.shape[1]),
-        "height": int(frames.shape[2]),
-        "width": int(frames.shape[3]),
-        "frames": names,
-        "pose_file": pose_file,
-        "pose_format": "kitti" if pose_file else None,
-    }
+    write_votb(os.path.join(dirpath, FRAMES_FILE), frames)
+    if poses is not None:
+        save_trajectory(os.path.join(dirpath, POSES_FILE), traj, "kitti")
+    manifest = {"format": SEQUENCE_FORMAT, "version": SEQUENCE_VERSION, "poses": poses is not None}
     write_json(os.path.join(dirpath, MANIFEST), manifest)
 
 
 def load_sequence(dirpath):
     """Read a sequence container; returns (frames, poses-or-None).
 
-    Bad sizes, frame lists, frame blobs (also non-finite ones) or pose
-    files raise a ValueError naming dirpath or the file at fault.
+    A manifest other than exactly {format, version, poses: true|false}, a
+    frames blob that is not rank 4 (checked on its header) or holds NaN or
+    inf, and a pose file that does not parse or does not hold one pose per
+    frame raise a ValueError naming dirpath or the file at fault.
     """
     mpath, manifest = read_manifest(dirpath, SEQUENCE_FORMAT, SEQUENCE_VERSION)
-    try:
-        sizes = [check_int(k, manifest.get(k), 1)
-                 for k in ("frame_count", "channels", "height", "width")]
-    except ValueError as exc:
-        raise ValueError("%s: %s" % (mpath, exc)) from None
-    names = manifest.get("frames")
-    if not isinstance(names, list) or len(names) != sizes[0]:
-        raise ValueError("%s: frames must list frame_count = %d names" % (mpath, sizes[0]))
-    frames = np.array([manifest_array(mpath, "frame %d" % t, name, tuple(sizes[1:]))
-                       for t, name in enumerate(names)])
+    if set(manifest) != {"format", "version", "poses"} or not isinstance(manifest["poses"], bool):
+        raise ValueError("%s: a sequence manifest holds format, version and poses "
+                         "(true or false) alone" % mpath)
+    frames = manifest_array(mpath, "frames", FRAMES_FILE, (None,) * 4)
     poses = None
-    if manifest.get("pose_file"):
-        traj = load_trajectory(beside(mpath, "pose_file", manifest["pose_file"]),
-                               manifest.get("pose_format", "kitti"))
+    if manifest["poses"]:
+        traj = load_trajectory(beside(mpath, "poses", POSES_FILE), "kitti")
         if len(traj) != len(frames):
-            raise ValueError("%s: pose count mismatch" % mpath)
+            raise ValueError("%s: pose count %d != frame count %d"
+                             % (mpath, len(traj), len(frames)))
         poses = traj.poses
     return frames, poses
 
@@ -361,7 +349,8 @@ class TumDriftResult:
 
 
 def associate_stamps(a, b):
-    """Greedy one-to-one nearest-neighbor matching of two stamp arrays, within STAMP_TOL_S."""
+    """Greedy one-to-one nearest-neighbor matching of two strictly increasing
+    stamp arrays, such as a Trajectory holds, within STAMP_TOL_S."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     # candidates: the two stamps of b around each a[i], taken by (gap, i, j) within the tolerance

@@ -233,7 +233,8 @@ def window_loss(model, seq, start, config, policy):
 
 
 def train(dataset, config, model=None):
-    """Train on a list of sequences (objects with .frames and .poses).
+    """Train on a list of sequences (objects with .frames and .poses, and
+    optionally a .name that errors cite, such as the container's path).
 
     Returns (model, history); history rows are (iteration, loss_local,
     loss_global, loss_total), all batch means. Fully deterministic for a
@@ -241,10 +242,11 @@ def train(dataset, config, model=None):
     """
     if not dataset:
         raise ValueError("train needs at least one sequence")
-    for seq in dataset:
+    for i, seq in enumerate(dataset):
         if len(seq.frames) < config.window_length:
-            raise ValueError("sequence of %d frames is shorter than the %d-frame window"
-                             % (len(seq.frames), config.window_length))
+            raise ValueError("%s: %d frames, shorter than the %d-frame window"
+                             % (getattr(seq, "name", "sequence %d" % i), len(seq.frames),
+                                config.window_length))
     rng = np.random.default_rng(config.seed)
     if model is None:
         model = VONet(preset=config.preset, seed=config.seed)

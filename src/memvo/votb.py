@@ -1,4 +1,4 @@
-"""VOTB tensor blobs, a tiny self-describing array format, and the manifests that name them.
+"""VOTB tensor blobs, a tiny self-describing array format, and the container manifests.
 
 Layout, all little endian:
   4 bytes  magic "VOTB"
@@ -10,8 +10,9 @@ Layout, all little endian:
 Round trips are bit exact: the payload is the raw float64 memory of a
 C-contiguous array.
 
-A container (checkpoint or sequence) is a directory whose MANIFEST, a JSON
-object with a format and a version, names files beside it.
+A container (checkpoint or sequence) is a directory holding a MANIFEST, a
+JSON object with a format and a version, and files beside it whose names
+are fixed by the format, never read from the manifest.
 """
 
 import math
@@ -90,19 +91,21 @@ def read_manifest(dirpath, fmt, version):
 
 
 def beside(mpath, what, fname):
-    """Path of the file fname, a manifest entry, which must sit beside manifest mpath."""
-    path = os.path.join(os.path.dirname(mpath), fname) if isinstance(fname, str) else ""
-    if os.path.basename(path) != fname or not os.path.isfile(path):
+    """Path of the file fname beside manifest mpath; a missing file is named, with what it holds."""
+    path = os.path.join(os.path.dirname(mpath), fname)
+    if not os.path.isfile(path):
         raise ValueError("%s: %s names %r, not a file beside the manifest" % (mpath, what, fname))
     return path
 
 
 def manifest_blob(mpath, what, fname, want):
-    """Path of the blob fname beside manifest mpath, whose header declares shape want."""
+    """Path of the blob fname beside manifest mpath, whose header declares shape
+    want; an extent of None in want matches any."""
     path = beside(mpath, what, fname)
     shape = read_votb_shape(path)  # the header alone, so a wrong shape costs no payload
-    if shape != want:
-        raise ValueError("%s: %s has shape %s, manifest wants %s" % (path, what, shape, want))
+    if len(shape) != len(want) or any(w not in (None, s) for w, s in zip(want, shape)):
+        raise ValueError("%s: %s has shape %s, want %s"
+                         % (path, what, shape, str(want).replace("None", "any")))
     return path
 
 

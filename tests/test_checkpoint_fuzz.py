@@ -25,17 +25,18 @@ from memvo.votb import MAGIC, read_votb, write_votb  # noqa: E402
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
-# JSON values a mutation may put in place of any manifest node. A checkpoint
-# manifest declares no sizes, only a preset and a seed, so no value can make
-# the loader build a network its blobs do not hold: a larger preset's name
-# fails on the first encoder kernel's header.
+# JSON values a mutation may put in place of any manifest node. Neither
+# manifest declares a size or names a file: a checkpoint holds a preset and a
+# seed, so no value can make the loader build a network its blobs do not hold
+# (a larger preset's name fails on the first encoder kernel's header), and a
+# sequence holds only whether it has poses.
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 40),
               st.floats(allow_nan=False, allow_infinity=False),
               st.sampled_from(["", ".", "..", "../manifest.json", "/etc/hostname", "x.votb",
                                "head.track.bias.votb", "track.kernel.votb",
                                "track.i.wx.votb", "memvo-checkpoint", "tiny", "desk", "a/b",
-                               "frame_0001.votb", "poses_gt.txt", "memvo-sequence", "tum"]),
+                               "frames.votb", "poses_gt.txt", "memvo-sequence", "poses"]),
               st.text(max_size=8)),
     lambda inner: st.one_of(st.lists(inner, max_size=3),
                             st.dictionaries(st.text(max_size=6), inner, max_size=3)),
@@ -206,7 +207,7 @@ def test_oversized_frame_fails_before_its_payload_is_read(saved_sequence):
     with tempfile.TemporaryDirectory() as root:
         path = os.path.join(root, "seq")
         shutil.copytree(saved_sequence[0], path)
-        blob = os.path.join(path, "frame_0001.votb")
-        write_votb(blob, np.zeros((8, 512, 512)))  # 16 MB where the manifest says (3,4,4)
+        blob = os.path.join(path, "frames.votb")
+        write_votb(blob, np.zeros((8, 512, 512)))  # 16 MB of rank 3 where (T,C,H,W) is wanted
         peak = _peak_of_failed_load(path, blob, load=load_sequence)
     assert peak < 10 * 2 ** 20, "peak %.1f MB during the failed load" % (peak / 2 ** 20)

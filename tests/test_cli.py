@@ -70,10 +70,11 @@ def straight_line_file(path, n=900, scale=1.0):
 class TestSynthData:
     def test_writes_container(self, tmp_path, capsys):
         out = make_container(tmp_path)
+        assert sorted(os.listdir(out)) == ["frames.votb", "manifest.json", "poses_gt.txt"]
         manifest = json.load(open(os.path.join(out, "manifest.json")))
-        assert manifest["frame_count"] == 6
-        assert os.path.isfile(os.path.join(out, "frame_0005.votb"))
-        assert os.path.isfile(os.path.join(out, "poses_gt.txt"))
+        assert manifest == {"format": "memvo-sequence", "version": 2, "poses": True}
+        assert read_votb(os.path.join(out, "frames.votb")).shape == (6, 3, 32, 32)
+        assert len(load_trajectory(os.path.join(out, "poses_gt.txt"), "kitti")) == 6
         assert "wrote 6 frames" in capsys.readouterr().out
 
     def test_seed_override_and_determinism(self, tmp_path):
@@ -159,6 +160,18 @@ class TestTrain:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "ground-truth" in capsys.readouterr().err
+
+    def test_short_container_is_named(self, tmp_path, capsys):
+        # with several containers, only the path tells which one is too short
+        long_ = make_container(tmp_path, name="long", frames=6)
+        short = make_container(tmp_path, name="short", frames=3)
+        cfg = write_config(str(tmp_path / "cfg.json"))
+        capsys.readouterr()
+        rc = main(["train", "--config", cfg, "--data", "%s,%s" % (long_, short),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: %s: 3 frames, shorter than the 4-frame window\n" % short)
 
     @pytest.mark.parametrize("bad", ["list", "frames"])
     def test_bad_manifest_prints_one_error_line(self, tmp_path, capsys, bad):

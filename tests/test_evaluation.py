@@ -15,8 +15,8 @@ from memvo.evaluation import (KITTI_LENGTHS, SPEED_BIN, STAMP_TOL_S, TUM_DELTA_S
                               kitti_drift, load_sequence, load_trajectory,
                               parse_kitti, parse_tum, saliency_map,
                               save_sequence, save_trajectory, tum_rmse_drift)
-from memvo.geometry import (apply_similarity, euler_to_matrix, make_se3, orthonormalize,
-                            pose_inverse, rotation_angle, umeyama_align)
+from memvo.geometry import (StackError, apply_similarity, euler_to_matrix, make_se3,
+                            orthonormalize, pose_inverse, rotation_angle, umeyama_align)
 from memvo.memory import MemoryPolicy
 from memvo.net import VONet
 from memvo.synthetic import SyntheticSpec, generate_sequence
@@ -260,6 +260,33 @@ class TestKittiFormat:
         assert np.array_equal(positions(traj)[:, 0], np.arange(4.0))
 
 
+class TestTrajectoryStamps:
+    @pytest.mark.parametrize("stamps, index, reason", [
+        # associate_stamps pairs only (0, 0) and (3, 3) of these against
+        # [0, 1, 2, 3], so tum_rmse_drift would score the wrong pairs
+        ([0.0, 2.0, 1.0, 3.0], 2, "timestamps must be strictly increasing"),
+        ([0.0, 1.0, 1.0, 3.0], 2, "timestamps must be strictly increasing"),
+        ([0.0, np.nan, 2.0, 3.0], 1, "non-finite value"),
+        ([-np.inf, 1.0, 2.0, 3.0], 0, "non-finite value"),
+        ([0.0, 1.0, 2.0, np.inf], 3, "non-finite value"),
+    ])
+    def test_bad_stamps_name_the_first(self, stamps, index, reason):
+        with pytest.raises(StackError, match="^stamp %d: %s$" % (index, reason)) as info:
+            Trajectory(stamps, straight_line(4))
+        assert info.value.index == index
+
+    def test_nan_stamp_cannot_reach_a_file(self, tmp_path):
+        # it would be written, then refused by load_trajectory
+        path = str(tmp_path / "traj.txt")
+        with pytest.raises(StackError, match="^stamp 1: non-finite value$"):
+            save_trajectory(path, Trajectory([0.0, np.nan], straight_line(2)), "tum")
+        assert not os.path.exists(path)
+
+    def test_empty_and_single_stamps_accepted(self):
+        assert len(Trajectory([], [])) == 0
+        assert len(Trajectory([5.0], straight_line(1))) == 1
+
+
 class TestTumFormat:
     def _traj(self, n=15, seed=1):
         rng = np.random.default_rng(seed)
@@ -342,19 +369,25 @@ class TestSequenceContainer:
     def test_round_trip_with_poses(self, tmp_path):
         rng = np.random.default_rng(2)
         frames = rng.normal(size=(4, 3, 8, 8))
+        frames[1, 2, 3, 4] = -0.0
         poses = random_trajectory(rng, n=4)
         d = str(tmp_path / "seq")
         save_sequence(d, frames, poses)
+        assert sorted(os.listdir(d)) == ["frames.votb", "manifest.json", "poses_gt.txt"]
+        with open(os.path.join(d, "manifest.json")) as fh:
+            assert json.load(fh) == {"format": "memvo-sequence", "version": 2, "poses": True}
         back_frames, back_poses = load_sequence(d)
         assert back_frames.shape == (4, 3, 8, 8)
-        assert back_frames.tobytes() == frames.tobytes()
-        for a, b in zip(poses, back_poses):
-            assert np.array_equal(a, b)
+        assert back_frames.tobytes() == frames.tobytes()  # -0.0 included
+        assert back_poses.tobytes() == np.array(poses).tobytes()
 
     def test_round_trip_without_poses(self, tmp_path):
         frames = np.zeros((2, 3, 4, 4))
         d = str(tmp_path / "seq")
         save_sequence(d, frames)
+        assert sorted(os.listdir(d)) == ["frames.votb", "manifest.json"]
+        with open(os.path.join(d, "manifest.json")) as fh:
+            assert json.load(fh)["poses"] is False
         _, poses = load_sequence(d)
         assert poses is None
 
@@ -365,17 +398,40 @@ class TestSequenceContainer:
     def test_frame_shape_mismatch(self, tmp_path):
         d = str(tmp_path / "seq")
         save_sequence(d, np.zeros((2, 3, 4, 4)))
-        write_votb(os.path.join(d, "frame_0001.votb"), np.zeros((3, 4, 5)))
-        with pytest.raises(ValueError, match="shape"):
+        blob = os.path.join(d, "frames.votb")
+        write_votb(blob, np.zeros((3, 4, 5)))
+        with pytest.raises(ValueError, match="^%s: frames has shape \\(3, 4, 5\\), "
+                           "want \\(any, any, any, any\\)$" % re.escape(blob)):
             load_sequence(d)
 
     def test_non_finite_frame_names_the_blob(self, tmp_path):
         d = str(tmp_path / "seq")
+        save_sequence(d, np.zeros((3, 3, 4, 4)))
         frames = np.zeros((3, 3, 4, 4))
         frames[1, 2, 0, 3] = np.nan
-        save_sequence(d, frames)
-        blob = os.path.join(d, "frame_0001.votb")
-        with pytest.raises(ValueError, match="^" + re.escape(blob) + ": frame 1 has non-finite"):
+        blob = os.path.join(d, "frames.votb")
+        write_votb(blob, frames)
+        with pytest.raises(ValueError, match="^" + re.escape(blob) + ": frames has non-finite"):
+            load_sequence(d)
+
+    @pytest.mark.parametrize("what, name", [("frames", "frames.votb"), ("poses", "poses_gt.txt")])
+    def test_missing_file_names_it(self, tmp_path, what, name):
+        d = str(tmp_path / "seq")
+        save_sequence(d, np.zeros((2, 3, 4, 4)), straight_line(2))
+        os.remove(os.path.join(d, name))
+        mpath = os.path.join(d, "manifest.json")
+        with pytest.raises(ValueError, match="^%s: %s names '%s', not a file beside the manifest$"
+                           % (re.escape(mpath), what, re.escape(name))):
+            load_sequence(d)
+
+    def test_pose_file_with_another_count_names_the_manifest(self, tmp_path):
+        d = str(tmp_path / "seq")
+        save_sequence(d, np.zeros((3, 3, 4, 4)), straight_line(3))
+        with open(os.path.join(d, "poses_gt.txt"), "w") as fh:
+            fh.write(format_kitti(straight_line(2)))
+        mpath = os.path.join(d, "manifest.json")
+        with pytest.raises(ValueError, match="^%s: pose count 2 != frame count 3$"
+                           % re.escape(mpath)):
             load_sequence(d)
 
     def _rewrite_manifest(self, d, **changes):
@@ -387,48 +443,42 @@ class TestSequenceContainer:
             json.dump(manifest, fh)
         return mpath
 
-    def test_files_outside_the_container_rejected(self, tmp_path):
-        # each named file exists and is valid; only where it lies is wrong
-        frames, poses = np.zeros((2, 3, 4, 4)), straight_line(2)
+    def test_version_1_manifest_refused(self, tmp_path):
+        # version 1 restated the blob headers' sizes and named one blob per frame
         d = str(tmp_path / "seq")
-        save_sequence(d, frames, poses)
-        write_votb(str(tmp_path / "x.votb"), frames[0])
-        os.makedirs(str(tmp_path / "abs"))
-        absolute = str(tmp_path / "abs" / "path.votb")
-        write_votb(absolute, frames[0])
-        with open(str(tmp_path / "poses.txt"), "w") as fh:
-            fh.write(format_kitti(poses))
-        for changes in ({"frames": ["frame_0000.votb", "../x.votb"]},
-                        {"frames": ["frame_0000.votb", absolute]},
-                        {"pose_file": "../poses.txt"},
-                        {"pose_file": str(tmp_path / "poses.txt")}):
-            save_sequence(d, frames, poses)
-            mpath = self._rewrite_manifest(d, **changes)
-            with pytest.raises(ValueError, match="^" + re.escape(mpath) + ": .*not a file beside"):
-                load_sequence(d)
+        save_sequence(d, np.zeros((2, 3, 4, 4)), straight_line(2))
+        mpath = self._rewrite_manifest(
+            d, version=1, frame_count=2, channels=3, height=4, width=4,
+            frames=["frame_0000.votb", "frame_0001.votb"], pose_file="poses_gt.txt",
+            pose_format="kitti")
+        with pytest.raises(ValueError, match="^%s: unsupported memvo-sequence version 1$"
+                           % re.escape(mpath)):
+            load_sequence(d)
 
     @pytest.mark.parametrize("changes, why", [
-        ({"frames": 5}, "frames must list"),
-        ({"frames": ["frame_0000.votb"]}, "frames must list"),
-        ({"height": "4"}, "height must be an int >= 1"),
-        ({"frame_count": 0, "frames": []}, "frame_count must be an int >= 1"),
-        ({"version": 2}, "version 2"),
+        ({"poses": 1}, "poses (true or false) alone"),
+        ({"poses": None}, "poses (true or false) alone"),
+        ({"frames": ["frames.votb"]}, "poses (true or false) alone"),
+        ({"version": 3}, "version 3"),
+        ({"poses": "true"}, "poses (true or false) alone"),
         ({"format": "memvo-checkpoint"}, "not a memvo-sequence manifest"),
-        ({"version": True}, "version True"),  # True == 1, the current version
+        ({"version": True}, "version True"),
+        ({"version": 2.0}, "version 2.0"),  # 2.0 == 2, the current version
     ])
     def test_bad_manifest_names_the_file(self, tmp_path, changes, why):
         d = str(tmp_path / "seq")
         save_sequence(d, np.zeros((2, 3, 4, 4)))
         mpath = self._rewrite_manifest(d, **changes)
-        with pytest.raises(ValueError, match="^" + re.escape(mpath) + ": .*" + why):
+        with pytest.raises(ValueError, match="^" + re.escape(mpath) + ": .*" + re.escape(why)):
             load_sequence(d)
 
-    def test_unknown_pose_format_names_the_pose_file(self, tmp_path):
+    def test_missing_poses_key_names_the_file(self, tmp_path):
         d = str(tmp_path / "seq")
-        save_sequence(d, np.zeros((2, 3, 4, 4)), straight_line(2))
-        self._rewrite_manifest(d, pose_format="euroc")
-        pose_path = os.path.join(d, "poses_gt.txt")
-        with pytest.raises(ValueError, match="^" + re.escape(pose_path) + ": .*'kitti' or 'tum'"):
+        save_sequence(d, np.zeros((2, 3, 4, 4)))
+        mpath = os.path.join(d, "manifest.json")
+        with open(mpath, "w") as fh:
+            json.dump({"format": "memvo-sequence", "version": 2}, fh)
+        with pytest.raises(ValueError, match="^" + re.escape(mpath) + ": .*alone"):
             load_sequence(d)
 
     def test_pose_count_mismatch_rejected(self, tmp_path):
@@ -443,6 +493,16 @@ class TestSequenceContainer:
         os.makedirs(d)
         with pytest.raises(ValueError, match="non-finite"):
             save_sequence(d, np.zeros((3, 3, 4, 4)), poses)
+        assert os.listdir(d) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frames_write_nothing(self, tmp_path, bad):
+        frames = np.zeros((2, 3, 4, 4))
+        frames[1, 0, 2, 3] = bad
+        d = str(tmp_path / "seq")
+        os.makedirs(d)
+        with pytest.raises(ValueError, match="^frames have non-finite values$"):
+            save_sequence(d, frames, straight_line(2))
         assert os.listdir(d) == []
 
     def test_bad_frame_rank_rejected(self, tmp_path):

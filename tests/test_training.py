@@ -607,8 +607,11 @@ class TestTrain:
             assert np.array_equal(p.data, before[name]), name
 
     def test_short_sequence_rejected(self):
-        data = tiny_dataset(frames=3)
-        with pytest.raises(ValueError, match="shorter"):
+        data = tiny_dataset(n=1) + tiny_dataset(n=1, frames=3)
+        with pytest.raises(ValueError, match="^sequence 1: 3 frames, shorter than the 4-frame window$"):
+            train(data, tiny_config(window_length=4))
+        data[1].name = "seq_b"  # a name, such as a container's path, replaces the index
+        with pytest.raises(ValueError, match="^seq_b: 3 frames, shorter than the 4-frame window$"):
             train(data, tiny_config(window_length=4))
 
     def test_empty_dataset_rejected(self):

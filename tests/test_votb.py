@@ -20,6 +20,18 @@ class TestManifestArray:
             with pytest.raises(ValueError, match="^%s: blob a has non-finite values$" % re.escape(blob)):
                 manifest_array(mpath, "blob a", "a.votb", (2, 3))
 
+    def test_none_extent_matches_any(self, tmp_path):
+        mpath = str(tmp_path / MANIFEST)
+        write_votb(tmp_path / "a.votb", np.zeros((2, 3)))
+        assert manifest_array(mpath, "blob a", "a.votb", (None, 3)).shape == (2, 3)
+        blob = re.escape(str(tmp_path / "a.votb"))
+        with pytest.raises(ValueError, match=r"^%s: blob a has shape \(2, 3\), want \(any, 2\)$"
+                           % blob):
+            manifest_array(mpath, "blob a", "a.votb", (None, 2))
+        with pytest.raises(ValueError, match=r"^%s: blob a has shape \(2, 3\), want \(any,\)$"
+                           % blob):
+            manifest_array(mpath, "blob a", "a.votb", (None,))
+
 
 class TestRoundTrip:
     def test_bit_exact(self, tmp_path):
