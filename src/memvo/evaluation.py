@@ -348,11 +348,15 @@ class TumDriftResult:
     scale: float
 
 
-def associate_stamps(a, b):
-    """Greedy one-to-one nearest-neighbor matching of two strictly increasing
-    stamp arrays, such as a Trajectory holds, within STAMP_TOL_S."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+def associate_stamps(est, gt):
+    """Greedy one-to-one nearest-neighbor matching of two Trajectory objects'
+    stamps within STAMP_TOL_S: (i, j) index pairs, sorted. A Trajectory's
+    stamps are checked strictly increasing, which the matching needs; any
+    other argument raises TypeError."""
+    if not (isinstance(est, Trajectory) and isinstance(gt, Trajectory)):
+        raise TypeError("associate_stamps needs two Trajectory objects, got %s and %s"
+                        % (type(est).__name__, type(gt).__name__))
+    a, b = est.stamps, gt.stamps
     # candidates: the two stamps of b around each a[i], taken by (gap, i, j) within the tolerance
     cand_i = np.repeat(np.arange(len(a)), 2)
     cand_j = (np.searchsorted(b, a)[:, None] + np.array([-1, 0])).ravel()
@@ -401,7 +405,7 @@ def tum_rmse_drift(est, gt):
     with the associated pose TUM_DELTA_S seconds later (same tolerance). The
     reported value is the RMSE over pairs of ||relative translation error|| / dt.
     """
-    matches = associate_stamps(est.stamps, gt.stamps)
+    matches = associate_stamps(est, gt)
     if len(matches) < 3:
         raise ValueError("only %d timestamp matches, need at least 3" % len(matches))
     ei, gj = np.array(matches).T

@@ -307,13 +307,6 @@ class Pose6DoF:
     def to_matrix(self):
         return make_se3(euler_to_matrix(self.phi), self.p)
 
-    @classmethod
-    def from_matrix(cls, pose):
-        pose = check_se3(pose)
-        if pose.ndim != 2:
-            raise ValueError("pose must be 4x4, got %s" % (pose.shape,))
-        return cls(pose[:3, 3], _rotation_to_euler(pose[:3, :3]))
-
 
 def poses_from_vectors(vectors):
     """(N,6) pose vectors -> (N,4,4) poses; rejects non-finite rows.

@@ -172,11 +172,6 @@ class VONet:
         for p in self.params.values():
             p.zero_grad()
 
-    def zero_state(self, batch=None):
-        """(h, c) of zeros, (C,h,w) each, or (C,B,h,w) for a batch of B."""
-        shape = (self.hidden,) + ((batch,) if batch else ()) + self.extents
-        return T.Tensor(np.zeros(shape)), T.Tensor(np.zeros(shape))
-
     def _check_frame(self, frame):
         want = (FRAME_CHANNELS, self.config.height, self.config.width)
         if frame.data.shape != want:
@@ -195,22 +190,53 @@ class VONet:
             x = T.tanh(x)
         return x
 
-    def _lstm_step(self, stage, x, h, c):
-        # one conv over [x; h] gives the four gate pre-activations stacked i, f, o, g
-        z = T.conv2d(T.concat_channels([x, h]), self.params[stage + ".kernel"],
-                     self.params[stage + ".bias"], padding=1)
+    def cell_input(self, stage, x):
+        """The input half of stage's ConvLSTM gates: conv(x, W[:, :C]) + b.
+
+        W is the stage's one (4C, 2C, 3, 3) kernel and W[:, :C] a view of it.
+        x (C,h,w) gives (4C,h,w); a (C,B,h,w) batch gives (4C,B,h,w), one
+        GEMM per entry.
+        """
+        return T.conv2d(x, self.params[stage + ".kernel"], self.params[stage + ".bias"],
+                        padding=1, channels=(0, self.hidden))
+
+    def track_inputs(self, feats):
+        """Each pair feature's tracking input half, one (4C,h,w) map per (C,h,w) feature.
+
+        One cell_input call runs over the features' (C,N,h,w) stack, one
+        GEMM per pair, so a pair's bits do not depend on N.
+        """
+        zx = self.cell_input("track", T.stack_batch(feats))
+        return [T.take_batch(zx, i) for i in range(len(feats))]
+
+    def _lstm_step(self, stage, zx, state):
+        # the gate pre-activations, stacked i, f, o, g: the input half zx plus
+        # the hidden half conv(h, W[:, C:]). The zero state (None) skips the
+        # hidden half and the forget term, whose every entry would add 0.0
         n = self.hidden
+        if state is None:
+            z = zx
+        else:
+            h, c = state
+            z = T.add(zx, T.conv2d(h, self.params[stage + ".kernel"], None, padding=1,
+                                   channels=(n, 2 * n)))
         i, f, o, g = (T.slice1d(z, k * n, (k + 1) * n) for k in range(4))
-        c_new = T.add(T.mul(T.sigmoid(f), c), T.mul(T.sigmoid(i), T.tanh(g)))
-        h_new = T.mul(T.sigmoid(o), T.tanh(c_new))
-        return h_new, c_new
+        c_new = T.mul(T.sigmoid(i), T.tanh(g))
+        if state is not None:
+            c_new = T.add(T.mul(T.sigmoid(f), c), c_new)
+        return T.mul(T.sigmoid(o), T.tanh(c_new)), c_new
 
-    def track_step(self, x, h, c):
-        """One ConvLSTM update, (h, c), of (C,h,w) maps or (C,B,h,w) batches; the output is h."""
-        return self._lstm_step("track", x, h, c)
+    def track_step(self, zx, state=None):
+        """One tracking ConvLSTM update from the input half zx (cell_input's).
 
-    def refine_step(self, x, h, c):
-        return self._lstm_step("refine", x, h, c)
+        state is (h, c), of (C,h,w) maps or (C,B,h,w) batches, or None for the
+        zero state. Returns the new (h, c); the output is h.
+        """
+        return self._lstm_step("track", zx, state)
+
+    def refine_step(self, zx, state=None):
+        """The refining ConvLSTM's update, as track_step."""
+        return self._lstm_step("refine", zx, state)
 
     def pose_head(self, which, out_map):
         """Pooled linear readout of a (C,h,w) state to a 6-vector."""
@@ -226,30 +252,37 @@ class VONet:
         return T.conv2d(x, self.params["fuse.conv2.kernel"],
                         self.params["fuse.conv2.bias"], padding=1)
 
-    def track_sequence(self, windows):
+    def track_sequence(self, windows, inputs=None):
         """Run the tracking pass over B windows of pair features at once.
 
         windows holds B equal-length, non-empty lists of (C,h,w) pair
-        features, X_1..X_N of each window. Every window starts from a zero
-        state; step t runs one ConvLSTM update over the (C,B,h,w) stack of
-        the windows' X_t, and conv2d makes one GEMM per window, so each
-        window gets the bits of a lone B = 1 call. The pose head reads each
-        window's output map on its own. Returns one TrackResult per window:
-        its features, the ConvLSTM output map and the relative pose 6-vector
-        (a graph Tensor) of every step.
+        features, X_1..X_N of each window, and inputs the same lists of
+        their input halves (track_inputs'); None computes them here, in one
+        call. Every window starts from the zero state; step t runs one
+        ConvLSTM update over the (4C,B,h,w) stack of the windows' input
+        halves, and the hidden half's conv2d makes one GEMM per window, so
+        each window gets the bits of a lone B = 1 call. The pose head reads
+        each window's output map on its own. Returns one TrackResult per
+        window: its features, the ConvLSTM output map and the relative pose
+        6-vector (a graph Tensor) of every step.
         """
         windows = [list(w) for w in windows]
         steps = len(windows[0]) if windows else 0
         if not steps or any(len(w) != steps for w in windows):
             raise ValueError("track_sequence needs equal-length, non-empty windows, got lengths %s"
                              % [len(w) for w in windows])
-        h, c = self.zero_state(len(windows))
+        if inputs is None:
+            flat = self.track_inputs([x for w in windows for x in w])
+            inputs = [flat[i:i + steps] for i in range(0, len(flat), steps)]
+        if [len(w) for w in inputs] != [steps] * len(windows):
+            raise ValueError("track_sequence needs one input half per pair feature")
+        state = None
         outs = [[] for _ in windows]
         rels = [[] for _ in windows]
-        for xs in zip(*windows):
-            h, c = self.track_step(T.stack_batch(xs), h, c)
+        for zxs in zip(*inputs):
+            state = self.track_step(T.stack_batch(zxs), state)
             for i in range(len(windows)):
-                out = T.take_batch(h, i)
+                out = T.take_batch(state[0], i)
                 outs[i].append(out)
                 rels[i].append(self.pose_head("track", out))
         return [TrackResult(feats=f, outs=o, rels=r) for f, o, r in zip(windows, outs, rels)]

@@ -59,14 +59,15 @@ def refine_sequence(model, feats, slots):
     step t gives frame t's pose in frame 0 coordinates.
     """
     memory = T.stack([s.state for s in slots])
-    h, c = model.zero_state()
+    state = None  # the zero state
     guidance = T.Tensor(np.zeros((model.hidden,) + model.extents))
     abs_poses = []
     for feat in feats:
         mem = guided_memory(guidance, memory)
         obs = guided_observation(guidance, feat)
         fused = model.fuse(mem, obs)
-        h, c = model.refine_step(fused, h, c)
-        abs_poses.append(model.pose_head("refine", h))
-        guidance = h
+        # the input half cannot be hoisted: the guidance of step t is step t-1's output
+        state = model.refine_step(model.cell_input("refine", fused), state)
+        guidance = state[0]
+        abs_poses.append(model.pose_head("refine", guidance))
     return abs_poses

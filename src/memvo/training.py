@@ -154,16 +154,17 @@ class WindowResult:
         return [Pose6DoF.from_vector(v.data) for v in self.abs_tensors]
 
 
-def track_windows(model, windows):
+def track_windows(model, windows, inputs=None):
     """Track B equal-length windows of pair features as one batch.
 
-    Returns one (TrackResult, poses) pair per window: poses are the
-    window's integrated relatives, len(feats) + 1 absolute poses from the
-    identity. All B windows' relatives are composed as one chain of (B,4,4)
-    stacks; each window's poses and track are bit-identical to a lone
-    window's.
+    inputs, as in VONet.track_sequence, holds the pairs' tracking input
+    halves, or None to compute them. Returns one (TrackResult, poses) pair
+    per window: poses are the window's integrated relatives, len(feats) + 1
+    absolute poses from the identity. All B windows' relatives are composed
+    as one chain of (B,4,4) stacks; each window's poses and track are
+    bit-identical to a lone window's.
     """
-    tracks = model.track_sequence(windows)
+    tracks = model.track_sequence(windows, inputs)
     steps = []
     for t, rels in enumerate(zip(*(track.rels for track in tracks)), start=1):
         vectors = np.stack([rel.data for rel in rels])
@@ -284,9 +285,11 @@ def sliding_window_infer(model, frames, policy, window=TrainConfig.window_length
     refined absolute poses (relative to the window's first frame) are
     re-anchored onto the trajectory pose of that first frame. Returns one
     4x4 pose per frame, frame 0 = identity, bit-identical to running each
-    window alone. No tape is built, and each frame pair is encoded once:
-    the batch's windows share its features, which are dropped once no
-    batch needs them, so at most (window - 2) * stride + window - 1 are
+    window alone. No tape is built, and each frame pair is encoded once,
+    with its tracking input half: one track_inputs call per batch over the
+    batch's new pairs. The batch's windows share both, so each ConvLSTM
+    step computes only its hidden half. Both are dropped once no batch
+    needs them, so at most (window - 2) * stride + window - 1 pairs are
     alive at once, whatever the sequence length.
     """
     n = len(frames)
@@ -302,16 +305,18 @@ def sliding_window_infer(model, frames, policy, window=TrainConfig.window_length
         starts.append(n - window)
     ends = starts[1:] + [n - 1]
     traj = [np.eye(4) for _ in range(n)]
-    feats = {}  # t -> features of the pair (t-1, t)
+    pairs = {}  # t -> (features, tracking input half) of the pair (t-1, t)
     with T.no_grad():
         for g in range(0, len(starts), window - 1):
             group = starts[g:g + window - 1]
-            feats = {t: f for t, f in feats.items() if t > group[0]}
-            for t in range(group[0] + 1, group[-1] + window):
-                if t not in feats:
-                    feats[t] = model.encode_pair(frames[t - 1], frames[t])
-            tracked = track_windows(model, [[feats[t] for t in range(s + 1, s + window)]
-                                            for s in group])
+            pairs = {t: p for t, p in pairs.items() if t > group[0]}
+            new = [t for t in range(group[0] + 1, group[-1] + window) if t not in pairs]
+            feats = [model.encode_pair(frames[t - 1], frames[t]) for t in new]
+            pairs.update(zip(new, zip(feats, model.track_inputs(feats))))
+            del feats  # held by pairs alone, so each is dropped with its pair
+            spans = [range(s + 1, s + window) for s in group]
+            tracked = track_windows(model, [[pairs[t][0] for t in span] for span in spans],
+                                    [[pairs[t][1] for t in span] for span in spans])
             for s, end in zip(group, ends[g:]):
                 # popped, so no window's features outlive its refinement
                 refined = run_window(model, [frames[t] for t in range(s, s + window)], policy,

@@ -763,22 +763,27 @@ class TestVectorisedAgainstLoop:
         assert np.max(np.abs(per_s - [p[2] for p in want])) < 1e-12
 
 
+def stamped(stamps):
+    """A Trajectory of identity poses at the given stamps."""
+    return Trajectory(stamps, np.tile(np.eye(4), (len(stamps), 1, 1)))
+
+
 class TestAssociate:
     def test_identical_stamps(self):
-        s = np.arange(10, dtype=np.float64)
+        s = stamped(np.arange(10, dtype=np.float64))
         assert associate_stamps(s, s) == [(i, i) for i in range(10)]
 
     def test_offset_within_tolerance(self):
         a = np.arange(5, dtype=np.float64)
-        assert associate_stamps(a, a + 0.015) == [(i, i) for i in range(5)]
+        assert associate_stamps(stamped(a), stamped(a + 0.015)) == [(i, i) for i in range(5)]
 
     def test_outside_tolerance_unmatched(self):
-        assert associate_stamps([0.0, 1.0], [0.5]) == []
-        assert associate_stamps([0.0], [STAMP_TOL_S * 1.5]) == []
+        assert associate_stamps(stamped([0.0, 1.0]), stamped([0.5])) == []
+        assert associate_stamps(stamped([0.0]), stamped([STAMP_TOL_S * 1.5])) == []
 
     def test_one_to_one_greedy(self):
         # two est stamps near one gt stamp: only the closer one matches
-        pairs = associate_stamps([0.99, 1.0], [1.0])
+        pairs = associate_stamps(stamped([0.99, 1.0]), stamped([1.0]))
         assert pairs == [(1, 0)]
 
     def test_matches_loop(self):
@@ -792,9 +797,22 @@ class TestAssociate:
             else:
                 a = np.sort(rng.uniform(0.0, 3.0, size=rng.integers(0, 60)))
                 b = np.sort(rng.uniform(0.0, 3.0, size=rng.integers(0, 60)))
-            got = associate_stamps(a, b)
+            got = associate_stamps(stamped(a), stamped(b))
             assert got == associate_stamps_loop(a, b, STAMP_TOL_S)
             assert all(type(i) is int and type(j) is int for i, j in got)
+
+    def test_unordered_stamps_are_refused(self):
+        # as raw arrays, [0, 2, 1, 3] was silently paired with [0, 1, 2, 3]
+        # as [(0, 0), (3, 3)]; a Trajectory refuses it before any matching
+        with pytest.raises(ValueError, match="^stamp 2: timestamps must be strictly increasing$"):
+            associate_stamps(stamped([0.0, 1.0, 2.0, 3.0]), stamped([0.0, 2.0, 1.0, 3.0]))
+
+    def test_takes_only_trajectories(self):
+        s = stamped([0.0, 1.0])
+        for a, b in ((s.stamps, s), (s, [0.0, 1.0]), (s.stamps, s.stamps)):
+            with pytest.raises(TypeError, match="^associate_stamps needs two Trajectory objects, "
+                               "got "):
+                associate_stamps(a, b)
 
 
 class TestTumDrift:

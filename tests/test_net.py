@@ -36,6 +36,34 @@ def lstm_step_per_gate(gates, x, h, c):
     return T.mul(o, T.tanh(c_new)), c_new
 
 
+def lstm_step_fused(model, stage, x, state):
+    """The ConvLSTM step before its split into halves, one conv over [x; h]
+    with the whole kernel and bias: the oracle. state None is the zero state,
+    computed here over zeros shaped like x."""
+    if state is None:
+        state = (T.Tensor(np.zeros(x.shape)), T.Tensor(np.zeros(x.shape)))
+    h, c = state
+    z = T.conv2d(T.concat_channels([x, h]), model.params[stage + ".kernel"],
+                 model.params[stage + ".bias"], padding=1)
+    n = model.hidden
+    i, f, o, g = (T.slice1d(z, k * n, (k + 1) * n) for k in range(4))
+    c_new = T.add(T.mul(T.sigmoid(f), c), T.mul(T.sigmoid(i), T.tanh(g)))
+    return T.mul(T.sigmoid(o), T.tanh(c_new)), c_new
+
+
+def use_fused_cell(monkeypatch):
+    """Make every VONet run the fused oracle: cell_input passes x through
+    and the step convolves [x; h]."""
+    monkeypatch.setattr(VONet, "cell_input", lambda self, stage, x: x)
+    monkeypatch.setattr(VONet, "_lstm_step", lstm_step_fused)
+
+
+def split_step(model, stage, x, state=None):
+    """One step of stage's ConvLSTM from the raw input x, through the class."""
+    step = VONet.track_step if stage == "track" else VONet.refine_step
+    return step(model, model.cell_input(stage, x), state)
+
+
 def track_frames(model, frames):
     """Encode a window's frame pairs and track it alone (B = 1)."""
     feats = [model.encode_pair(a, b) for a, b in zip(frames, frames[1:])]
@@ -176,8 +204,10 @@ class TestEncoder:
     def test_hidden_extents_match_encoder_output(self):
         for preset in ("tiny", "desk"):
             m = VONet(preset=preset, seed=0)
-            h, c = m.zero_state()
-            assert h.data.shape == (m.hidden,) + m.extents
+            side = PRESETS[preset].height
+            x = m.encode_pair(np.zeros((3, side, side)), np.zeros((3, side, side)))
+            h, c = split_step(m, "track", x)
+            assert x.shape == h.shape == c.shape == (m.hidden,) + m.extents
 
 
 class TestConvLSTM:
@@ -194,7 +224,7 @@ class TestConvLSTM:
         c0 = rng.uniform(-1, 1, size=(4, 2, 2))
         x = T.Tensor(np.zeros((4, 2, 2)))
         h = T.Tensor(np.zeros((4, 2, 2)))
-        _, c1 = m.track_step(x, h, T.Tensor(c0))
+        _, c1 = split_step(m, "track", x, (h, T.Tensor(c0)))
         assert np.max(np.abs(c1.data - c0)) < 1e-9
 
     @pytest.mark.parametrize("preset", ["tiny", "desk"])
@@ -218,9 +248,9 @@ class TestConvLSTM:
             return [h_new.data, c_new.data, x.grad, h.grad, c.grad]
 
         m.zero_grads()
-        fused = run(m.track_step)
+        split = run(lambda x, h, c: split_step(m, "track", x, (h, c)))
         oracle = run(lambda x, h, c: lstm_step_per_gate(gates, x, h, c))
-        for got, want in zip(fused, oracle):
+        for got, want in zip(split, oracle):
             assert np.max(np.abs(got - want)) < 1e-12
         for g, (wx, wh, b) in gates.items():
             assert np.max(np.abs(kernel.grad[gate_rows(g, n), :n] - wx.grad)) < 1e-12
@@ -236,7 +266,7 @@ class TestConvLSTM:
         for _ in range(20):
             x = T.Tensor(rng.normal(size=(4, 2, 2)) * 3)
             prev = np.abs(c.data)
-            h, c = m.track_step(x, h, c)
+            h, c = split_step(m, "track", x, (h, c))
             assert np.all(np.abs(c.data) <= prev + 1.0 + 1e-12)
 
     def test_step_gradcheck(self):
@@ -245,20 +275,90 @@ class TestConvLSTM:
         x = T.Tensor(rng.normal(size=(4, 2, 2)))
         h0 = T.Tensor(rng.normal(size=(4, 2, 2)))
         c0 = T.Tensor(rng.normal(size=(4, 2, 2)))
-        w = m.params["track.kernel"]
-
-        def f(_):
-            out, _ = m.track_step(x, h0, c0)
-            return T.tsum(T.mul(out, out))
-
-        # the same four offsets inside each of the 8 (gate x {wx, wh}) blocks
         n = m.hidden
-        coords = []
-        for gate in ("i", "f", "o", "g"):
-            for cols in (slice(0, n), slice(n, 2 * n)):
-                block = np.arange(w.data.size).reshape(w.data.shape)[gate_rows(gate, n), cols]
-                coords += [int(block.flat[i]) for i in (0, 7, 19, 35)]
-        assert T.finite_diff_check(f, w, coords=coords) < 1e-6
+        for stage in ("track", "refine"):
+            w = m.params[stage + ".kernel"]
+
+            def f(_):
+                # a step from the zero state, then one from (h0, c0): both
+                # halves of the kernel, and the first step's skipped hidden half
+                h1, c1 = split_step(m, stage, x)
+                out, _ = split_step(m, stage, h1, (h0, T.add(c0, c1)))
+                return T.tsum(T.mul(out, out))
+
+            # the same four offsets inside each of the 8 (gate x {wx, wh}) blocks
+            coords = []
+            for gate in ("i", "f", "o", "g"):
+                for cols in (slice(0, n), slice(n, 2 * n)):
+                    block = np.arange(w.data.size).reshape(w.data.shape)[gate_rows(gate, n), cols]
+                    coords += [int(block.flat[i]) for i in (0, 7, 19, 35)]
+            assert T.finite_diff_check(f, w, coords=coords) < 1e-6, stage
+            assert T.finite_diff_check(f, m.params[stage + ".bias"]) < 1e-6, stage
+
+
+class TestSplitCell:
+    """The cell as an input half conv(x, W[:, :C]) + b plus a hidden half
+    conv(h, W[:, C:]), against the fused conv over [x; h] it replaced."""
+
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    @pytest.mark.parametrize("stage", ["track", "refine"])
+    def test_every_step_matches_the_fused_oracle(self, preset, stage):
+        m = VONet(preset=preset, seed=21)
+        rng = np.random.default_rng(22)
+        m.params[stage + ".bias"].data[:] = rng.normal(size=4 * m.hidden) * 0.5
+        xs = [T.Tensor(rng.normal(size=(m.hidden,) + m.extents)) for _ in range(10)]
+        got = want = None
+        for x in xs:
+            got = split_step(m, stage, x, got)
+            want = lstm_step_fused(m, stage, x, want)
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a.data - b.data)) < 1e-12
+
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_zero_state_skip_is_bit_identical(self, preset, batch):
+        # skipping the hidden half and the forget term of the zero state
+        # against computing both over zeros
+        m = VONet(preset=preset, seed=23)
+        rng = np.random.default_rng(24)
+        shape = (m.hidden,) + ((batch,) if batch else ()) + m.extents
+        for stage in ("track", "refine"):
+            m.params[stage + ".bias"].data[:] = rng.normal(size=4 * m.hidden) * 0.5
+            zx = m.cell_input(stage, T.Tensor(rng.normal(size=shape)))
+            step = VONet.track_step if stage == "track" else VONet.refine_step
+            zeros = (T.Tensor(np.zeros(shape)), T.Tensor(np.zeros(shape)))
+            for a, b in zip(step(m, zx), step(m, zx, zeros)):
+                assert a.data.tobytes() == b.data.tobytes(), stage
+
+    def test_zero_state_runs_no_hidden_half(self, monkeypatch):
+        m = VONet(preset="tiny", seed=0)
+        real, blocks = T.conv2d, []
+
+        def spy(x, kernel, bias, stride=1, padding=0, channels=None):
+            blocks.append(channels)
+            return real(x, kernel, bias, stride, padding, channels)
+
+        monkeypatch.setattr(T, "conv2d", spy)
+        x = T.Tensor(np.ones((4, 2, 2)))
+        state = split_step(m, "track", x)
+        assert blocks == [(0, 4)]
+        split_step(m, "track", x, state)
+        assert blocks == [(0, 4), (0, 4), (4, 8)]
+
+    def test_batched_input_halves_match_lone_calls(self):
+        # at the desk shape, one call over N pairs gives each pair the bits
+        # of a lone call, whatever N is
+        m = VONet(preset="desk", seed=25)
+        rng = np.random.default_rng(26)
+        feats = [T.Tensor(rng.normal(size=(m.hidden,) + m.extents)) for _ in range(12)]
+        batch = m.track_inputs(feats)
+        assert len(batch) == len(feats)
+        for f, got in zip(feats, batch):
+            assert got.shape == (4 * m.hidden,) + m.extents
+            assert got.data.tobytes() == m.track_inputs([f])[0].data.tobytes()
+            assert got.data.tobytes() == m.cell_input("track", f).data.tobytes()
+        for got, want in zip(batch[3:8], m.track_inputs(feats[3:8])):
+            assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestPoseHead:
@@ -297,6 +397,24 @@ class TestTrackSequence:
         for windows in ([], [[]], [[x, x], [x]]):
             with pytest.raises(ValueError, match="equal-length, non-empty windows"):
                 m.track_sequence(windows)
+        zx = m.cell_input("track", x)
+        for inputs in ([[zx]], [[zx, zx], [zx]], [[zx, zx]]):
+            with pytest.raises(ValueError, match="one input half per pair feature"):
+                m.track_sequence([[x, x], [x, x]], inputs)
+
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    def test_outputs_match_the_fused_oracle(self, preset, monkeypatch):
+        m = VONet(preset=preset, seed=28)
+        rng = np.random.default_rng(29)
+        feats = [T.Tensor(rng.normal(size=(m.hidden,) + m.extents)) for _ in range(7)]
+        windows = [feats[s:s + 5] for s in (0, 1, 2)]
+        got = m.track_sequence(windows)
+        use_fused_cell(monkeypatch)
+        want = m.track_sequence(windows)
+        for a, b in zip(got, want):
+            for name in ("outs", "rels"):
+                for x, y in zip(getattr(a, name), getattr(b, name), strict=True):
+                    assert np.max(np.abs(x.data - y.data)) < 1e-12, name
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)

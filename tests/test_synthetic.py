@@ -13,8 +13,8 @@ from memvo.synthetic import (KINDS, SyntheticSpec, _motion, _texture,
 
 def relative_poses(seq):
     """Pose6DoF of each frame in the previous frame's coordinates."""
-    return [Pose6DoF.from_matrix(pose_compose(pose_inverse(a), b))
-            for a, b in zip(seq.poses[:-1], seq.poses[1:])]
+    rels = [pose_compose(pose_inverse(a), b) for a, b in zip(seq.poses[:-1], seq.poses[1:])]
+    return [Pose6DoF(m[:3, 3], matrix_to_euler(m[:3, :3])) for m in rels]
 
 
 class TestSpec:

@@ -14,7 +14,7 @@ import memvo.memory as memory
 import memvo.tensor as T
 import memvo.training as training
 from memvo.geometry import (Pose6DoF, StackError, euler_to_matrix, integrate_relative, make_se3,
-                            pose_compose, pose_inverse)
+                            matrix_to_euler, pose_compose, pose_inverse)
 from memvo.memory import MemoryBuffer, MemoryPolicy
 from memvo.net import PRESETS, VONet
 from memvo.refining import guided_observation, recalibrate
@@ -23,11 +23,17 @@ from memvo.training import (ADAM_WEIGHT_DECAY, Adam, TrainConfig, TrainingDiverg
                             _pose_term, loss_global, loss_local, loss_total, lr_at,
                             run_window, sliding_window_infer, track_windows, train,
                             window_ground_truth, window_loss)
+from test_net import use_fused_cell
 from test_tensor import conv2d_tensordot
 
 
 def vec(p=(0, 0, 0), phi=(0, 0, 0)):
     return T.Tensor(np.array(list(p) + list(phi), dtype=np.float64))
+
+
+def pose6dof(pose):
+    """The Pose6DoF of a checked 4x4 pose: its translation and Euler angles."""
+    return Pose6DoF(pose[:3, 3], matrix_to_euler(pose[:3, :3]))
 
 
 def zero_pose():
@@ -392,8 +398,8 @@ class TestWindowPipeline:
                 gt_rels, gt_abs = window_ground_truth(seq_poses, start, length)
                 origin_inv = pose_inverse(poses[start])
                 for i, t in enumerate(range(start + 1, start + length)):
-                    rel = Pose6DoF.from_matrix(pose_compose(pose_inverse(poses[t - 1]), poses[t]))
-                    glob = Pose6DoF.from_matrix(pose_compose(origin_inv, poses[t]))
+                    rel = pose6dof(pose_compose(pose_inverse(poses[t - 1]), poses[t]))
+                    glob = pose6dof(pose_compose(origin_inv, poses[t]))
                     for got, want in ((gt_rels[i], rel), (gt_abs[i], glob)):
                         assert np.array_equal(got.p, want.p) and np.array_equal(got.phi, want.phi)
                 assert len(gt_rels) == len(gt_abs) == length - 1
@@ -483,6 +489,29 @@ class TestWindowPipeline:
         for name, g in grads[0].items():
             assert np.max(np.abs(g - grads[1][name])) < 1e-12, name
 
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    def test_window_matches_the_fused_oracle(self, monkeypatch, preset):
+        # the split cell against the fused conv over [x; h] it replaced: the
+        # tracked and refined poses and every parameter gradient of window_loss
+        side = PRESETS[preset].height
+        seq = generate_sequence(SyntheticSpec(frames=7, height=side, width=side, seed=12))
+        cfg = TrainConfig(preset=preset, window_length=7, theta_rot=0.0, theta_trans=0.0)
+        runs = []
+        for fused in (False, True):
+            if fused:
+                use_fused_cell(monkeypatch)
+            model = VONet(preset=preset, seed=4)
+            local, glob, res = window_loss(model, seq, 0, cfg, cfg.policy())
+            T.add(local, glob).backward()
+            runs.append((res, {name: p.grad for name, p in model.params.items()}))
+        (got, got_grads), (want, want_grads) = runs
+        for a, b in zip(got.track.rels + got.abs_tensors, want.track.rels + want.abs_tensors,
+                        strict=True):
+            assert np.max(np.abs(a.data - b.data)) < 1e-12
+        assert got.buffer.frames() == want.buffer.frames()
+        for name, g in got_grads.items():
+            assert np.max(np.abs(g - want_grads[name])) < 1e-12, name
+
     def test_window_loss_finite_and_positive(self):
         model = VONet(preset="tiny", seed=1)
         seq = generate_sequence(SyntheticSpec(frames=6, height=32, width=32, seed=6))
@@ -497,16 +526,16 @@ def refine_sequence_per_step_stack(model, feats, slots):
     """refine_sequence before the memory was stacked once per window: both
     attentions stack the slot states again at every step. The oracle for the
     gradients a live memory (detach_memory=False) passes back."""
-    h, c = model.zero_state()
+    state = None
     guidance = T.Tensor(np.zeros((model.hidden,) + model.extents))
     abs_poses = []
     for feat in feats:
         alpha = T.softmax(T.cosine_similarity(guidance, T.stack([s.state for s in slots])))
         mem = T.weighted_sum(alpha, recalibrate(guidance, T.stack([s.state for s in slots])))
         fused = model.fuse(mem, guided_observation(guidance, feat))
-        h, c = model.refine_step(fused, h, c)
-        abs_poses.append(model.pose_head("refine", h))
-        guidance = h
+        state = model.refine_step(model.cell_input("refine", fused), state)
+        guidance = state[0]
+        abs_poses.append(model.pose_head("refine", guidance))
     return abs_poses
 
 
@@ -700,9 +729,11 @@ class TestSlidingWindowInfer:
         pytest.param("tiny", 9, 4, 1, id="9-4-1"),    # every pair shared by up to 3 windows
         pytest.param("tiny", 10, 4, 3, id="10-4-3"),  # stride window - 1: a shared frame, no pair
         pytest.param("tiny", 9, 4, 2, id="9-4-2"),    # starts 0, 2, 4 and the clamped last 5
+        pytest.param("tiny", 14, 5, 3, id="14-5-3"),  # stride 3 below window - 1
         # two batches of 4 windows and a last one of 1, on the desk preset,
         # whose GEMMs are above OpenBLAS's small-matrix path
         pytest.param("desk", 14, 5, 1, id="desk-14-5-1"),
+        pytest.param("desk", 14, 5, 4, id="desk-14-5-4"),
     ])
     def test_bit_identical_to_taped_oracle(self, preset, n, window, stride):
         model = VONet(preset=preset, seed=3)
@@ -733,9 +764,9 @@ class TestSlidingWindowInfer:
         # kept is the sum of end - s over the windows: one refined step per frame
         real, steps = VONet.refine_step, []
 
-        def counted(self, x, h, c):
+        def counted(self, zx, state=None):
             steps.append(1)
-            return real(self, x, h, c)
+            return real(self, zx, state)
 
         monkeypatch.setattr(VONet, "refine_step", counted)
         sliding_window_infer(VONet(preset="tiny", seed=3), self.frames(n), self.policy,
@@ -750,15 +781,33 @@ class TestSlidingWindowInfer:
         # and pair would run 18
         real, steps = VONet.track_step, []
 
-        def counted(self, x, h, c):
-            steps.append(x.shape)
-            return real(self, x, h, c)
+        def counted(self, zx, state=None):
+            steps.append(zx.shape)
+            return real(self, zx, state)
 
         monkeypatch.setattr(VONet, "track_step", counted)
         sliding_window_infer(VONet(preset="tiny", seed=3), self.frames(n), self.policy,
                              window=window, stride=stride)
         assert len(steps) == batches * (window - 1)
-        assert steps[0] == (4, window - 1, 2, 2)  # a full first batch, channel-first
+        assert steps[0] == (16, window - 1, 2, 2)  # a full first batch of input halves, channel-first
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_input_half_once_per_pair_hidden_half_per_later_step(self, monkeypatch, n):
+        # at stride 1 each pair is in up to window - 1 windows, but its
+        # tracking input half runs once; each window's first step is from the
+        # zero state, so only its later steps run the hidden half
+        model, window = VONet(preset="tiny", seed=3), 4
+        kernel, real, runs = model.params["track.kernel"], T.conv2d, {(0, 4): 0, (4, 8): 0}
+
+        def counted(x, k, bias, stride=1, padding=0, channels=None):
+            if k is kernel:
+                runs[channels] += x.shape[1] if len(x.shape) == 4 else 1
+            return real(x, k, bias, stride, padding, channels)
+
+        monkeypatch.setattr(T, "conv2d", counted)
+        sliding_window_infer(model, self.frames(n), self.policy, window=window, stride=1)
+        windows, steps = n - window + 1, window - 1
+        assert runs == {(0, 4): n - 1, (4, 8): windows * (steps - 1)}
 
     def test_builds_no_taped_node(self, monkeypatch):
         real, taped = T._make, []
@@ -871,13 +920,14 @@ class TestSlidingWindowInfer:
             run_window(model, frames, self.policy, track=track)
 
 
-# Train for 2 iterations, then infer at stride 1, and print the digests. On a
-# 2-vCPU x86 host the tiny preset's GEMMs are too small for a second BLAS
-# thread to take part (2 threads: 0.07 s CPU in 0.05 s wall), the desk
-# preset's are not (0.57 s CPU in 0.30 s wall), so both run. Last, the digest
-# of every parameter gradient after one 11-frame desk window's backward(),
-# which multiplies each ConvLSTM kernel's deferred gradient as one
-# (256x160)(160x1152) GEMM.
+# Train for 2 iterations, then infer at strides 1 and 3, and print the
+# digests. On a 2-vCPU x86 host the tiny preset's GEMMs are too small for a
+# second BLAS thread to take part (2 threads: 0.07 s CPU in 0.05 s wall), the
+# desk preset's are not (0.57 s CPU in 0.30 s wall), so both run. Last, the
+# digest of every parameter gradient after one 11-frame desk window's
+# backward(), which multiplies each ConvLSTM kernel's deferred gradient as one
+# GEMM per kernel half: (256x160)(160x576) for the input half of the tracking
+# stage, (256x144)(144x576) for its hidden half.
 THREAD_CHILD = """
 import hashlib
 import numpy as np
@@ -898,9 +948,11 @@ for preset, side in (("tiny", 32), ("desk", 64)):
     cfg = TrainConfig(window_length=4, batch_size=2, base_lr=1e-3, k=10.0, theta_rot=0.0,
                       theta_trans=0.0, memory_size=4, seed=0, preset=preset, iterations=2)
     model, history = train(data, cfg)
-    traj = sliding_window_infer(model, list(data[0].frames), cfg.policy(), window=4, stride=1)
     print(digest([np.array(history)]))
-    print(digest([np.array(traj)]))
+    for stride in (1, 3):
+        traj = sliding_window_infer(model, list(data[0].frames), cfg.policy(), window=4,
+                                    stride=stride)
+        print(digest([np.array(traj)]))
 
 cfg = TrainConfig(preset="desk", window_length=11)
 model = VONet(preset="desk", seed=0)
@@ -920,5 +972,5 @@ def test_outputs_identical_across_blas_thread_counts():
                              capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
         digests[threads] = out.stdout.split()
-        assert len(digests[threads]) == 5
+        assert len(digests[threads]) == 7
     assert digests["1"] == digests["2"]
