@@ -13,6 +13,7 @@ Floats are written with 17 significant digits (lossless for float64);
 metric CSVs use 9.
 """
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -175,6 +176,8 @@ def load_trajectory(path, fmt):
 
 def save_trajectory(path, traj, fmt):
     _check_format(path, fmt)
+    if not len(traj):  # load_trajectory would find no poses in the file
+        raise ValueError("%s: empty trajectory, nothing to save" % path)
     text = format_kitti(traj.poses) if fmt == "kitti" else format_tum(traj)
     with open(path, "w") as fh:
         fh.write(text)
@@ -296,17 +299,20 @@ def kitti_drift(est, gt, lengths=KITTI_LENGTHS, step=1, aggregate="mean",
 
     est and gt are Trajectory objects, sequences of 4x4 poses or (N,4,4)
     stacks; their poses are validated once per call, after the other
-    arguments. lengths may come in any order and must be finite and positive,
-    as must frame_hz; step is an int >= 1 and aggregate one of AGGREGATES.
+    arguments. lengths may come in any order and must be distinct, finite
+    and positive; frame_hz must be a finite, positive real number (no bool),
+    step an int >= 1 and aggregate one of AGGREGATES.
     Every (start, length) that fits is scored. segments is a record array
     with one record per segment, start by start, in lengths order.
     """
     check_int("step", step, 1)
-    if not (np.isfinite(frame_hz) and frame_hz > 0.0):
-        raise ValueError("frame_hz must be finite and positive, got %r" % (frame_hz,))
+    if (isinstance(frame_hz, bool) or not isinstance(frame_hz, numbers.Real)
+            or not (np.isfinite(frame_hz) and frame_hz > 0.0)):
+        raise ValueError("frame_hz must be a finite, positive number, got %r" % (frame_hz,))
     lens = np.asarray(lengths, dtype=np.float64)
-    if lens.ndim != 1 or not np.all(np.isfinite(lens) & (lens > 0.0)):
-        raise ValueError("lengths must be finite and positive, got %r" % (lengths,))
+    if (lens.ndim != 1 or not np.all(np.isfinite(lens) & (lens > 0.0))
+            or len(set(lens.tolist())) < len(lens)):  # a repeated length scores its segments twice
+        raise ValueError("lengths must be distinct, finite and positive, got %r" % (lengths,))
     if aggregate not in AGGREGATES:
         raise ValueError("aggregate must be one of %s, got %r" % (AGGREGATES, aggregate))
     est = est.poses if isinstance(est, Trajectory) else _pose_stack(est)

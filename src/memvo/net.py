@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import check_fields, check_int, write_json
+from .config import check_int, write_json
 from .votb import MANIFEST, manifest_array, manifest_blob, read_manifest, write_votb
 
 CHECKPOINT_FORMAT = "memvo-checkpoint"
@@ -24,70 +24,35 @@ FRAME_CHANNELS = 3  # RGB
 
 
 @dataclass(frozen=True)
-class EncoderLayer:
-    out_channels: int
-    kernel: int
-    stride: int
-
-    def __post_init__(self):  # check_int checks the type too
-        for name in ("out_channels", "kernel", "stride"):
-            check_int(name, getattr(self, name), 1)
-
-    @property
-    def padding(self):
-        return self.kernel // 2
-
-
-@dataclass(frozen=True)
 class EncoderConfig:
-    """Nine conv layers over a stacked frame pair."""
+    """Nine conv layers over a stacked frame pair, each an (out_channels,
+    kernel, stride) triple in layers; a layer pads by kernel // 2."""
 
     height: int
     width: int
     layers: tuple
-    in_channels = 2 * FRAME_CHANNELS  # the stacked frame pair: a constant, not a field
-
-    def __post_init__(self):
-        check_fields(self)
-        check_int("height", self.height, 1)
-        check_int("width", self.width, 1)
-        if not all(isinstance(layer, EncoderLayer) for layer in self.layers):
-            raise ValueError("layers must be EncoderLayer entries, got %r" % (self.layers,))
-        if len(self.layers) != 9:
-            raise ValueError("encoder takes exactly 9 layers, got %d" % len(self.layers))
-        down = self.total_stride
-        if self.height % down or self.width % down:
-            raise ValueError("input %dx%d not divisible by total stride %d"
-                             % (self.height, self.width, down))
-
-    @property
-    def total_stride(self):
-        out = 1
-        for layer in self.layers:
-            out *= layer.stride
-        return out
 
     @property
     def out_channels(self):
-        return self.layers[-1].out_channels
+        return self.layers[-1][0]
 
     @property
     def kernel_shapes(self):
         """(out, in, k, k) of each layer's kernel, in layer order."""
-        ins = (self.in_channels,) + tuple(l.out_channels for l in self.layers[:-1])
-        return [(l.out_channels, c, l.kernel, l.kernel) for l, c in zip(self.layers, ins)]
+        ins = (2 * FRAME_CHANNELS,) + tuple(o for o, _, _ in self.layers[:-1])
+        return [(o, c, k, k) for (o, k, _), c in zip(self.layers, ins)]
 
     @property
     def out_extents(self):
         h, w = self.height, self.width
-        for layer in self.layers:
-            h = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            w = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
+        for _, k, s in self.layers:
+            h = (h + 2 * (k // 2) - k) // s + 1
+            w = (w + 2 * (k // 2) - k) // s + 1
         return h, w
 
 
 def _layers(channels, kernels, strides):
-    return tuple(EncoderLayer(c, k, s) for c, k, s in zip(channels, kernels, strides))
+    return tuple(zip(channels, kernels, strides))
 
 
 PRESETS = {
@@ -183,10 +148,10 @@ class VONet:
         prev_frame = self._check_frame(T._as_tensor(prev_frame))
         frame = self._check_frame(T._as_tensor(frame))
         x = T.concat_channels([prev_frame, frame])
-        for i, layer in enumerate(self.config.layers, start=1):
+        for i, (_, k, stride) in enumerate(self.config.layers, start=1):
             x = T.conv2d(x, self.params["encoder.l%d.kernel" % i],
                          self.params["encoder.l%d.bias" % i],
-                         stride=layer.stride, padding=layer.padding)
+                         stride=stride, padding=k // 2)
             x = T.tanh(x)
         return x
 
@@ -296,7 +261,11 @@ class TrackResult:
 
 
 def save_checkpoint(model, dirpath):
-    """Write a manifest of model's preset and seed, and a <name>.votb per model.params entry."""
+    """Write a manifest of model's preset and seed, and a <name>.votb per model.params entry;
+    a NaN or inf parameter raises ValueError naming it before any file is written."""
+    for name, p in model.params.items():  # min and max pass NaN on and need no temporary
+        if not (np.isfinite(p.data.min()) and np.isfinite(p.data.max())):
+            raise ValueError("parameter %s has non-finite values" % name)
     os.makedirs(dirpath, exist_ok=True)
     for name, p in model.params.items():
         write_votb(os.path.join(dirpath, name + ".votb"), p.data)

@@ -376,7 +376,8 @@ def _tree_digest(root):
         for name in sorted(filenames):
             full = os.path.join(dirpath, name)
             h.update(os.path.relpath(full, root).encode())
-            h.update(open(full, "rb").read())
+            with open(full, "rb") as fh:
+                h.update(fh.read())
     return h.hexdigest()
 
 

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def tree_digest(root):
         for name in sorted(filenames):
             full = os.path.join(dirpath, name)
             h.update(os.path.relpath(full, root).encode())
-            h.update(open(full, "rb").read())
+            h.update(Path(full).read_bytes())
     return h.hexdigest()
 
 
@@ -71,7 +72,7 @@ class TestSynthData:
     def test_writes_container(self, tmp_path, capsys):
         out = make_container(tmp_path)
         assert sorted(os.listdir(out)) == ["frames.votb", "manifest.json", "poses_gt.txt"]
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest == {"format": "memvo-sequence", "version": 2, "poses": True}
         assert read_votb(os.path.join(out, "frames.votb")).shape == (6, 3, 32, 32)
         assert len(load_trajectory(os.path.join(out, "poses_gt.txt"), "kitti")) == 6
@@ -123,7 +124,7 @@ class TestTrain:
         cfg = write_config(str(tmp_path / "cfg.json"))
         out = str(tmp_path / "run")
         assert main(["train", "--config", cfg, "--data", data, "--out", out]) == 0
-        lines = open(os.path.join(out, "loss.csv")).read().splitlines()
+        lines = Path(out, "loss.csv").read_text().splitlines()
         assert lines[0] == "iteration,loss_local,loss_global,loss_total"
         iters = [int(l.split(",")[0]) for l in lines[1:]]
         assert iters == sorted(iters) == [0, 1]
@@ -235,7 +236,7 @@ class TestInfer:
         a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
         main(["infer", "--ckpt", ckpt, "--data", data, "--out", a, "--window", "4"])
         main(["infer", "--ckpt", ckpt, "--data", data, "--out", b, "--window", "4"])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_stride_flag(self, tmp_path):
         data = make_container(tmp_path)
@@ -267,7 +268,7 @@ class TestEval:
         rc = main(["eval", "--format", "kitti", "--est", est, "--gt", gt,
                    "--out", csv])
         assert rc == 0
-        lines = open(csv).read().splitlines()
+        lines = Path(csv).read_text().splitlines()
         assert lines[0] == "length_m,t_rel_percent,r_rel_deg_per_100m,segments"
         assert lines[1].startswith("100,1,")
         assert lines[-1].startswith("all,1,")
@@ -290,7 +291,7 @@ class TestEval:
                    "--out", csv])
         assert rc == 0
         assert "rmse" in capsys.readouterr().out
-        lines = open(csv).read().splitlines()
+        lines = Path(csv).read_text().splitlines()
         assert lines[0] == "metric,value"
         assert lines[1].startswith("rmse_m_per_s,")
 
@@ -355,8 +356,8 @@ class TestPlotData:
         rc = main(["plot-data", "--est", est, "--gt", gt, "--out", out,
                    "--step", "5"])
         assert rc == 0
-        length = open(os.path.join(out, "error_vs_length.csv")).read().splitlines()
-        speed = open(os.path.join(out, "error_vs_speed.csv")).read().splitlines()
+        length = Path(out, "error_vs_length.csv").read_text().splitlines()
+        speed = Path(out, "error_vs_speed.csv").read_text().splitlines()
         assert length[0] == "length_m,t_rel_percent,r_rel_deg_per_100m,segments"
         assert speed[0] == "speed_mps,t_rel_percent,r_rel_deg_per_100m,segments"
         assert len(length) >= 2 and len(speed) >= 2

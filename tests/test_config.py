@@ -3,7 +3,6 @@ import dataclasses
 import pytest
 
 from memvo.memory import MemoryPolicy
-from memvo.net import PRESETS, EncoderConfig, EncoderLayer
 from memvo.synthetic import SyntheticSpec
 from memvo.training import TrainConfig
 
@@ -12,8 +11,6 @@ BASES = {
     TrainConfig: TrainConfig(),
     SyntheticSpec: SyntheticSpec(),
     MemoryPolicy: MemoryPolicy(),
-    EncoderLayer: EncoderLayer(2, 3, 1),
-    EncoderConfig: PRESETS["tiny"],
 }
 
 
@@ -33,13 +30,6 @@ BASES = {
     (MemoryPolicy, "max_slots", 2.5),
     (MemoryPolicy, "require_both", "yes"),
     (MemoryPolicy, "theta_rot", False),
-    (EncoderLayer, "out_channels", 0),
-    (EncoderLayer, "kernel", 3.0),
-    (EncoderLayer, "stride", True),
-    (EncoderConfig, "height", 0),
-    (EncoderConfig, "width", "32"),
-    (EncoderConfig, "layers", list(PRESETS["tiny"].layers)),
-    (EncoderConfig, "layers", (1,) * 9),
 ])
 def test_bad_field_type_or_size_named_when_built_and_replaced(cls, name, bad):
     base = BASES[cls]

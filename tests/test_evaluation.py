@@ -286,6 +286,14 @@ class TestTrajectoryStamps:
         assert len(Trajectory([], [])) == 0
         assert len(Trajectory([5.0], straight_line(1))) == 1
 
+    @pytest.mark.parametrize("fmt", ["kitti", "tum"])
+    def test_empty_trajectory_cannot_reach_a_file(self, tmp_path, fmt):
+        # it would be written as one blank line, then refused by load_trajectory
+        path = str(tmp_path / "traj.txt")
+        with pytest.raises(ValueError, match="^%s: empty trajectory" % re.escape(path)):
+            save_trajectory(path, Trajectory([], []), fmt)
+        assert not os.path.exists(path)
+
 
 class TestTumFormat:
     def _traj(self, n=15, seed=1):
@@ -604,11 +612,26 @@ class TestKittiDrift:
         with pytest.raises(ValueError, match="lengths"):
             kitti_drift(gt, gt, lengths=lengths)
 
-    @pytest.mark.parametrize("frame_hz", [0.0, -10.0, np.nan, np.inf])
+    def test_repeated_length_rejected(self):
+        # each segment of the repeated length would be scored twice
+        gt = straight_line(20, spacing=30.0)
+        assert len(kitti_drift(gt, gt, lengths=(100.0,)).segments) == 16
+        for lengths in ((100.0, 100.0), (100, 200.0, 100.0)):
+            with pytest.raises(ValueError, match="^lengths must be distinct"):
+                kitti_drift(gt, gt, lengths=lengths)
+
+    @pytest.mark.parametrize("frame_hz", [0.0, -10.0, np.nan, np.inf, True, "10", None])
     def test_bad_frame_hz_rejected(self, frame_hz):
         gt = straight_line(200)
         with pytest.raises(ValueError, match="frame_hz"):
             kitti_drift(gt, gt, lengths=(100.0,), frame_hz=frame_hz)
+
+    def test_numpy_and_int_frame_hz_accepted(self):
+        gt = straight_line(200)
+        want = kitti_drift(gt, gt, lengths=(100.0,), frame_hz=10.0).segments
+        for frame_hz in (10, np.float64(10.0), np.int64(10)):
+            got = kitti_drift(gt, gt, lengths=(100.0,), frame_hz=frame_hz).segments
+            assert np.array_equal(got, want)
 
     def test_non_finite_pose_rejected(self):
         gt = straight_line(200)
@@ -908,6 +931,7 @@ class TestExportCsv:
     def test_formats(self, tmp_path):
         path = str(tmp_path / "out.csv")
         export_csv(path, ["a", "b", "c"], [(1, 0.123456789123, "x")])
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
         assert lines[0] == "a,b,c"
         assert lines[1] == "1,0.123456789,x"

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import memvo.tensor as T
-from memvo.net import (EncoderConfig, EncoderLayer, PRESETS, VONet, glorot,
-                       load_checkpoint, save_checkpoint)
+from memvo.net import PRESETS, VONet, glorot, load_checkpoint, save_checkpoint
 from memvo.votb import write_votb
 
 
@@ -75,9 +74,8 @@ def per_gate_params(preset, seed):
     cfg = PRESETS[preset]
     rng = np.random.default_rng(seed)
     out = OrderedDict()
-    c_in = cfg.in_channels
-    for i, layer in enumerate(cfg.layers, start=1):
-        k, o = layer.kernel, layer.out_channels
+    c_in = 6  # the stacked RGB pair
+    for i, (o, k, _) in enumerate(cfg.layers, start=1):
         out["encoder.l%d.kernel" % i] = glorot(rng, (o, c_in, k, k), c_in * k * k, o * k * k)
         out["encoder.l%d.bias" % i] = np.zeros(o)
         c_in = o
@@ -114,27 +112,21 @@ class TestEncoderConfig:
         # shape arithmetic only; the full-size preset is never run here
         assert PRESETS["desk"].out_channels == 64
         assert PRESETS["desk"].out_extents == (4, 4)
-        assert PRESETS["desk"].total_stride == 16
         assert PRESETS["kitti-shape"].out_channels == 1024
         assert PRESETS["kitti-shape"].out_extents == (6, 20)
-        assert PRESETS["kitti-shape"].total_stride == 64
         assert PRESETS["tiny"].out_extents == (2, 2)
 
-    def test_layer_count_enforced(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(height=64, width=64,
-                          layers=tuple(EncoderLayer(8, 3, 1) for _ in range(8)))
-
-    def test_divisibility_enforced(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(height=50, width=64,
-                          layers=PRESETS["desk"].layers)
+    def test_every_preset_is_nine_layers_that_tile_its_frame(self):
+        # the program builds no config but these rows, so their invariants are checked here
+        for cfg in PRESETS.values():
+            assert len(cfg.layers) == 9
+            down = int(np.prod([s for _, _, s in cfg.layers]))
+            assert cfg.height % down == 0 and cfg.width % down == 0
+            assert cfg.out_extents == (cfg.height // down, cfg.width // down)
+            assert cfg.kernel_shapes[0][1] == 6  # the stacked RGB pair
 
     def test_in_channels_fixed_by_the_frame_layout(self):
-        assert PRESETS["tiny"].in_channels == 6
         assert PRESETS["tiny"].kernel_shapes[0] == (2, 6, 3, 3)
-        with pytest.raises(TypeError):
-            EncoderConfig(height=32, width=32, layers=PRESETS["tiny"].layers, in_channels=6)
 
 
 class TestInit:
@@ -477,6 +469,15 @@ class TestCheckpoint:
         for x, y in zip(ra.rels, rb.rels):
             assert np.array_equal(x.data, y.data)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_parameter_refused_before_any_file(self, tmp_path, bad):
+        # load_checkpoint would refuse the blob, so the writer does
+        model = VONet(preset="tiny", seed=0)
+        model.params["encoder.l8.bias"].data[1] = bad
+        with pytest.raises(ValueError, match="^parameter encoder.l8.bias has non-finite values$"):
+            save_checkpoint(model, str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
     def test_missing_blob_entry_rejected(self, tmp_path):
         # an encoder kernel is missed by the check before allocation, any other blob by the fill
         model = VONet(preset="tiny", seed=0)
@@ -500,7 +501,8 @@ class TestCheckpoint:
         model = VONet(preset="tiny", seed=0)
         path, _ = self._roundtrip(tmp_path, model)
         mpath = os.path.join(path, "manifest.json")
-        manifest = json.load(open(mpath))
+        with open(mpath) as fh:
+            manifest = json.load(fh)
         # 2.0 == 2 and True == 1, so only a type check refuses those two
         for version in (1, 99, 2.0, True):
             manifest["version"] = version
