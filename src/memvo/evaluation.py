@@ -481,4 +481,5 @@ def error_vs_speed_rows(result):
     header = ["speed_mps", "t_rel_percent", "r_rel_deg_per_100m", "segments"]
     segs = result.segments
     keys = np.round(segs.speed / SPEED_BIN) * SPEED_BIN
-    return header, _drift_rows(np.unique(keys).tolist(), keys, segs.t_err, segs.r_err, "mean")
+    # not np.unique: its first call imports numpy.ma
+    return header, _drift_rows(sorted(set(keys.tolist())), keys, segs.t_err, segs.r_err, "mean")

@@ -19,7 +19,7 @@ from .config import check_int, write_json
 from .votb import MANIFEST, manifest_array, manifest_blob, read_manifest, write_votb
 
 CHECKPOINT_FORMAT = "memvo-checkpoint"
-CHECKPOINT_VERSION = 3  # the only format read: preset, seed, one blob per VONet.params entry
+CHECKPOINT_VERSION = 4  # the only format read: preset, seed, one blob per VONet.params entry
 FRAME_CHANNELS = 3  # RGB
 
 
@@ -118,12 +118,12 @@ class VONet:
             self._add("encoder.l%d.bias" % i, np.zeros(o))
         h = self.hidden
         for stage in ("track", "refine"):
-            kernel = np.empty((4 * h, 2 * h, 3, 3))
+            kx, kh = np.empty((4 * h, h, 3, 3)), np.empty((4 * h, h, 3, 3))
             for k in range(4):  # gates i, f, o, g; for each the x block, then the h block
-                for j in range(2):
-                    kernel[k * h:(k + 1) * h, j * h:(j + 1) * h] = glorot(
-                        rng, (h, h, 3, 3), h * 9, h * 9)
-            self._add(stage + ".kernel", kernel)
+                for half in (kx, kh):
+                    half[k * h:(k + 1) * h] = glorot(rng, (h, h, 3, 3), h * 9, h * 9)
+            self._add(stage + ".kernel_x", kx)
+            self._add(stage + ".kernel_h", kh)
             self._add(stage + ".bias", np.zeros(4 * h))
         self._add("fuse.conv1.kernel", glorot(rng, (h, 2 * h, 3, 3), 2 * h * 9, h * 9))
         self._add("fuse.conv1.bias", np.zeros(h))
@@ -156,14 +156,13 @@ class VONet:
         return x
 
     def cell_input(self, stage, x):
-        """The input half of stage's ConvLSTM gates: conv(x, W[:, :C]) + b.
+        """The input half of stage's ConvLSTM gates: conv(x, W_x) + b.
 
-        W is the stage's one (4C, 2C, 3, 3) kernel and W[:, :C] a view of it.
-        x (C,h,w) gives (4C,h,w); a (C,B,h,w) batch gives (4C,B,h,w), one
-        GEMM per entry.
+        W_x is the stage's (4C, C, 3, 3) kernel_x. x (C,h,w) gives (4C,h,w);
+        a (C,B,h,w) batch gives (4C,B,h,w), one GEMM per entry.
         """
-        return T.conv2d(x, self.params[stage + ".kernel"], self.params[stage + ".bias"],
-                        padding=1, channels=(0, self.hidden))
+        return T.conv2d(x, self.params[stage + ".kernel_x"], self.params[stage + ".bias"],
+                        padding=1)
 
     def track_inputs(self, feats):
         """Each pair feature's tracking input half, one (4C,h,w) map per (C,h,w) feature.
@@ -176,15 +175,14 @@ class VONet:
 
     def _lstm_step(self, stage, zx, state):
         # the gate pre-activations, stacked i, f, o, g: the input half zx plus
-        # the hidden half conv(h, W[:, C:]). The zero state (None) skips the
+        # the hidden half conv(h, W_h). The zero state (None) skips the
         # hidden half and the forget term, whose every entry would add 0.0
         n = self.hidden
         if state is None:
             z = zx
         else:
             h, c = state
-            z = T.add(zx, T.conv2d(h, self.params[stage + ".kernel"], None, padding=1,
-                                   channels=(n, 2 * n)))
+            z = T.add(zx, T.conv2d(h, self.params[stage + ".kernel_h"], None, padding=1))
         i, f, o, g = (T.slice1d(z, k * n, (k + 1) * n) for k in range(4))
         c_new = T.mul(T.sigmoid(i), T.tanh(g))
         if state is not None:

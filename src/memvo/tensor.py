@@ -9,14 +9,12 @@ machine are bit identical.
 An op's backward_fn(g) returns one gradient per parent, in parent order, or
 None where it has nothing to add; it writes no .grad itself. The walk adds
 each returned gradient into its parent's .grad, for parents that require one.
-A conv2d kernel with more output channels than output pixels, or used
-through an input-channel block, is the one exception: its gradient is
-queued, not returned, and comes once per backward, not once per use. Each
-use queues its (g, im2col columns) pair on the kernel under the block it
-used (the whole kernel, or a ConvLSTM's input or hidden half), and the walk
-multiplies each block's queue as one GEMM when it reaches the kernel. The
-walk drops each interior node's .grad once that node's backward has run, so
-afterwards only leaves hold one. conv2d's input gradient is one GEMM and one
+A conv2d kernel with more output channels than output pixels is the one
+exception: its gradient is queued, not returned, and comes once per
+backward, not once per use. Each use queues its (g, im2col columns) pair on
+the kernel, and the walk multiplies the queue as one GEMM when it reaches
+the kernel. The walk drops each interior node's .grad once that node's
+backward has run, so afterwards only leaves hold one. conv2d's input gradient is one GEMM and one
 np.bincount scatter-add (col2im), bit-identical to a k*k loop of strided adds.
 
 conv2d also takes a channel-first batch (C,B,H,W), which stack_batch builds
@@ -81,33 +79,30 @@ class Tensor:
         else:
             self.grad += g
 
-    def _defer(self, g, cols, block):
+    def _defer(self, g, cols):
         if self._deferred is None:
-            self._deferred = {}
-        self._deferred.setdefault(block, []).append((g, cols))
+            self._deferred = []
+        self._deferred.append((g, cols))
 
     def _flush(self):
-        # per input-channel block (lo, hi): every queued g (O,H',W') and cols
-        # (C,k,k,H',W') side by side, then one (O, sum N) @ (sum N, C*k*k) GEMM
-        queues, self._deferred = self._deferred, None
+        # every queued g (O,H',W') and cols (C,k,k,H',W') side by side, then
+        # one (O, sum N) @ (sum N, C*k*k) GEMM
+        queue, self._deferred = self._deferred, None
         o = self.data.shape[0]
-        for (lo, hi), queue in queues.items():
-            widths = [g.shape[1] * g.shape[2] for g, _ in queue]
-            gs = np.empty((o, sum(widths)))
-            cs = np.empty((self.data[0, lo:hi].size, sum(widths)))
-            at = 0
-            for (g, cols), n in zip(queue, widths):
-                gs[:, at:at + n] = g.reshape(o, n)
-                # splitting both axes of a column slice is a view: cols is copied once
-                cs[:, at:at + n].reshape(cols.shape)[...] = cols
-                at += n
-            grad = (gs @ cs.T).reshape((o, hi - lo) + self.data.shape[2:])
-            if self.grad is None and hi - lo == self.data.shape[1]:
-                self.grad = grad  # fresh and held by nothing else, so _accum's copy is not needed
-            else:
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                self.grad[:, lo:hi] += grad
+        widths = [g.shape[1] * g.shape[2] for g, _ in queue]
+        gs = np.empty((o, sum(widths)))
+        cs = np.empty((self.data[0].size, sum(widths)))
+        at = 0
+        for (g, cols), n in zip(queue, widths):
+            gs[:, at:at + n] = g.reshape(o, n)
+            # splitting both axes of a column slice is a view: cols is copied once
+            cs[:, at:at + n].reshape(cols.shape)[...] = cols
+            at += n
+        grad = (gs @ cs.T).reshape(self.data.shape)
+        if self.grad is None:
+            self.grad = grad  # fresh and held by nothing else, so _accum's copy is not needed
+        else:
+            self.grad += grad
 
     def backward(self):
         """Backpropagate from a scalar root, adding into every leaf's .grad.
@@ -292,38 +287,30 @@ def _col2im_index(c, b, hp, wp, k, stride):
     return _im2col(positions, k, stride, h_out, w_out).reshape(-1)  # a copy
 
 
-def conv2d(x, kernel, bias, stride=1, padding=0, channels=None):
+def conv2d(x, kernel, bias, stride=1, padding=0):
     """2-D cross correlation: x (C,H,W) or a batch (C,B,H,W), kernel (O,C,k,k), bias (O,) or None.
 
     Zero padding on both spatial sides, square kernel, single stride for both
     axes. Output is (O, H', W'), or (O, B, H', W') for a batch, with
-    H' = (H + 2*padding - k)//stride + 1. channels, a (lo, hi) pair,
-    convolves with the kernel's input-channel block kernel[:, lo:hi] alone,
-    a view and not a copy, so C = hi - lo; that block's gradient lands in the
-    same block of the kernel's .grad. Forward is one np.matmul over the
+    H' = (H + 2*padding - k)//stride + 1. Forward is one np.matmul over the
     (B, C*k*k, H'*W') im2col stack: one GEMM per batch entry, each with the
     shapes and bits of a lone (C,H,W) call. Backward re-reads the strided
     im2col view instead of keeping it. When O > H'*W' the kernel gradient
     outsizes those columns, so backward queues each entry's (g, cols) on the
-    kernel for Tensor.backward to multiply in one GEMM per block with the
-    kernel's other uses; a block's gradient is always queued. Otherwise it
-    multiplies at once, summed over the batch. The input gradient is one GEMM
-    per entry, kernel^T @ g, then one np.bincount over a cached per-geometry
-    index (col2im). bincount adds each input entry's terms from 0.0 in
-    (di, dj) order: bit-identical to a k*k loop of adds.
+    kernel for Tensor.backward to multiply in one GEMM with the kernel's
+    other uses. Otherwise it multiplies at once, summed over the batch. The
+    input gradient is one GEMM per entry, kernel^T @ g, then one np.bincount
+    over a cached per-geometry index (col2im). bincount adds each input
+    entry's terms from 0.0 in (di, dj) order: bit-identical to a k*k loop of
+    adds.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim not in (3, 4) or kernel.data.ndim != 4:
         raise ValueError("conv2d expects x (C,H,W) or (C,B,H,W) and kernel (O,C,k,k)")
-    lo, hi = (0, kernel.data.shape[1]) if channels is None else channels
-    if not 0 <= lo < hi <= kernel.data.shape[1]:
-        raise ValueError("conv2d channels [%r:%r] out of range for a kernel of %d"
-                         % (lo, hi, kernel.data.shape[1]))
-    weight = kernel.data[:, lo:hi]
     batched = x.data.ndim == 4
     x4 = x.data if batched else x.data[:, None]
     c, b, h, w = x4.shape
-    o, ck, kh, kw = weight.shape
+    o, ck, kh, kw = kernel.data.shape
     if ck != c:
         raise ValueError("conv2d channel mismatch: input %d vs kernel %d" % (c, ck))
     if kh != kw:
@@ -344,8 +331,7 @@ def conv2d(x, kernel, bias, stride=1, padding=0, channels=None):
     xp = np.zeros((c, b, hp, wp))
     xp[:, :, padding:padding + h, padding:padding + w] = x4
     cols = _im2col(xp, k, stride, h_out, w_out)
-    # a block's rows are strided, not copied: its (O, C*k*k) reshape is a view too
-    matrix = weight.reshape(o, -1)
+    matrix = kernel.data.reshape(o, -1)
     out_data = np.matmul(matrix, cols.reshape(b, c * k * k, -1))  # (B,O,H'*W')
     # back to channel-first; for a lone (C,H,W) input this reshape is a view
     lead = (b,) if batched else ()
@@ -357,9 +343,9 @@ def conv2d(x, kernel, bias, stride=1, padding=0, channels=None):
         g4 = g if batched else g[:, None]
         dx = dk = None
         if kernel.requires_grad:
-            if o > h_out * w_out or channels is not None:
+            if o > h_out * w_out:
                 for i in range(b):
-                    kernel._defer(g4[:, i], cols[i], (lo, hi))
+                    kernel._defer(g4[:, i], cols[i])
             else:
                 # g (O,B,H',W') x cols (B,C,k,k,H',W') -> (O,C,k,k)
                 dk = np.tensordot(g4, cols, axes=([1, 2, 3], [0, 4, 5]))

@@ -123,21 +123,28 @@ class Adam:
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
 
     def step(self, lr):
-        """One update of every parameter with a gradient; a non-finite gradient changes nothing."""
+        """One update of every parameter with a gradient; a non-finite gradient changes nothing,
+        and an update that leaves a parameter or its second moment non-finite raises
+        TrainingDiverged naming it."""
         live = [(name, p) for name, p in self.params.items() if p.grad is not None]
         for name, p in live:
             if not np.all(np.isfinite(p.grad)):
                 raise TrainingDiverged("non-finite gradient in %s" % name)
         self.t += 1
         b1, b2 = ADAM_BETAS
-        for name, p in live:
-            g = p.grad
-            p.data -= lr * ADAM_WEIGHT_DECAY * p.data
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1 ** self.t)
-            v_hat = self.v[name] / (1 - b2 ** self.t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+            for name, p in live:
+                g = p.grad
+                p.data -= lr * ADAM_WEIGHT_DECAY * p.data
+                self.m[name] = b1 * self.m[name] + (1 - b1) * g
+                self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+                m_hat = self.m[name] / (1 - b1 ** self.t)
+                v_hat = self.v[name] / (1 - b2 ** self.t)
+                p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for name, p in live:  # min and max pass NaN on and need no temporary; v >= 0
+            if not (np.isfinite(p.data.min()) and np.isfinite(p.data.max())
+                    and np.isfinite(self.v[name].max())):
+                raise TrainingDiverged("update made %s non-finite" % name)
 
 
 @dataclass

@@ -34,7 +34,7 @@ json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 40),
               st.floats(allow_nan=False, allow_infinity=False),
               st.sampled_from(["", ".", "..", "../manifest.json", "/etc/hostname", "x.votb",
-                               "head.track.bias.votb", "track.kernel.votb",
+                               "head.track.bias.votb", "track.kernel_x.votb",
                                "track.i.wx.votb", "memvo-checkpoint", "tiny", "desk", "a/b",
                                "frames.votb", "poses_gt.txt", "memvo-sequence", "poses"]),
               st.text(max_size=8)),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -191,6 +192,17 @@ class TestTrain:
         assert err.startswith("error: %s: " % mpath) and err.count("\n") == 1, err
         assert "Traceback" not in err
 
+    def test_diverged_update_writes_no_checkpoint(self, tmp_path, capsys):
+        data = make_container(tmp_path, frames=4)
+        cfg = write_config(str(tmp_path / "cfg.json"), window_length=3, batch_size=1,
+                           iterations=1, base_lr=1e308)
+        out = str(tmp_path / "out")
+        capsys.readouterr()
+        rc = main(["train", "--config", cfg, "--data", data, "--out", out])
+        assert rc == 1
+        assert re.fullmatch(r"error: update made \S+ non-finite\n", capsys.readouterr().err)
+        assert not os.path.exists(out)
+
     def test_bad_config_fails_before_any_data_is_read(self, tmp_path, capsys):
         cfg = write_config(str(tmp_path / "cfg.json"), theta_rot=-1)
         capsys.readouterr()
@@ -362,6 +374,21 @@ class TestPlotData:
         assert speed[0] == "speed_mps,t_rel_percent,r_rel_deg_per_100m,segments"
         assert len(length) >= 2 and len(speed) >= 2
         assert "drift tables" in capsys.readouterr().out
+
+    def test_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique's first call imports numpy.ma, about 0.75 MB of modules
+        gt = straight_line_file(str(tmp_path / "gt.txt"))
+        est = straight_line_file(str(tmp_path / "est.txt"), scale=1.01)
+        child = ("import sys; from memvo.cli import main; "
+                 "rc = main(['plot-data', '--est', %r, '--gt', %r, '--out', %r, '--step', '5']); "
+                 "print(rc, 'numpy.ma' in sys.modules)" % (est, gt, str(tmp_path / "plots")))
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(memvo.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                             env=env, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split()[-2:] == ["0", "False"]
 
 
 def rotating_walk_files(tmp_path):

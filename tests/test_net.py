@@ -12,7 +12,7 @@ from memvo.votb import write_votb
 
 
 def gate_rows(gate, h):
-    """Rows of a gate's block in a fused (4h, 2h, 3, 3) kernel or (4h,) bias."""
+    """Rows of a gate's block in a (4h, h, 3, 3) kernel half or (4h,) bias."""
     k = "ifog".index(gate)
     return slice(k * h, (k + 1) * h)
 
@@ -35,14 +35,24 @@ def lstm_step_per_gate(gates, x, h, c):
     return T.mul(o, T.tanh(c_new)), c_new
 
 
+def fused_kernel(model, stage):
+    """stage's kernel_x and kernel_h side by side on the input-channel axis:
+    the one (4h, 2h, 3, 3) kernel of the fused cell, as a graph node that
+    hands each half its part of the gradient."""
+    kx, kh = model.params[stage + ".kernel_x"], model.params[stage + ".kernel_h"]
+    n = kx.shape[1]
+    return T._make(np.concatenate([kx.data, kh.data], axis=1), (kx, kh),
+                   lambda g: (g[:, :n], g[:, n:]))
+
+
 def lstm_step_fused(model, stage, x, state):
     """The ConvLSTM step before its split into halves, one conv over [x; h]
-    with the whole kernel and bias: the oracle. state None is the zero state,
-    computed here over zeros shaped like x."""
+    with the fused kernel and the bias: the oracle. state None is the zero
+    state, computed here over zeros shaped like x."""
     if state is None:
         state = (T.Tensor(np.zeros(x.shape)), T.Tensor(np.zeros(x.shape)))
     h, c = state
-    z = T.conv2d(T.concat_channels([x, h]), model.params[stage + ".kernel"],
+    z = T.conv2d(T.concat_channels([x, h]), fused_kernel(model, stage),
                  model.params[stage + ".bias"], padding=1)
     n = model.hidden
     i, f, o, g = (T.slice1d(z, k * n, (k + 1) * n) for k in range(4))
@@ -96,15 +106,12 @@ def per_gate_params(preset, seed):
 
 
 def per_gate_view(model, name):
-    """The part of the fused model's parameters that per-gate parameter `name` is."""
+    """The part of the gate-stacked model's parameters that per-gate parameter `name` is."""
     if name in model.params:
         return model.params[name].data
     stage, gate, kind = name.split(".")
-    h = model.hidden
-    if kind == "bias":
-        return model.params[stage + ".bias"].data[gate_rows(gate, h)]
-    cols = slice(0, h) if kind == "wx" else slice(h, 2 * h)
-    return model.params[stage + ".kernel"].data[gate_rows(gate, h), cols]
+    param = {"bias": ".bias", "wx": ".kernel_x", "wh": ".kernel_h"}[kind]
+    return model.params[stage + param].data[gate_rows(gate, model.hidden)]
 
 
 class TestEncoderConfig:
@@ -124,6 +131,9 @@ class TestEncoderConfig:
             assert cfg.height % down == 0 and cfg.width % down == 0
             assert cfg.out_extents == (cfg.height // down, cfg.width // down)
             assert cfg.kernel_shapes[0][1] == 6  # the stacked RGB pair
+            # a ConvLSTM kernel (4C rows) outsizes its output pixels, so conv2d
+            # queues both halves' gradients for one flush GEMM per backward
+            assert 4 * cfg.out_channels > np.prod(cfg.out_extents)
 
     def test_in_channels_fixed_by_the_frame_layout(self):
         assert PRESETS["tiny"].kernel_shapes[0] == (2, 6, 3, 3)
@@ -156,7 +166,7 @@ class TestInit:
     def test_same_seed_weights_as_per_gate_init(self, preset):
         m = VONet(preset=preset, seed=13)
         ref = per_gate_params(preset, 13)
-        assert len(ref) == 50 and len(m.params) == 30
+        assert len(ref) == 50 and len(m.params) == 32
         for name, data in ref.items():
             assert per_gate_view(m, name).tobytes() == data.tobytes(), name
 
@@ -208,8 +218,8 @@ class TestConvLSTM:
         # silence every gate input, then push the forget gate to saturation
         n = m.hidden
         for gate in ("i", "f", "o", "g"):
-            m.params["track.kernel"].data[gate_rows(gate, n), :n] = 0.0  # wx
-            m.params["track.kernel"].data[gate_rows(gate, n), n:] = 0.0  # wh
+            m.params["track.kernel_x"].data[gate_rows(gate, n)] = 0.0
+            m.params["track.kernel_h"].data[gate_rows(gate, n)] = 0.0
             m.params["track.bias"].data[gate_rows(gate, n)] = 0.0
         m.params["track.bias"].data[gate_rows("f", n)] = 30.0
         rng = np.random.default_rng(1)
@@ -228,10 +238,9 @@ class TestConvLSTM:
         shape = (n,) + m.extents
         arrays = [rng.normal(size=shape) for _ in range(3)]
         weights = [T.Tensor(rng.normal(size=shape)) for _ in range(2)]
-        kernel, bias = m.params["track.kernel"], m.params["track.bias"]
-        gates = {g: tuple(T.Tensor(a.copy(), requires_grad=True) for a in (
-            kernel.data[gate_rows(g, n), :n], kernel.data[gate_rows(g, n), n:],
-            bias.data[gate_rows(g, n)])) for g in "ifog"}
+        kx, kh, bias = (m.params["track." + name] for name in ("kernel_x", "kernel_h", "bias"))
+        gates = {g: tuple(T.Tensor(p.data[gate_rows(g, n)].copy(), requires_grad=True)
+                          for p in (kx, kh, bias)) for g in "ifog"}
 
         def run(step):
             x, h, c = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -245,8 +254,8 @@ class TestConvLSTM:
         for got, want in zip(split, oracle):
             assert np.max(np.abs(got - want)) < 1e-12
         for g, (wx, wh, b) in gates.items():
-            assert np.max(np.abs(kernel.grad[gate_rows(g, n), :n] - wx.grad)) < 1e-12
-            assert np.max(np.abs(kernel.grad[gate_rows(g, n), n:] - wh.grad)) < 1e-12
+            assert np.max(np.abs(kx.grad[gate_rows(g, n)] - wx.grad)) < 1e-12
+            assert np.max(np.abs(kh.grad[gate_rows(g, n)] - wh.grad)) < 1e-12
             assert np.max(np.abs(bias.grad[gate_rows(g, n)] - b.grad)) < 1e-12
 
     def test_cell_state_bounded(self):
@@ -269,28 +278,27 @@ class TestConvLSTM:
         c0 = T.Tensor(rng.normal(size=(4, 2, 2)))
         n = m.hidden
         for stage in ("track", "refine"):
-            w = m.params[stage + ".kernel"]
-
             def f(_):
                 # a step from the zero state, then one from (h0, c0): both
-                # halves of the kernel, and the first step's skipped hidden half
+                # kernel halves, and the first step's skipped hidden half
                 h1, c1 = split_step(m, stage, x)
                 out, _ = split_step(m, stage, h1, (h0, T.add(c0, c1)))
                 return T.tsum(T.mul(out, out))
 
-            # the same four offsets inside each of the 8 (gate x {wx, wh}) blocks
-            coords = []
-            for gate in ("i", "f", "o", "g"):
-                for cols in (slice(0, n), slice(n, 2 * n)):
-                    block = np.arange(w.data.size).reshape(w.data.shape)[gate_rows(gate, n), cols]
+            for half in ("kernel_x", "kernel_h"):
+                w = m.params[stage + "." + half]
+                # the same four offsets inside each gate's block of the half
+                coords = []
+                for gate in ("i", "f", "o", "g"):
+                    block = np.arange(w.data.size).reshape(w.data.shape)[gate_rows(gate, n)]
                     coords += [int(block.flat[i]) for i in (0, 7, 19, 35)]
-            assert T.finite_diff_check(f, w, coords=coords) < 1e-6, stage
+                assert T.finite_diff_check(f, w, coords=coords) < 1e-6, (stage, half)
             assert T.finite_diff_check(f, m.params[stage + ".bias"]) < 1e-6, stage
 
 
 class TestSplitCell:
-    """The cell as an input half conv(x, W[:, :C]) + b plus a hidden half
-    conv(h, W[:, C:]), against the fused conv over [x; h] it replaced."""
+    """The cell as an input half conv(x, W_x) + b plus a hidden half
+    conv(h, W_h), against the fused conv over [x; h] it replaced."""
 
     @pytest.mark.parametrize("preset", ["tiny", "desk"])
     @pytest.mark.parametrize("stage", ["track", "refine"])
@@ -324,18 +332,19 @@ class TestSplitCell:
 
     def test_zero_state_runs_no_hidden_half(self, monkeypatch):
         m = VONet(preset="tiny", seed=0)
-        real, blocks = T.conv2d, []
+        real, kernels = T.conv2d, []
+        names = {id(p): name for name, p in m.params.items()}
 
-        def spy(x, kernel, bias, stride=1, padding=0, channels=None):
-            blocks.append(channels)
-            return real(x, kernel, bias, stride, padding, channels)
+        def spy(x, kernel, bias, stride=1, padding=0):
+            kernels.append(names[id(kernel)])
+            return real(x, kernel, bias, stride, padding)
 
         monkeypatch.setattr(T, "conv2d", spy)
         x = T.Tensor(np.ones((4, 2, 2)))
         state = split_step(m, "track", x)
-        assert blocks == [(0, 4)]
+        assert kernels == ["track.kernel_x"]
         split_step(m, "track", x, state)
-        assert blocks == [(0, 4), (0, 4), (4, 8)]
+        assert kernels == ["track.kernel_x", "track.kernel_x", "track.kernel_h"]
 
     def test_batched_input_halves_match_lone_calls(self):
         # at the desk shape, one call over N pairs gives each pair the bits
@@ -516,15 +525,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="manifest"):
             load_checkpoint(str(tmp_path))
 
-    def test_one_blob_per_parameter_at_version_3(self, tmp_path):
+    def test_one_blob_per_parameter_at_version_4(self, tmp_path):
         model = VONet(preset="tiny", seed=4)
         path, _ = self._roundtrip(tmp_path, model)
-        assert len(model.params) == 30
+        assert len(model.params) == 32
+        assert "track.kernel_x.votb" in os.listdir(path)
         assert sorted(os.listdir(path)) == sorted([n + ".votb" for n in model.params]
                                                   + ["manifest.json"])
         with open(os.path.join(path, "manifest.json")) as fh:
             manifest = json.load(fh)
-        assert manifest == {"format": "memvo-checkpoint", "version": 3,
+        assert manifest == {"format": "memvo-checkpoint", "version": 4,
                             "model": {"preset": "tiny", "seed": 4}}
 
     def test_version_2_manifest_refused(self, tmp_path):
@@ -535,6 +545,18 @@ class TestCheckpoint:
         with open(mpath, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(ValueError, match="^%s: unsupported memvo-checkpoint version 2$"
+                           % re.escape(mpath)):
+            load_checkpoint(path)
+
+    def test_version_3_manifest_refused(self, tmp_path):
+        # version 3 held each ConvLSTM stage as one fused (4h, 2h, 3, 3) kernel
+        path, mpath, manifest = self._saved_manifest(tmp_path)
+        manifest["version"] = 3
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        for stage in ("track", "refine"):
+            write_votb(os.path.join(path, stage + ".kernel.votb"), np.zeros((16, 8, 3, 3)))
+        with pytest.raises(ValueError, match="^%s: unsupported memvo-checkpoint version 3$"
                            % re.escape(mpath)):
             load_checkpoint(path)
 

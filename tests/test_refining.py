@@ -328,8 +328,9 @@ class TestRefineSequence:
         loss = T.tsum(T.mul(abs_poses[-1], abs_poses[-1]))
         loss.backward()
         h = m.hidden
-        # refine.kernel[:h, :h] is the input gate's x block
-        for name, block in (("refine.kernel", np.s_[:h, :h]), ("fuse.conv1.kernel", np.s_[:]),
+        # refine.kernel_x[:h] and refine.kernel_h[:h] are the input gate's blocks
+        for name, block in (("refine.kernel_x", np.s_[:h]), ("refine.kernel_h", np.s_[:h]),
+                            ("fuse.conv1.kernel", np.s_[:]),
                             ("head.refine.weight", np.s_[:]), ("encoder.l1.kernel", np.s_[:])):
             g = m.params[name].grad
             assert g is not None and np.any(g[block] != 0), name

@@ -27,18 +27,14 @@ def conv2d_reference(x, kernel, bias, stride=1, padding=0):
 
 
 
-def conv2d_tensordot(x, kernel, bias, stride=1, padding=0, channels=None):
+def conv2d_tensordot(x, kernel, bias, stride=1, padding=0):
     """The conv2d op the matmul form replaced: np.pad, then one tensordot over
     the strided im2col view; the oracle for values and gradients. A
-    (C,B,H,W) batch runs as B lone calls. channels (lo, hi) convolves with a
-    copy of kernel[:, lo:hi] and returns a full-size kernel gradient, zero
-    outside the block; bias None adds none."""
+    (C,B,H,W) batch runs as B lone calls; bias None adds none."""
     if x.data.ndim == 4:
-        return T.stack_batch([conv2d_tensordot(T.take_batch(x, i), kernel, bias, stride, padding,
-                                               channels)
+        return T.stack_batch([conv2d_tensordot(T.take_batch(x, i), kernel, bias, stride, padding)
                               for i in range(x.data.shape[1])])
-    lo, hi = channels or (0, kernel.data.shape[1])
-    weight = kernel.data[:, lo:hi].copy()
+    weight = kernel.data
     bias = T.Tensor(np.zeros(len(weight))) if bias is None else T._as_tensor(bias)
     c, h, w = x.data.shape
     o, _, k, _ = weight.shape
@@ -52,8 +48,7 @@ def conv2d_tensordot(x, kernel, bias, stride=1, padding=0, channels=None):
     out_data = np.tensordot(weight, cols, axes=([1, 2, 3], [0, 1, 2])) + bias.data[:, None, None]
 
     def backward_fn(g):
-        dk = np.zeros_like(kernel.data)
-        dk[:, lo:hi] = np.tensordot(g, cols, axes=([1, 2], [3, 4]))
+        dk = np.tensordot(g, cols, axes=([1, 2], [3, 4]))
         dcols = np.tensordot(weight, g, axes=([0], [0]))
         dxp = np.zeros_like(xp)
         for di in range(k):
@@ -273,30 +268,6 @@ class TestConv:
         T.tsum(T.mul(T.tanh(conv2d_tensordot(x, oracle, b, padding=1)), weights)).backward()
         assert np.max(np.abs(k.grad - oracle.grad)) < 1e-12
 
-    # (C of the kernel, O, block, side, B): the tiny and desk ConvLSTM halves
-    # and a middle block of a small kernel
-    BLOCK_CASES = [(8, 16, (0, 4), 2, 3), (8, 16, (4, 8), 2, 1),
-                   (128, 256, (0, 64), 4, 2), (128, 256, (64, 128), 4, 1), (6, 4, (2, 5), 5, 2)]
-
-    def test_channel_block_matches_a_copied_kernel(self):
-        rng = np.random.default_rng(18)
-        for c, o, (lo, hi), side, b in self.BLOCK_CASES:
-            kern = T.Tensor(rng.normal(size=(o, c, 3, 3)), requires_grad=True)
-            copy = T.Tensor(kern.data[:, lo:hi].copy(), requires_grad=True)
-            x, xc = (T.Tensor(a, requires_grad=True)
-                     for a in [rng.normal(size=(hi - lo, b, side, side))] * 2)
-            weights = rng.normal(size=(o, b, side, side))
-            got = T.conv2d(x, kern, None, padding=1, channels=(lo, hi))
-            want = T.conv2d(xc, copy, np.zeros(o), padding=1)
-            assert np.array_equal(got.data, want.data), (c, lo)
-            T.tsum(T.mul(got, weights)).backward()
-            T.tsum(T.mul(want, weights)).backward()
-            assert np.array_equal(x.grad, xc.grad)
-            assert np.max(np.abs(kern.grad[:, lo:hi] - copy.grad)) < 1e-12
-            outside = np.ones(c, dtype=bool)
-            outside[lo:hi] = False
-            assert np.all(kern.grad[:, outside] == 0.0)
-
     def test_no_bias(self):
         rng = np.random.default_rng(19)
         x = T.Tensor(rng.normal(size=(3, 5, 5)), requires_grad=True)
@@ -306,15 +277,6 @@ class TestConv:
         assert np.array_equal(out.data, T.conv2d(x, k, np.zeros(2), padding=1).data)
         assert T.finite_diff_check(lambda _: T.tsum(T.tanh(T.conv2d(x, k, None, padding=1))),
                                    k) < 1e-6
-
-    def test_channel_block_validation(self):
-        x, k = T.Tensor(np.zeros((2, 4, 4))), T.Tensor(np.zeros((3, 4, 3, 3)))
-        for block in ((2, 2), (-1, 1), (3, 5)):
-            with pytest.raises(ValueError, match=r"^conv2d channels \[.*\] out of range for "
-                               r"a kernel of 4$"):
-                T.conv2d(x, k, None, channels=block)
-        with pytest.raises(ValueError, match="channel mismatch: input 2 vs kernel 3"):
-            T.conv2d(x, k, None, channels=(1, 4))
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(3)
@@ -433,31 +395,33 @@ class TestDeferredKernelGradient:
         loss.backward()
         assert np.max(np.abs(k.grad - 2.0 * once)) < 1e-12
 
-    def test_two_blocks_flush_as_one_gemm_each(self, monkeypatch):
-        # a ConvLSTM's kernel: one batched call over the input block, then a
-        # hidden-block call per step; one backward flushes each block once
+    def test_each_half_kernel_flushes_once_per_backward(self, monkeypatch):
+        # a ConvLSTM's two kernels: one batched call with the input half, then
+        # a hidden-half call per step; one backward flushes each kernel once
         rng = np.random.default_rng(47)
-        kern, x0 = rng.normal(size=(16, 8, 3, 3)) * 0.3, rng.normal(size=(4, 3, 2, 2))
-        queued = []
+        kx, kh = (rng.normal(size=(16, 4, 3, 3)) * 0.3 for _ in range(2))
+        x0 = rng.normal(size=(4, 3, 2, 2))
+        queued = {}
         flush = T.Tensor._flush
         monkeypatch.setattr(T.Tensor, "_flush", lambda t: (
-            queued.append({block: len(q) for block, q in t._deferred.items()}), flush(t)))
+            queued.setdefault(id(t), []).append(len(t._deferred)), flush(t)))
 
-        def loss(conv, k):
-            zx = conv(T.Tensor(x0), k, np.full(16, 0.1), padding=1, channels=(0, 4))
+        def loss(conv, wx, wh):
+            zx = conv(T.Tensor(x0), wx, np.full(16, 0.1), padding=1)
             h = None
             for t in range(3):
                 z = T.take_batch(zx, t)
                 if h is not None:
-                    z = T.add(z, conv(h, k, None, padding=1, channels=(4, 8)))
+                    z = T.add(z, conv(h, wh, None, padding=1))
                 h = T.tanh(T.slice1d(z, 0, 4))
             return T.tsum(T.mul(h, h))
 
-        got, want = (T.Tensor(kern.copy(), requires_grad=True) for _ in range(2))
-        loss(T.conv2d, got).backward()
-        assert queued == [{(0, 4): 3, (4, 8): 2}]
-        loss(conv2d_tensordot, want).backward()
-        assert np.max(np.abs(got.grad - want.grad)) < 1e-12
+        got, want = ([T.Tensor(k.copy(), requires_grad=True) for k in (kx, kh)] for _ in range(2))
+        loss(T.conv2d, *got).backward()
+        assert queued == {id(got[0]): [3], id(got[1]): [2]}
+        loss(conv2d_tensordot, *want).backward()
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a.grad - b.grad)) < 1e-12
 
     def test_small_kernels_multiply_at_once(self, monkeypatch):
         # O = 2 <= H'*W' = 4: nothing is queued

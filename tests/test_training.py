@@ -352,6 +352,14 @@ class TestAdam:
             assert np.array_equal(opt.m[n], before[n][1]), n
             assert np.array_equal(opt.v[n], before[n][2]), n
 
+    def test_overflowing_second_moment_names_the_parameter(self):
+        # g * g overflows although g is finite; the parameter itself stays finite
+        p = T.Tensor(np.array([1.0]), requires_grad=True)
+        p.grad = np.array([1e200])
+        with pytest.raises(TrainingDiverged, match="^update made head.track.bias non-finite$"):
+            Adam({"head.track.bias": p}).step(lr=0.1)
+        assert np.isfinite(p.data).all()
+
     def test_two_params_independent(self):
         a = T.Tensor(np.array([1.0]), requires_grad=True)
         b = T.Tensor(np.array([1.0]), requires_grad=True)
@@ -653,6 +661,15 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             train(data, tiny_config(iterations=50))
 
+    def test_overflowing_update_names_the_parameter(self):
+        # finite gradients and loss, but a step of 1e308 overflows the update;
+        # numpy's overflow warning is an error under the suite's filters
+        seq = generate_sequence(SyntheticSpec(frames=4, height=32, width=32, seed=0))
+        cfg = TrainConfig(preset="tiny", window_length=3, batch_size=1, iterations=1,
+                          base_lr=1e308)
+        with pytest.raises(TrainingDiverged, match="^update made encoder.l8.bias non-finite$"):
+            train([seq], cfg)
+
 
 def sliding_window_infer_taped(model, frames, policy, window=11, stride=None):
     """The inference loop before the shared, tape-free encoding: every window
@@ -797,17 +814,18 @@ class TestSlidingWindowInfer:
         # tracking input half runs once; each window's first step is from the
         # zero state, so only its later steps run the hidden half
         model, window = VONet(preset="tiny", seed=3), 4
-        kernel, real, runs = model.params["track.kernel"], T.conv2d, {(0, 4): 0, (4, 8): 0}
+        real, runs = T.conv2d, {"kernel_x": 0, "kernel_h": 0}
+        halves = {id(model.params["track." + half]): half for half in runs}
 
-        def counted(x, k, bias, stride=1, padding=0, channels=None):
-            if k is kernel:
-                runs[channels] += x.shape[1] if len(x.shape) == 4 else 1
-            return real(x, k, bias, stride, padding, channels)
+        def counted(x, k, bias, stride=1, padding=0):
+            if id(k) in halves:
+                runs[halves[id(k)]] += x.shape[1] if len(x.shape) == 4 else 1
+            return real(x, k, bias, stride, padding)
 
         monkeypatch.setattr(T, "conv2d", counted)
         sliding_window_infer(model, self.frames(n), self.policy, window=window, stride=1)
         windows, steps = n - window + 1, window - 1
-        assert runs == {(0, 4): n - 1, (4, 8): windows * (steps - 1)}
+        assert runs == {"kernel_x": n - 1, "kernel_h": windows * (steps - 1)}
 
     def test_builds_no_taped_node(self, monkeypatch):
         real, taped = T._make, []
@@ -907,7 +925,8 @@ class TestSlidingWindowInfer:
         rel, pose = res.track.rels[-1], res.abs_tensors[-1]
         T.add(T.div(T.tsum(rel), float(rel.data.size)),
               T.div(T.tsum(pose), float(pose.data.size))).backward()
-        for name in ("encoder.l1.kernel", "track.kernel", "refine.kernel", "head.refine.weight"):
+        for name in ("encoder.l1.kernel", "track.kernel_x", "track.kernel_h", "refine.kernel_x",
+                     "refine.kernel_h", "head.refine.weight"):
             g = model.params[name].grad
             assert g is not None and np.any(g != 0.0), name
 
@@ -925,9 +944,9 @@ class TestSlidingWindowInfer:
 # second BLAS thread to take part (2 threads: 0.07 s CPU in 0.05 s wall), the
 # desk preset's are not (0.57 s CPU in 0.30 s wall), so both run. Last, the
 # digest of every parameter gradient after one 11-frame desk window's
-# backward(), which multiplies each ConvLSTM kernel's deferred gradient as one
-# GEMM per kernel half: (256x160)(160x576) for the input half of the tracking
-# stage, (256x144)(144x576) for its hidden half.
+# backward(), which multiplies each ConvLSTM kernel half's deferred gradient as
+# one GEMM: (256x160)(160x576) for the tracking stage's kernel_x,
+# (256x144)(144x576) for its kernel_h.
 THREAD_CHILD = """
 import hashlib
 import numpy as np
