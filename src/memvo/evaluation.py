@@ -9,6 +9,11 @@ Formats:
     {"format": "memvo-sequence", "version": 2, "poses": true|false}, the
     (T,C,H,W) frames as one VOTB blob, FRAMES_FILE, and, when poses is
     true, the ground-truth poses in KITTI rows, POSES_FILE.
+Pose text is UTF-8. Its values are separated by whitespace (whatever
+str.split splits on) and read as ASCII decimal floats: an optional sign,
+digits with an optional '.' and exponent, or inf, infinity or nan in any
+case. '_' digit separators and non-ASCII digits are refused, and so is a
+value that reads as non-finite.
 Floats are written with 17 significant digits (lossless for float64);
 metric CSVs use 9.
 """
@@ -101,28 +106,44 @@ def _tokenise(text, width, comments):
     """Numbers of every pose line as an (n, width) array, plus each row's line.
 
     Blank lines, and '#' lines where comments are allowed, are skipped; line
-    numbers stay physical. Every error names its line.
+    numbers stay physical. One np.loadtxt call reads every kept line; only
+    when it refuses them does the same reader, line by line, name the first
+    bad one. Every error names its line.
     """
     lines = text.splitlines()
-    vals, linenos = np.empty((len(lines), width)), []
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens or (comments and tokens[0].startswith("#")):
-            continue
-        if len(tokens) != width:
-            raise ValueError("line %d: expected %d values, got %d" % (lineno, width, len(tokens)))
-        try:
-            vals[len(linenos)] = list(map(float, tokens))
-        except ValueError:
-            raise ValueError("line %d: non-numeric value" % lineno) from None
-        linenos.append(lineno)
+    linenos = [n for n, line in enumerate(lines, start=1) if line and not line.isspace()
+               and not (comments and line.lstrip()[0] == "#")]
     if not linenos:
         raise ValueError("no poses found")
-    vals = vals[:len(linenos)]
+    kept = [lines[n - 1] for n in linenos]
+    try:
+        vals = _read_rows(kept)
+    except ValueError:
+        _raise_bad_line(kept, linenos, width)
+        raise  # not reached: a refused read has a line that is refused alone
+    if vals.shape[1] != width:  # every line has the same, wrong width
+        _raise_bad_line(kept, linenos, width)
     finite = np.isfinite(vals).all(axis=1)
     if not finite.all():
         raise ValueError("line %d: non-finite value" % linenos[int(np.argmin(finite))])
     return vals, linenos
+
+
+def _read_rows(lines):
+    # the one number reader: the syntax in the module docstring, one row per line
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _raise_bad_line(lines, linenos, width):
+    """Raise for the first line with the wrong number of values or one the reader refuses."""
+    for lineno, line in zip(linenos, lines):
+        got = len(line.split())
+        if got != width:
+            raise ValueError("line %d: expected %d values, got %d" % (lineno, width, got)) from None
+        try:
+            _read_rows([line])
+        except ValueError:
+            raise ValueError("line %d: non-numeric value" % lineno) from None
 
 
 def _by_line(linenos, check, *rows):
@@ -167,11 +188,21 @@ def _check_format(path, fmt):
 def load_trajectory(path, fmt):
     _check_format(path, fmt)
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = _utf8(fh.read())
         return parse_kitti(text) if fmt == "kitti" else parse_tum(text)
-    except ValueError as exc:  # UnicodeDecodeError too
+    except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None
+
+
+def _utf8(data):
+    """Bytes as UTF-8 text; an undecodable byte names its line as splitlines counts it."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        # "x" stands for the bad byte: a new line if head ends in a line break
+        raise ValueError("line %d: not UTF-8 text" % len((head + "x").splitlines())) from None
 
 
 def save_trajectory(path, traj, fmt):
@@ -473,8 +504,9 @@ def export_csv(path, header, rows):
 
 
 def error_vs_length_rows(result):
+    # each length as kitti_drift was given it, so 50.5 stays 50.5 and 100.0 reads 100
     return (["length_m", "t_rel_percent", "r_rel_deg_per_100m", "segments"],
-            [(int(l), t, r, c) for l, t, r, c in result.per_length])
+            list(result.per_length))
 
 
 def error_vs_speed_rows(result):

@@ -73,6 +73,23 @@ def _raise_first(faults, what):
             raise ValueError(reason)
 
 
+def _det3(m):
+    """Determinant of a 3x3 matrix, or of each matrix of a (...,3,3) stack.
+
+    The cofactor expansion along the first row, in the same order for a lone
+    matrix (on Python floats, cheaper than a LAPACK call) as for each matrix
+    of a stack (vectorised), so both give the same bits. Callers read only
+    its sign, of matrices that are orthonormal or checked to be.
+    """
+    if m.ndim == 2:
+        (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    else:
+        a, b, c, d, e, f, g, h, i = m.reshape(-1, 9).T
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    # a lone determinant as np.float64, so that comparing it gives a numpy mask
+    return np.float64(det) if m.ndim == 2 else det.reshape(m.shape[:-2])
+
+
 def _rotation_faults(r):
     """Orthonormality and orientation checks of (...,3,3) matrices.
 
@@ -81,7 +98,7 @@ def _rotation_faults(r):
     """
     with np.errstate(all="ignore"):
         dev = np.abs(r.swapaxes(-1, -2) @ r - _EYE3).max(axis=(-2, -1))
-        det = np.linalg.det(r)
+        det = _det3(r)
     return [(dev > _ORTHO_TOL, lambda i: "matrix is not orthonormal (max deviation %.3g)" % dev[i]),
             (det < 0.0, "matrix has negative determinant (reflection)")]
 
@@ -195,7 +212,7 @@ def orthonormalize(m):
     An (N,3,3) stack runs as one batched SVD.
     """
     u, _, vt = np.linalg.svd(np.asarray(m, dtype=np.float64))
-    u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    u[..., :, 2] *= np.sign(_det3(u @ vt))[..., None]
     return u @ vt
 
 
@@ -365,7 +382,7 @@ def umeyama_align(src, dst):
     cov = (xd.T @ xs) / n
     u, d, vt = np.linalg.svd(cov)
     s_fix = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
+    if _det3(u) * _det3(vt) < 0:
         s_fix[2, 2] = -1.0
     r = u @ s_fix @ vt
     scale = float(np.trace(np.diag(d) @ s_fix) / var_s)

@@ -254,6 +254,18 @@ class TestKittiFormat:
         with pytest.raises(ValueError, match="^line 2: non-finite value$"):
             parse_kitti("\n".join(lines))
 
+    @pytest.mark.parametrize("head, line", [
+        (b"", 1), (b"1", 1), (b"a\n", 2), (b"a\nb", 2), (b"a\r\n", 2), (b"a\r", 2),
+        (b"a\n\n\x0c", 4), ("# \u00e9\n".encode(), 2), (b"a\r\n\r\n1 2", 3)])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\x85", b"\xe2\x82"])  # the last one truncated
+    def test_non_utf8_byte_names_its_line(self, tmp_path, head, line, bad):
+        path = str(tmp_path / "traj.txt")
+        with open(path, "wb") as fh:
+            fh.write(head + bad + b" 0\n" + format_kitti(straight_line(2)).encode())
+        want = "^%s: line %d: not UTF-8 text$" % (re.escape(path), line)
+        with pytest.raises(ValueError, match=want):
+            load_trajectory(path, "kitti")
+
     def test_poses_are_one_stack(self):
         traj = parse_kitti(format_kitti(straight_line(4)))
         assert traj.poses.shape == (4, 4, 4)
@@ -657,13 +669,20 @@ class TestKittiDrift:
         with pytest.raises(ValueError, match="too short"):
             kitti_drift(gt[:5], gt[:5])
 
-    def test_csv_row_helpers(self):
+    def test_csv_row_helpers(self, tmp_path):
         gt = straight_line()
         est = [make_se3(np.eye(3), p[:3, 3] * 1.01) for p in gt]
         res = kitti_drift(est, gt, lengths=(100.0, 200.0))
         header, rows = error_vs_length_rows(res)
         assert header[0] == "length_m"
         assert [r[0] for r in rows] == [100, 200]
+        # a length is written as given: the defaults as before, fractions kept
+        for lengths, want in ((KITTI_LENGTHS[:2], ["100", "200"]),
+                              ((50.5, 50.7), ["50.5", "50.7"]), ((45, 90.0), ["45", "90"])):
+            path = str(tmp_path / "lengths.csv")
+            export_csv(path, *error_vs_length_rows(kitti_drift(est, gt, lengths=lengths)))
+            with open(path) as fh:
+                assert [row.split(",")[0] for row in fh.read().splitlines()[1:]] == want
         header, rows = error_vs_speed_rows(res)
         assert header[0] == "speed_mps"
         assert sum(r[3] for r in rows) == len(res.segments)

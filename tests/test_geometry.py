@@ -350,6 +350,91 @@ class TestStacks:
             assert np.max(np.abs(got - want)) < 1e-12
 
 
+class TestDet3:
+    """The closed-form determinant against LAPACK's, whose sign it replaces."""
+
+    @staticmethod
+    def with_lapack_det(monkeypatch, fn, *args):
+        # fn(*args) as it ran when every determinant came from np.linalg.det
+        with monkeypatch.context() as m:
+            m.setattr(G, "_det3", np.linalg.det)
+            try:
+                return fn(*args)
+            except ValueError as exc:
+                return str(exc)
+
+    def _mixed(self, rng, n=400):
+        rots = np.stack([random_rotation(rng) for _ in range(n)])
+        flip = rng.random(n) < 0.5
+        rots[flip, :, 0] *= -1.0  # reflections
+        return rots, flip
+
+    def test_sign_matches_lapack(self):
+        rots, flip = self._mixed(np.random.default_rng(40))
+        got = G._det3(rots)
+        assert np.array_equal(np.sign(got), np.sign(np.linalg.det(rots)))
+        assert np.array_equal(got < 0.0, flip)
+        for r in rots:
+            assert np.sign(G._det3(r)) == np.sign(np.linalg.det(r))
+
+    def test_lone_matrix_has_its_stack_row_bits(self):
+        rng = np.random.default_rng(41)
+        rots, _ = self._mixed(rng, n=100)
+        scales = 10.0 ** rng.integers(-3, 4, (100, 1, 1))
+        stack = np.concatenate([rots, rng.normal(size=(100, 3, 3)) * scales])
+        batched = G._det3(stack)
+        assert batched.shape == (200,)
+        for m, want in zip(stack, batched):
+            lone = G._det3(m)
+            assert lone.ndim == 0 and lone.tobytes() == want.tobytes()
+        assert G._det3(stack.reshape(2, 100, 3, 3)).tobytes() == batched.tobytes()
+
+    def test_check_messages_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        huge = [np.full((3, 3), 1e200), np.eye(3) * 1e200, np.diag([1e200, 1.0, -1.0])]
+        huge += [rng.choice([1e200, -1e200, 0.0, 1.0], size=(3, 3)) for _ in range(30)]
+        singular = [np.zeros((3, 3)), np.ones((3, 3)), np.diag([1.0, 1.0, 0.0]),
+                    np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 2.0])]
+        reflected = [np.diag([1.0, 1.0, -1.0]), -np.eye(3), self._mixed(rng, n=10)[0][0] * -1.0]
+        with_nan = []
+        for where in ((0, 0), (1, 2), (2, 1)):
+            m = random_rotation(rng)
+            m[where] = np.nan
+            with_nan.append(m)
+        mats = huge + singular + reflected + with_nan + [random_rotation(rng)]
+        poses = np.zeros((len(mats), 4, 4))
+        poses[:, :3, :3] = mats
+        poses[:, 3, 3] = 1.0
+        for r, pose in zip(mats, poses):
+            for fn, arg in ((G.matrix_to_euler, r), (G.check_se3, pose)):
+                want = self.with_lapack_det(monkeypatch, fn, arg)
+                try:
+                    got = fn(arg)
+                except ValueError as exc:
+                    got = str(exc)
+                assert isinstance(got, str) == isinstance(want, str)
+                if isinstance(want, str):
+                    assert got == want
+        for i in range(len(poses)):  # every suffix of the stack names the same first bad pose
+            want = self.with_lapack_det(monkeypatch, G.check_se3, poses[i:])
+            try:
+                G.check_se3(poses[i:])
+            except G.StackError as exc:
+                assert str(exc) == want
+            else:
+                assert not isinstance(want, str)
+
+    def test_orthonormalize_bits_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        rots, _ = self._mixed(rng, n=1000)
+        near = rots + rng.normal(size=rots.shape) * 1e-3
+        want = self.with_lapack_det(monkeypatch, G.orthonormalize, near)
+        assert G.orthonormalize(near).tobytes() == want.tobytes()
+        for m in near[:200]:
+            assert G.orthonormalize(m).tobytes() == self.with_lapack_det(
+                monkeypatch, G.orthonormalize, m).tobytes()
+
+
 class TestPose6DoF:
     def test_vector_round_trip(self):
         p = G.Pose6DoF((1, 2, 3), (0.1, -0.2, 0.3))

@@ -2,6 +2,9 @@
 
 Any text either parses to valid poses with finite, strictly increasing
 stamps, or raises a ValueError that names its line (or finds no poses).
+The np.loadtxt reader is checked against the per-line float() reader it
+replaced, which differs only where float() took '_' separators or
+non-ASCII digits.
 """
 
 import re
@@ -12,7 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from memvo.evaluation import parse_kitti, parse_tum  # noqa: E402
+from memvo.evaluation import _tokenise, parse_kitti, parse_tum  # noqa: E402
 from memvo.geometry import check_se3, euler_to_matrix, matrix_to_quat  # noqa: E402
 
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -57,7 +60,8 @@ def documents(draw, fmt):
             tokens = draw(st.lists(numbers, min_size=width, max_size=width))
         else:
             tokens = draw(pose_rows(fmt))
-        lines.append(draw(separators).join(tokens))
+        indent = draw(st.sampled_from(["", " ", "\t", "\u3000"]))
+        lines.append(indent + draw(separators).join(tokens))
     out = ""
     for line in lines:
         out += line + draw(newlines)
@@ -103,3 +107,76 @@ def test_kitti_pose_like_text(text):
 @given(documents("tum"))
 def test_tum_pose_like_text(text):
     check_outcome(parse_tum, text)
+
+
+def tokenise_by_float(text, width, comments, number=float):
+    """The per-line reader np.loadtxt replaced, one number(token) per value: the oracle."""
+    lines = text.splitlines()
+    vals, linenos = np.empty((len(lines), width)), []
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or (comments and tokens[0].startswith("#")):
+            continue
+        if len(tokens) != width:
+            raise ValueError("line %d: expected %d values, got %d" % (lineno, width, len(tokens)))
+        try:
+            vals[len(linenos)] = list(map(number, tokens))
+        except ValueError:
+            raise ValueError("line %d: non-numeric value" % lineno) from None
+        linenos.append(lineno)
+    if not linenos:
+        raise ValueError("no poses found")
+    vals = vals[:len(linenos)]
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        raise ValueError("line %d: non-finite value" % linenos[int(np.argmin(finite))])
+    return vals, linenos
+
+
+def ascii_float(token):
+    """float() without what the loadtxt reader refuses: '_' and non-ASCII characters."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return float(token)
+
+
+def outcome(read, *args):
+    try:
+        vals, linenos = read(*args)
+    except ValueError as exc:
+        return str(exc)
+    return vals.tobytes(), vals.shape, linenos
+
+
+def check_same_as_oracle(text, width, comments):
+    got = outcome(_tokenise, text, width, comments)
+    assert got == outcome(tokenise_by_float, text, width, comments, ascii_float)
+    if "_" not in text and not any(ch.isdigit() and not ch.isascii() for ch in text):
+        assert got == outcome(tokenise_by_float, text, width, comments)
+
+
+@SETTINGS
+@given(st.text(max_size=400), st.sampled_from([(12, False), (8, True)]))
+def test_reader_matches_float_oracle_on_any_text(text, form):
+    check_same_as_oracle(text, *form)
+
+
+@SETTINGS
+@given(documents("kitti"))
+def test_kitti_reader_matches_float_oracle(text):
+    check_same_as_oracle(text, 12, False)
+
+
+@SETTINGS
+@given(documents("tum"))
+def test_tum_reader_matches_float_oracle(text):
+    check_same_as_oracle(text, 8, True)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "\u0966"])
+def test_separators_and_non_ascii_digits_name_their_line(token):
+    row = ["0"] * 11
+    text = "\n".join([" ".join(["1"] * 12), "", " ".join(row + [token]), "1 2"])
+    assert float(token) in (10.0, 1.0, 0.0)  # float() took it
+    with pytest.raises(ValueError, match="^line 3: non-numeric value$"):
+        _tokenise(text, 12, comments=False)
