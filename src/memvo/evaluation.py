@@ -330,9 +330,9 @@ def kitti_drift(est, gt, lengths=KITTI_LENGTHS, step=1, aggregate="mean",
 
     est and gt are Trajectory objects, sequences of 4x4 poses or (N,4,4)
     stacks; their poses are validated once per call, after the other
-    arguments. lengths may come in any order and must be distinct, finite
-    and positive; frame_hz must be a finite, positive real number (no bool),
-    step an int >= 1 and aggregate one of AGGREGATES.
+    arguments. lengths may come in any order and must be non-empty,
+    distinct, finite and positive; frame_hz must be a finite, positive real
+    number (no bool), step an int >= 1 and aggregate one of AGGREGATES.
     Every (start, length) that fits is scored. segments is a record array
     with one record per segment, start by start, in lengths order.
     """
@@ -344,6 +344,8 @@ def kitti_drift(est, gt, lengths=KITTI_LENGTHS, step=1, aggregate="mean",
     if (lens.ndim != 1 or not np.all(np.isfinite(lens) & (lens > 0.0))
             or len(set(lens.tolist())) < len(lens)):  # a repeated length scores its segments twice
         raise ValueError("lengths must be distinct, finite and positive, got %r" % (lengths,))
+    if not len(lens):
+        raise ValueError("lengths must hold at least one length, got %r" % (lengths,))
     if aggregate not in AGGREGATES:
         raise ValueError("aggregate must be one of %s, got %r" % (AGGREGATES, aggregate))
     est = est.poses if isinstance(est, Trajectory) else _pose_stack(est)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _ORTHO_TOL = 1e-6
-_LAST_ROW = np.array([0.0, 0.0, 0.0, 1.0])
-_EYE3 = np.eye(3)
 
 
 def wrap_angle(phi):
@@ -81,13 +79,36 @@ def _det3(m):
     of a stack (vectorised), so both give the same bits. Callers read only
     its sign, of matrices that are orthonormal or checked to be.
     """
-    if m.ndim == 2:
-        (a, b, c), (d, e, f), (g, h, i) = m.tolist()
-    else:
-        a, b, c, d, e, f, g, h, i = m.reshape(-1, 9).T
+    a, b, c, d, e, f, g, h, i = _entries(m)
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     # a lone determinant as np.float64, so that comparing it gives a numpy mask
-    return np.float64(det) if m.ndim == 2 else det.reshape(m.shape[:-2])
+    return np.float64(det) if m.ndim == 2 else det
+
+
+def _ortho_dev(m):
+    """max|M^T M - I| of a 3x3 matrix, or of each matrix of a (...,3,3) stack.
+
+    From the six distinct column dot products, like _det3, so a lone matrix
+    gives the bits of its row in a stack; it may differ by about an ulp from
+    a BLAS M^T M, which may fuse multiply-adds. Finite entries that overflow
+    give NaN (inf - inf) only off the diagonal, where that column's diagonal
+    term is inf; the diagonal comes first and both maxima skip a later NaN,
+    so the matrix reads inf, as BLAS gives it. A NaN entry may read anything:
+    the check of finite entries comes first.
+    """
+    a, b, c, d, e, f, g, h, i = _entries(m)
+    devs = (a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0, c * c + f * f + i * i - 1.0,
+            a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i)
+    return np.float64(max(map(abs, devs))) if m.ndim == 2 else np.fmax.reduce(np.abs(devs))
+
+
+def _entries(m):
+    # the nine entries of a 3x3 matrix, row by row, as Python floats; of a
+    # (...,3,3) stack as nine (...)-shaped views
+    if m.ndim == 2:
+        (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+        return a, b, c, d, e, f, g, h, i
+    return [m[..., j, k] for j in range(3) for k in range(3)]
 
 
 def _rotation_faults(r):
@@ -97,8 +118,7 @@ def _rotation_faults(r):
     placed before these reports them, and NaN fails no comparison.
     """
     with np.errstate(all="ignore"):
-        dev = np.abs(r.swapaxes(-1, -2) @ r - _EYE3).max(axis=(-2, -1))
-        det = _det3(r)
+        dev, det = _ortho_dev(r), _det3(r)
     return [(dev > _ORTHO_TOL, lambda i: "matrix is not orthonormal (max deviation %.3g)" % dev[i]),
             (det < 0.0, "matrix has negative determinant (reflection)")]
 
@@ -237,10 +257,19 @@ def check_se3(pose):
     if pose.ndim not in (2, 3) or pose.shape[-2:] != (4, 4):
         raise ValueError("pose must be 4x4, got %s" % (pose.shape,))
     _raise_first([(_non_finite(pose), "pose has non-finite entries"),
-                  (np.abs(pose[..., 3, :] - _LAST_ROW).max(axis=-1) > _ORTHO_TOL,
-                   "pose last row must be (0,0,0,1)")]
+                  (_last_row_dev(pose) > _ORTHO_TOL, "pose last row must be (0,0,0,1)")]
                  + _rotation_faults(pose[..., :3, :3]), "pose")
     return pose
+
+
+def _last_row_dev(pose):
+    # max |last row - (0,0,0,1)| of a pose, or of each pose of a stack, entry by
+    # entry: numpy's max over a length-4 axis costs ten times as much
+    if pose.ndim == 2:
+        a, b, c, d = pose[3].tolist()
+        return np.float64(max(abs(a), abs(b), abs(c), abs(d - 1.0)))
+    a, b, c, d = pose[:, 3].T
+    return np.fmax(np.fmax(abs(a), abs(b)), np.fmax(abs(c), abs(d - 1.0)))
 
 
 def translation(pose):
@@ -393,13 +422,17 @@ def umeyama_align(src, dst):
 def apply_similarity(scale, r, t, poses):
     """Apply (s, R, t) to a sequence or (N,4,4) stack of poses; returns a stack.
 
-    Positions map by s*R*p + t, orientations by R @ R_pose. Scale
-    deliberately leaves rotations alone.
+    Positions map by s*R*p + t, orientations by R @ R_pose, as the alignment
+    gives them (TUM scores them so). Scale deliberately leaves rotations
+    alone. R is checked as a rotation; Umeyama's comes out of an SVD and is
+    orthonormal to rounding, so R @ R_pose is as orthonormal as the R_pose
+    check_se3 accepted, and the output passes check_se3 without a
+    re-projection.
     """
     poses = check_se3(poses)
-    r = np.asarray(r, dtype=np.float64)
+    r = _check_rotation(r)
     out = np.zeros(poses.shape)
-    out[..., :3, :3] = orthonormalize(r @ poses[..., :3, :3])
+    out[..., :3, :3] = r @ poses[..., :3, :3]
     out[..., :3, 3] = scale * (poses[..., :3, 3] @ r.T) + t
     out[..., 3, 3] = 1.0
     return out

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -624,6 +625,14 @@ class TestKittiDrift:
         with pytest.raises(ValueError, match="lengths"):
             kitti_drift(gt, gt, lengths=lengths)
 
+    def test_empty_lengths_rejected_before_any_pose(self):
+        gt = straight_line(300)
+        for lengths in ([], (), np.array([])):
+            with pytest.raises(ValueError, match="^lengths must hold at least one length"):
+                kitti_drift(gt, gt, lengths=lengths)
+            with pytest.raises(ValueError, match="^lengths must hold"):
+                kitti_drift(gt[:-1], [np.full((4, 4), np.nan)] * 3, lengths=lengths)
+
     def test_repeated_length_rejected(self):
         # each segment of the repeated length would be scored twice
         gt = straight_line(20, spacing=30.0)
@@ -803,6 +812,28 @@ class TestVectorisedAgainstLoop:
                                 a, b)
         per_s = t_err / (est.stamps[b] - est.stamps[a])
         assert np.max(np.abs(per_s - [p[2] for p in want])) < 1e-12
+
+
+def bench_workloads():
+    """perfbench/workloads.py, loaded by path: it builds the benchmark's inputs."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed, before", [(1, 0.0001000000000795591),
+                                          (1001, 0.00010000000008073882)])
+def test_tum_drift_on_the_benchmark_walk(tmp_path, seed, before):
+    # before: the eval-drift value while apply_similarity still re-projected
+    # each aligned rotation with an SVD; TUM scores them as the alignment gives them
+    bench = bench_workloads().EvalDrift("full", seed, str(tmp_path))
+    bench.setup()
+    res = bench.run("tum")[2]
+    assert res.pairs == 4531 and res.matches == 4541
+    assert abs(res.rmse_m_per_s - before) <= 1e-12 * before
 
 
 def stamped(stamps):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -343,11 +345,14 @@ class TestStacks:
         s, r, t = 1.7, random_rotation(rng), rng.normal(size=3)
         out = G.apply_similarity(s, r, t, poses)
         for pose, got in zip(poses, out):
-            # the per-pose form apply_similarity had before it took stacks
+            # the per-pose form, with the rotations as the alignment gives them
             want = np.eye(4)
-            want[:3, :3] = G.orthonormalize(r @ pose[:3, :3])
+            want[:3, :3] = r @ pose[:3, :3]
             want[:3, 3] = s * (r @ pose[:3, 3]) + t
+            assert got[:3, :3].tobytes() == want[:3, :3].tobytes()
             assert np.max(np.abs(got - want)) < 1e-12
+            lone = G.apply_similarity(s, r, t, pose)
+            assert lone.shape == (4, 4) and np.max(np.abs(lone - got)) < 1e-12
 
 
 class TestDet3:
@@ -433,6 +438,146 @@ class TestDet3:
         for m in near[:200]:
             assert G.orthonormalize(m).tobytes() == self.with_lapack_det(
                 monkeypatch, G.orthonormalize, m).tobytes()
+
+
+def matmul_deviation(m):
+    """max|M^T M - I| as the rotation check took it before its closed form."""
+    with np.errstate(all="ignore"):
+        return np.abs(m.swapaxes(-1, -2) @ m - np.eye(3)).max(axis=(-2, -1))
+
+
+def rotation_stack(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    return q
+
+
+def as_poses(mats):
+    poses = np.zeros((len(mats), 4, 4))
+    poses[:, :3, :3] = mats
+    poses[:, 3, 3] = 1.0
+    return poses
+
+
+class TestClosedFormOrthonormality:
+    """The closed-form deviation against the BLAS R^T R that it replaces."""
+
+    @staticmethod
+    def outcome(fn, arg):
+        try:
+            fn(arg)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    def assert_as_oracle(self, monkeypatch, mats, lone=True):
+        """Every check gives the oracle's verdict and message, with no warning."""
+        mats = np.asarray(mats, dtype=np.float64)
+        poses = as_poses(mats)
+        calls = [(G.check_se3, poses), (G.matrix_to_quat, mats)]
+        if lone:
+            calls += [(fn, arg) for r, pose in zip(mats, poses)
+                      for fn, arg in ((G.matrix_to_euler, r), (G.check_se3, pose))]
+        got, want = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn, arg in calls:
+                got.append(self.outcome(fn, arg))
+            with monkeypatch.context() as m:
+                m.setattr(G, "_ortho_dev", matmul_deviation)
+                for fn, arg in calls:
+                    want.append(self.outcome(fn, arg))
+        assert got == want
+        return got
+
+    def test_random_rotations(self, monkeypatch):
+        rots = rotation_stack(np.random.default_rng(60), 4541)
+        assert self.assert_as_oracle(monkeypatch, rots) == [None] * (2 + 2 * len(rots))
+        dev = G._ortho_dev(rots)
+        assert dev.shape == (4541,) and dev.max() < 1e-14
+        # BLAS may fuse the dot products' multiply-adds: about an ulp apart
+        assert np.max(np.abs(dev - matmul_deviation(rots))) <= 4.5e-16
+
+    @pytest.mark.parametrize("factor", [0.5, 0.999, 1.001, 2.0])
+    def test_deviations_at_the_tolerance(self, monkeypatch, factor):
+        rng = np.random.default_rng(61)
+        eps = factor * G._ORTHO_TOL
+        mats = []
+        for k in range(3):
+            for sign in (1.0, -1.0):
+                stretch = np.eye(3)
+                stretch[k, k] = np.sqrt(1.0 + sign * eps)  # a column norm off by eps
+                mats.append(random_rotation(rng) @ stretch)
+                shear = np.eye(3)
+                shear[k, (k + 1) % 3] = sign * eps  # two columns eps from orthogonal
+                mats.append(random_rotation(rng) @ shear)
+        got = self.assert_as_oracle(monkeypatch, mats)
+        rejected = [m is not None for m in got[2:]]
+        assert rejected == [factor > 1.0] * len(rejected)
+        assert np.allclose(G._ortho_dev(np.array(mats)), eps, rtol=1e-6, atol=0.0)
+
+    def test_reflections(self, monkeypatch):
+        rots = rotation_stack(np.random.default_rng(62), 50)
+        rots[::2, :, 1] *= -1.0
+        got = self.assert_as_oracle(monkeypatch, rots)
+        assert got[0] == "pose 0: matrix has negative determinant (reflection)"
+        assert got[1] == "rotation 0: matrix has negative determinant (reflection)"
+        assert sum(m is not None for m in got[2:]) == 50
+
+    def test_non_finite_and_huge_entries(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        mats = []
+        for bad in (np.nan, np.inf, -np.inf, 1e200, -1e200):
+            for where in ((0, 0), (1, 2), (2, 1)):
+                m = random_rotation(rng)
+                m[where] = bad
+                mats.append(m)
+        mats += [np.full((3, 3), 1e200), np.eye(3) * 1e200, np.diag([1e200, 1.0, -1.0]),
+                 np.array([[1e200, -1e200, 0.0], [1e200, 1e200, 0.0], [0.0, 0.0, 1.0]])]
+        mats += [rng.choice([1e200, -1e200, 0.0, 1.0], size=(3, 3)) for _ in range(40)]
+        got = self.assert_as_oracle(monkeypatch, mats)
+        assert all(m is not None for m in got)
+        for i in range(len(mats)):  # every suffix of the stack names the same first bad pose
+            self.assert_as_oracle(monkeypatch, mats[i:], lone=False)
+        huge = np.array([[1e200, -1e200, 0.0], [1e200, 1e200, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^matrix is not orthonormal \(max deviation inf\)$"):
+            G.matrix_to_euler(huge)  # inf - inf in one product sum, yet no NaN reading
+
+    def test_last_row_verdict_as_before(self):
+        poses = []
+        for k in range(4):
+            for off in (0.5e-6, -0.5e-6, 2e-6, -2e-6, 1e200):
+                pose = np.eye(4)
+                pose[3, k] += off
+                poses.append(pose)
+        poses = np.array(poses)
+        with np.errstate(over="ignore"):
+            before = np.abs(poses[:, 3, :] - [0.0, 0.0, 0.0, 1.0]).max(axis=-1) > G._ORTHO_TOL
+        assert before.sum() == 12
+        for pose, bad in zip(poses, before):
+            assert (self.outcome(G.check_se3, pose) is not None) == bad
+        for i in range(len(poses)):
+            got = self.outcome(G.check_se3, poses[i:])
+            assert got == ("pose %d: pose last row must be (0,0,0,1)" % np.argmax(before[i:])
+                           if before[i:].any() else None)
+
+    def test_lone_matrix_has_its_stack_row_bits(self):
+        rng = np.random.default_rng(64)
+        rots = rotation_stack(rng, 100)
+        scales = 10.0 ** rng.integers(-3, 4, (100, 1, 1))
+        stack = np.concatenate([rots, rots + rng.normal(size=(100, 3, 3)) * 1e-6,
+                                rng.normal(size=(100, 3, 3)) * scales,
+                                rng.choice([1e200, -1e200, 0.0, 1.0], size=(100, 3, 3))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                batched = G._ortho_dev(stack)
+                assert batched.shape == (400,) and not np.isnan(batched).any()
+                for m, want in zip(stack, batched):
+                    lone = G._ortho_dev(m)
+                    assert lone.ndim == 0 and lone.tobytes() == want.tobytes()
+                assert G._ortho_dev(stack.reshape(2, 200, 3, 3)).tobytes() == batched.tobytes()
 
 
 class TestPose6DoF:
@@ -588,3 +733,29 @@ class TestUmeyama:
         out = G.apply_similarity(s, r, t, [pose])[0]
         assert np.allclose(out[:3, 3], s * (r @ pose[:3, 3]) + t)
         assert np.allclose(out[:3, :3], r @ pose[:3, :3])
+
+    def test_apply_similarity_keeps_a_checked_pose_valid(self):
+        rng = np.random.default_rng(13)
+        stretch = np.diag([np.sqrt(1.0 + 0.9e-6), 1.0, 1.0])
+        poses = np.stack([G.make_se3(random_rotation(rng) @ stretch, rng.normal(size=3))
+                          for _ in range(50)])
+        dev = G._ortho_dev(poses[:, :3, :3])
+        assert np.all((dev > 0.89e-6) & (dev < 0.91e-6))
+        G.check_se3(poses)
+        src = rng.normal(size=(20, 3))
+        for r in [random_rotation(rng) for _ in range(10)]:
+            # Umeyama's R comes out of an SVD, as tum_rmse_drift's does
+            s, r_svd, t = G.umeyama_align(src, 2.0 * src @ r.T + rng.normal(size=3))
+            out = G.apply_similarity(s, r_svd, t, poses)
+            G.check_se3(out)
+            assert np.max(np.abs(G._ortho_dev(out[:, :3, :3]) - dev)) < 1e-14
+            for pose, got in zip(poses, out):
+                G.check_se3(got)
+                assert np.max(np.abs(G.apply_similarity(s, r_svd, t, pose) - got)) < 1e-12
+
+    def test_apply_similarity_refuses_a_non_rotation(self):
+        pose = np.eye(4)
+        with pytest.raises(ValueError, match="^matrix is not orthonormal"):
+            G.apply_similarity(1.0, np.eye(3) * 1.01, np.zeros(3), [pose])
+        with pytest.raises(ValueError, match="^matrix has negative determinant"):
+            G.apply_similarity(1.0, np.diag([1.0, 1.0, -1.0]), np.zeros(3), [pose])
