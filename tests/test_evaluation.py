@@ -17,7 +17,7 @@ from memvo.evaluation import (KITTI_LENGTHS, SPEED_BIN, STAMP_TOL_S, TUM_DELTA_S
                               parse_kitti, parse_tum, saliency_map,
                               save_sequence, save_trajectory, tum_rmse_drift)
 from memvo.geometry import (StackError, apply_similarity, euler_to_matrix, make_se3,
-                            orthonormalize, pose_inverse, rotation_angle, umeyama_align)
+                            pose_inverse, rotation_angle, umeyama_align)
 from memvo.memory import MemoryPolicy
 from memvo.net import VONet
 from memvo.synthetic import SyntheticSpec, generate_sequence
@@ -147,6 +147,13 @@ def associate_stamps_loop(a, b, tol):
     return pairs
 
 
+def polar_factor(m):
+    """The nearest rotation to a 3x3 m in Frobenius norm, from its SVD."""
+    u, _, vt = np.linalg.svd(m)
+    u[:, 2] *= np.sign(np.linalg.det(u @ vt))
+    return u @ vt
+
+
 def tum_pairs_loop(est, gt, delta=TUM_DELTA_S, tol=STAMP_TOL_S):
     """The pairing and scoring loop tum_rmse_drift ran before it was vectorised.
 
@@ -162,7 +169,7 @@ def tum_pairs_loop(est, gt, delta=TUM_DELTA_S, tol=STAMP_TOL_S):
     est_aligned = []
     for pose in est_m:
         q = np.eye(4)
-        q[:3, :3] = orthonormalize(rot @ pose[:3, :3])
+        q[:3, :3] = polar_factor(rot @ pose[:3, :3])
         q[:3, 3] = scale * (rot @ pose[:3, 3]) + trans
         est_aligned.append(q)
     pairs = []

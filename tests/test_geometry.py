@@ -210,14 +210,37 @@ class TestSE3:
             G.pose_compose(a, bad)
         assert info.value.index == 5
 
-    def test_compose_reorthonormalizes(self):
+    def test_compose_refuses_overflowing_translation(self):
+        # finite poses whose product's translation overflows: refused, not
+        # returned as a non-finite pose for a later check to find, or miss
+        p = G.make_se3(np.eye(3), (1e308, 0.0, 0.0))
+        why = "product has non-finite translation"
+        with pytest.raises(ValueError, match="^%s$" % why) as info:
+            G.pose_compose(p, p)
+        assert not isinstance(info.value, G.StackError)
+        with pytest.raises(ValueError, match="^%s$" % why):
+            G.integrate_relative([p, p])
+        stack = np.stack([np.eye(4)] * 4)
+        stack[2] = p
+        with pytest.raises(G.StackError, match="^pose 2: %s$" % why) as info:
+            G.pose_compose(stack, p)
+        assert info.value.index == 2
+        with pytest.raises(G.StackError, match="^pose 2: %s$" % why):
+            G.integrate_relative([stack, stack])
+        assert G.pose_compose(p, np.eye(4))[0, 3] == 1e308
+
+    def test_long_chain_stays_on_so3_without_reprojection(self):
+        # the evidence that pose_compose needs no SVD: rounding in a chain of
+        # products grows as a random walk, far below check_se3's tolerance
         rng = np.random.default_rng(6)
-        pose = np.eye(4)
-        step = G.make_se3(G.euler_to_matrix((1e-4, 2e-4, 0.01)), (0.1, 0, 0))
-        for _ in range(2000):
-            pose = G.pose_compose(pose, step)
-        r = pose[:3, :3]
-        assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-12
+        rels = G.poses_from_vectors(np.concatenate(
+            [rng.normal(size=(20000, 3)), rng.uniform(-np.pi, np.pi, (20000, 3))], axis=1))
+        chain = np.array(G.integrate_relative(list(rels)))
+        r = chain[:, :3, :3]
+        dev = np.abs(r.swapaxes(-1, -2) @ r - np.eye(3)).max(axis=(-2, -1))
+        assert dev.max() < 1e-12
+        assert np.abs(np.linalg.det(r) - 1.0).max() < 1e-12
+        G.check_se3(chain)
 
     def test_validation(self):
         bad = np.eye(4)
@@ -335,13 +358,9 @@ class TestStacks:
             G.quat_to_matrix(q)
         assert info.value.index == 7
 
-    def test_orthonormalize_and_similarity_stack(self):
+    def test_similarity_stack(self):
         rng = np.random.default_rng(25)
         poses = self._stack(rng, n=30)
-        m = poses[:, :3, :3] + rng.normal(size=(30, 3, 3)) * 1e-3
-        batched = G.orthonormalize(m)
-        for mi, ri in zip(m, batched):
-            assert np.max(np.abs(ri - G.orthonormalize(mi))) < 1e-15
         s, r, t = 1.7, random_rotation(rng), rng.normal(size=3)
         out = G.apply_similarity(s, r, t, poses)
         for pose, got in zip(poses, out):
@@ -360,7 +379,8 @@ class TestDet3:
 
     @staticmethod
     def with_lapack_det(monkeypatch, fn, *args):
-        # fn(*args) as it ran when every determinant came from np.linalg.det
+        # fn(*args) as it ran when every determinant came from np.linalg.det;
+        # a lone matrix's check calls no _det3, so its oracle is stack_of_one
         with monkeypatch.context() as m:
             m.setattr(G, "_det3", np.linalg.det)
             try:
@@ -411,8 +431,9 @@ class TestDet3:
         poses[:, :3, :3] = mats
         poses[:, 3, 3] = 1.0
         for r, pose in zip(mats, poses):
-            for fn, arg in ((G.matrix_to_euler, r), (G.check_se3, pose)):
-                want = self.with_lapack_det(monkeypatch, fn, arg)
+            for fn, stacked, arg in ((G.matrix_to_euler, G.matrix_to_quat, r),
+                                     (G.check_se3, G.check_se3, pose)):
+                want = self.with_lapack_det(monkeypatch, stack_of_one(stacked), arg)
                 try:
                     got = fn(arg)
                 except ValueError as exc:
@@ -429,15 +450,20 @@ class TestDet3:
             else:
                 assert not isinstance(want, str)
 
-    def test_orthonormalize_bits_unchanged(self, monkeypatch):
-        rng = np.random.default_rng(43)
-        rots, _ = self._mixed(rng, n=1000)
-        near = rots + rng.normal(size=rots.shape) * 1e-3
-        want = self.with_lapack_det(monkeypatch, G.orthonormalize, near)
-        assert G.orthonormalize(near).tobytes() == want.tobytes()
-        for m in near[:200]:
-            assert G.orthonormalize(m).tobytes() == self.with_lapack_det(
-                monkeypatch, G.orthonormalize, m).tobytes()
+
+def stack_of_one(check):
+    """A stack check run on one matrix as a stack of one, raising as a lone check.
+
+    A lone matrix is checked on Python floats, through neither _det3 nor
+    _ortho_dev, so an oracle patched into those reaches it only this way.
+    """
+    def run(arg):
+        try:
+            return check(arg[None])
+        except G.StackError as exc:
+            assert exc.index == 0
+            raise ValueError(exc.reason) from None
+    return run
 
 
 def matmul_deviation(m):
@@ -476,9 +502,11 @@ class TestClosedFormOrthonormality:
         mats = np.asarray(mats, dtype=np.float64)
         poses = as_poses(mats)
         calls = [(G.check_se3, poses), (G.matrix_to_quat, mats)]
-        if lone:
-            calls += [(fn, arg) for r, pose in zip(mats, poses)
-                      for fn, arg in ((G.matrix_to_euler, r), (G.check_se3, pose))]
+        oracles = list(calls)
+        if lone:  # a lone matrix's oracle is its stack of one (stack_of_one)
+            for r, pose in zip(mats, poses):
+                calls += [(G.matrix_to_euler, r), (G.check_se3, pose)]
+                oracles += [(stack_of_one(G.matrix_to_quat), r), (stack_of_one(G.check_se3), pose)]
         got, want = [], []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -486,7 +514,7 @@ class TestClosedFormOrthonormality:
                 got.append(self.outcome(fn, arg))
             with monkeypatch.context() as m:
                 m.setattr(G, "_ortho_dev", matmul_deviation)
-                for fn, arg in calls:
+                for fn, arg in oracles:
                     want.append(self.outcome(fn, arg))
         assert got == want
         return got

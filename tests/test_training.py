@@ -900,8 +900,8 @@ class TestSlidingWindowInfer:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_relative_pose_raises(self, monkeypatch):
-        # a finite relative translation whose chain overflows: the last
-        # integrated pose is non-finite, and the memory's check rejects it
+        # a finite relative translation whose chain overflows: composing the
+        # last step refuses it, naming the window in the batched chain
         real = VONet.pose_head
 
         def huge(self, which, out_map):
@@ -911,7 +911,7 @@ class TestSlidingWindowInfer:
 
         monkeypatch.setattr(VONet, "pose_head", huge)
         model = VONet(preset="tiny", seed=3)
-        with pytest.raises(ValueError, match="^pose has non-finite entries$"):
+        with pytest.raises(StackError, match="^pose 0: product has non-finite translation$"):
             run_window(model, self.frames(3), self.policy)
         with pytest.raises(ValueError, match="non-finite"):
             sliding_window_infer(model, self.frames(9), self.policy, window=4, stride=1)
